@@ -9,6 +9,16 @@ probability. Readout is the three-stage fluorescence cascade: detect the
 ground manifold, then deshelve and detect each metastable readout level in
 turn; whatever norm remains is leakage.
 
+One interpreter runs every pulse program. A (sequence, config, noise,
+signal angles) tuple compiles once into a list of segments (rf pulse,
+laser swap, free precession), and run, angle_scan, detuning_scan,
+time_series and run_qubit_reduction apply those segments to a whole
+(N, 8) batch of grid points at once. Resonant rf segments are closed-form
+rotations from one cached eigendecomposition of Jx; detuned ones take one
+stacked eigh per segment. The readout cascade is linear in the level
+populations, so it is one (4, 8) matrix per (noise, config) applied to
+|psi|^2 of the batch.
+
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
 phase-keyed table is exact when the laser couples m = +1/2 (branches end on
@@ -18,6 +28,7 @@ m = -1/2 and m = +1/2), and the amplitude-keyed table wants m = +5/2
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +41,14 @@ from .protocols import (
     PSK,
     resolve_oracle_pulse,
 )
-from .spin_algebra import rotation, spin_operators, _expm_i_hermitian
+from .spin_algebra import rotation, spin_operators, two_level_rotation, z_frame
 
 D_DIM = 6
 DIM = 8
 S_LEVELS = (6, 7)
 
 _J6 = spin_operators(6)
+_M6 = np.diag(_J6.jz).real
 
 
 @dataclass(frozen=True)
@@ -147,34 +159,36 @@ def init_state(config=None):
     return state
 
 
-def _embed6(u6):
-    u = np.eye(DIM, dtype=complex)
-    u[:D_DIM, :D_DIM] = u6
-    return u
-
-
-def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None):
-    """Propagator of one rf pulse on the metastable block.
+def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=None):
+    """Propagator of one rf pulse on the metastable block, or a stack of them.
 
     A negative rotation angle is driven as a positive-duration pulse about
     the opposite axis. The detuning enters as 2*pi*detuning*Jz alongside
     the (1 + amp_error)-scaled drive. The duration is theta/rabi_freq
     unless an explicit duration is given, in which case the drive amplitude
     is rescaled to produce the same rotation angle in that time.
+
+    theta, phi, duration and detuning_hz (default: noise.detuning_hz) may
+    be arrays with one value per pulse; they broadcast, and the (6, 6)
+    propagators stack along their broadcast shape. Resonant pulses are the
+    closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation();
+    when any detuning is nonzero the generator of each pulse, turned to the
+    x axis (which leaves Jz alone), goes through one stacked eigh.
     """
     config = config or ExperimentConfig()
-    if theta < 0:
-        theta, phi = -theta, phi + math.pi
     if duration is None:
-        if theta == 0.0:
-            return np.eye(D_DIM, dtype=complex)
-        duration = theta / config.rabi_freq
-        omega = config.rabi_freq * (1.0 + noise.rf_amp_error)
-    else:
-        omega = (theta / duration) * (1.0 + noise.rf_amp_error)
-    j_phi = math.cos(phi) * _J6.jx + math.sin(phi) * _J6.jy
-    h = 2.0 * math.pi * noise.detuning_hz * _J6.jz + omega * j_phi
-    return _expm_i_hermitian(h, duration)
+        duration = np.abs(theta) / config.rabi_freq
+    if detuning_hz is None:
+        detuning_hz = noise.detuning_hz
+    angle = np.multiply(theta, 1.0 + noise.rf_amp_error)
+    z_phase = 2.0 * math.pi * np.multiply(detuning_hz, duration)
+    if not np.any(z_phase):
+        return rotation(D_DIM, angle, phi)
+    angle, z_phase = np.broadcast_arrays(angle, z_phase)
+    generator = (z_phase[..., None, None] * _J6.jz.real
+                 + angle[..., None, None] * _J6.jx.real)
+    w, v = np.linalg.eigh(generator)
+    return z_frame((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2), phi)
 
 
 def apply_rf(state, theta, phi, noise=IDEAL, config=None, duration=None):
@@ -184,21 +198,9 @@ def apply_rf(state, theta, phi, noise=IDEAL, config=None, duration=None):
     return out
 
 
-def _laser_unitary(pair, theta, phase=0.0):
-    u = np.eye(DIM, dtype=complex)
-    i, k = pair
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    u[i, i] = c
-    u[k, k] = c
-    u[i, k] = -1j * s * np.exp(1j * phase)
-    u[k, i] = -1j * s * np.exp(-1j * phase)
-    return u
-
-
-def apply_laser(state, pair, theta=math.pi, phase=0.0):
-    """Two-level rotation between one metastable and one ground sublevel."""
-    return _laser_unitary(pair, theta, phase) @ state
+def _laser_angle(noise):
+    """Two-level rotation angle of a pi-swap that transfers 1 - laser_pi_error."""
+    return 2.0 * math.asin(math.sqrt(1.0 - noise.laser_pi_error))
 
 
 def apply_laser_pi(state, pair, noise=IDEAL, config=None):
@@ -215,8 +217,7 @@ def apply_laser_pi(state, pair, noise=IDEAL, config=None):
         if pair not in pairs:
             raise ValueError(f"unknown laser pair {pair!r}; expected one of {sorted(pairs)}")
         pair = pairs[pair]
-    theta = 2.0 * math.asin(math.sqrt(1.0 - noise.laser_pi_error))
-    return apply_laser(state, pair, theta)
+    return two_level_rotation(DIM, pair, _laser_angle(noise)) @ state
 
 
 def apply_oracle(state, oracle, noise=IDEAL, config=None, phase_offset=math.pi):
@@ -232,41 +233,113 @@ def apply_oracle(state, oracle, noise=IDEAL, config=None, phase_offset=math.pi):
     return apply_rf(state, oracle.hidden_angle, math.pi / 2.0, noise, config)
 
 
-def _free_evolution(state, duration, noise):
-    if duration == 0.0 or noise.detuning_hz == 0.0:
-        return state
-    out = state.copy()
-    phases = np.exp(-2j * math.pi * noise.detuning_hz * _m6 * duration)
-    out[:D_DIM] = phases * state[:D_DIM]
-    return out
+class _Segment(NamedTuple):
+    """One step of a compiled pulse program.
+
+    kind is "rf", "laser" or "free" (precession only). duration is the wall
+    time; angle is the rf pulse's nominal rotation angle or the laser's
+    two-level rotation angle; phi is the rf drive axis; pair is the laser's
+    (metastable, ground) pair. Each number is a scalar or one value per
+    grid point.
+    """
+
+    kind: str
+    duration: object
+    angle: object = 0.0
+    phi: object = 0.0
+    pair: tuple = None
 
 
-_m6 = np.diag(_J6.jz).real.copy()
+def _compile(seq, config, noise, signal_angles):
+    """The pulse program as segments, for a scalar or an array of signal angles.
 
-
-def _run_pulses(seq, signal_angle, noise, config):
-    """Apply init and the full pulse program; returns (state, duration)."""
-    state = init_state(config)
-    elapsed = 0.0
+    This is the only place that knows the program's rules: a free gap
+    between consecutive pulses, the in-sequence laser on the couple pair
+    followed by its laser time, oracle resolution, and the fixed-length
+    option for amplitude-keyed oracles.
+    """
+    laser_angle = _laser_angle(noise)
+    segments = []
     for n, pulse in enumerate(seq.pulses):
         if n > 0 and config.pulse_gap_s > 0.0:
-            state = _free_evolution(state, config.pulse_gap_s, noise)
-            elapsed += config.pulse_gap_s
+            segments.append(_Segment("free", config.pulse_gap_s))
         if pulse.channel == LASER:
-            state = apply_laser_pi(state, config.couple_pair, noise)
-            state = _free_evolution(state, config.laser_time_s, noise)
-            elapsed += config.laser_time_s
+            segments.append(_Segment("laser", config.laser_time_s, laser_angle,
+                                     pair=config.couple_pair))
+            continue
+        theta, phi = pulse.theta, pulse.phi
+        duration = None
+        if pulse.channel == ORACLE:
+            theta, phi = resolve_oracle_pulse(pulse, seq.encoding, signal_angles)
+            if config.oracle_fixed_length and seq.encoding == ASK:
+                duration = config.pi_time
+        if duration is None:
+            duration = np.abs(theta) / config.rabi_freq
+        segments.append(_Segment("rf", duration, theta, phi))
+    return segments
+
+
+def _advance(states, segment, noise, detuning_hz, tau=None, dim=D_DIM):
+    """Apply the first tau seconds of a segment (all of it by default).
+
+    states is an (N, dim + grounds) batch whose first dim entries are the
+    spin block; detuning_hz and tau are scalars or one value per row. The
+    six-level block takes the noisy rf_unitary; the ideal two-level
+    reduction (dim = 2) takes plain rotations. Returns a new array.
+    """
+    scale = 1.0
+    if tau is None:
+        tau = segment.duration
+    else:
+        scale = tau / segment.duration
+    if segment.kind == "laser":
+        # The swap is instantaneous; the laser time after it only precesses.
+        states = states @ two_level_rotation(states.shape[1], segment.pair, segment.angle).T
+    else:
+        states = states.copy()
+    block = states[:, :dim]
+    if segment.kind == "rf":
+        theta = segment.angle * scale
+        if dim == D_DIM:
+            u = rf_unitary(theta, segment.phi, noise, duration=tau, detuning_hz=detuning_hz)
         else:
-            duration = None
-            if pulse.channel == ORACLE:
-                theta, phi = resolve_oracle_pulse(pulse, seq.encoding, signal_angle)
-                if config.oracle_fixed_length and seq.encoding == ASK:
-                    duration = config.pi_time
-            else:
-                theta, phi = pulse.theta, pulse.phi
-            state = apply_rf(state, theta, phi, noise, config, duration)
-            elapsed += duration if duration is not None else abs(theta) / config.rabi_freq
-    return state, elapsed
+            u = rotation(dim, theta, segment.phi)
+        states[:, :dim] = (u @ block[..., None])[..., 0]
+    elif np.any(detuning_hz):
+        z_phase = 2.0 * math.pi * np.multiply.outer(np.multiply(detuning_hz, tau), _M6)
+        states[:, :dim] = block * np.exp(-1j * z_phase)
+    return states
+
+
+def _readout_matrix(noise, config):
+    """(4, 8) map from the 8 level populations to outcome probabilities.
+
+    Right after each projection one side of the next laser pair is empty,
+    so the swap moves population without interference and the whole
+    cascade is linear in |psi|^2. Column k is the cascade run on all
+    population in level k.
+    """
+    s = noise.spam_error
+    ground = np.isin(np.arange(DIM), S_LEVELS)
+    pops = np.eye(DIM)
+    rows = []
+    for stage in range(3):
+        if stage:
+            pair = config.readout_pairs[stage - 1]
+            pops = np.abs(two_level_rotation(DIM, pair, _laser_angle(noise))) ** 2 @ pops
+        rows.append((1.0 - s) * pops[ground].sum(axis=0) + s * pops[~ground].sum(axis=0))
+        # Only a branch reported dark goes on: the true-dark one, and the
+        # true-bright one with probability spam_error.
+        pops = np.where(ground[:, None], s, 1.0 - s) * pops
+    rows.append(pops.sum(axis=0))
+    return np.array(rows)
+
+
+def _sample(probs, seed):
+    if seed is None:
+        return None
+    rng = np.random.default_rng(seed)
+    return int(rng.choice(4, p=probs / probs.sum()))
 
 
 def sequential_readout(state, noise=IDEAL, config=None, seed=None):
@@ -277,62 +350,41 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     projects the true state and is misreported with probability
     spam_error; the procedure follows the reports, so a flipped detection
     both mislabels and derails the remaining cascade, as it does in the
-    lab. Returns exact outcome probabilities, plus one sampled outcome when
-    a seed is given.
+    lab. The outcome probabilities depend only on the level populations
+    |psi|^2 and are linear in them: they are one (4, 8) matrix, fixed by
+    the noise and config, applied to |psi|^2. state may also be a batch of
+    shape (..., 8), giving probabilities of shape (..., 4). Returns exact
+    outcome probabilities, plus one sampled outcome when a seed is given
+    for a single state.
     """
     config = config or ExperimentConfig()
-    s = noise.spam_error
-    outcome_probs = np.zeros(4)
-
-    def detect(weight, psi, stage):
-        """Recursively walk the cascade; weight is the path probability."""
-        if stage > 2:
-            outcome_probs[3] += weight
-            return
-        p_ground = min(1.0, float(np.sum(np.abs(psi[list(S_LEVELS)]) ** 2)))
-        p_dark = 1.0 - p_ground
-        # True-bright branch: collapse into the ground manifold.
-        if p_ground > 0.0:
-            bright = np.zeros(DIM, dtype=complex)
-            bright[list(S_LEVELS)] = psi[list(S_LEVELS)]
-            bright /= math.sqrt(p_ground)
-            outcome_probs[stage] += weight * p_ground * (1.0 - s)
-            _continue(weight * p_ground * s, bright, stage)
-        # True-dark branch: collapse out of the ground manifold.
-        if p_dark > 1e-300:
-            dark = psi.copy()
-            dark[list(S_LEVELS)] = 0.0
-            dark /= math.sqrt(p_dark)
-            outcome_probs[stage] += weight * p_dark * s
-            _continue(weight * p_dark * (1.0 - s), dark, stage)
-
-    def _continue(weight, psi, stage):
-        if weight <= 1e-300:
-            return
-        if stage >= 2:
-            outcome_probs[3] += weight
-            return
-        psi = apply_laser_pi(psi, config.readout_pairs[stage], noise)
-        detect(weight, psi, stage + 1)
-
-    detect(1.0, np.asarray(state, dtype=complex), 0)
-
-    outcome = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        outcome = int(rng.choice(4, p=outcome_probs / outcome_probs.sum()))
-    return ReadoutResult(probabilities=outcome_probs, outcome=outcome, seed=seed)
+    probs = np.abs(np.asarray(state)) ** 2 @ _readout_matrix(noise, config).T
+    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed), seed=seed)
 
 
-def _apply_leakage(result, noise, duration):
-    if noise.leakage_rate == 0.0:
-        return result
-    survive = math.exp(-noise.leakage_rate * duration)
-    probs = result.probabilities.copy()
-    kept = probs[:3] * survive
-    probs[3] = 1.0 - kept.sum()
-    probs[:3] = kept
-    return replace(result, probabilities=probs)
+def _apply_leakage(probs, noise, duration):
+    """Scale the readout states of (N, 4) rows by exp(-leakage_rate * duration)."""
+    survive = np.exp(-noise.leakage_rate * np.asarray(duration, dtype=float)).reshape(-1, 1)
+    out = probs.copy()
+    out[:, :3] *= survive
+    out[:, 3] += (1.0 - survive[:, 0]) * probs[:, :3].sum(axis=1)
+    return out
+
+
+def _evaluate(seq, config, noise, signal_angles, detunings_hz=None):
+    """(N, 4) outcome probabilities, leakage included, one row per grid point.
+
+    signal_angles and detunings_hz (default: the noise model's) broadcast
+    to the N grid points; the program is compiled once and applied to all
+    of them, one segment at a time.
+    """
+    detuning = noise.detuning_hz if detunings_hz is None else detunings_hz
+    segments = _compile(seq, config, noise, signal_angles)
+    states = np.tile(init_state(config), (np.broadcast(signal_angles, detuning).size, 1))
+    for segment in segments:
+        states = _advance(states, segment, noise, detuning)
+    probs = sequential_readout(states, noise, config).probabilities
+    return _apply_leakage(probs, noise, sum(segment.duration for segment in segments))
 
 
 def run(seq, oracle_index, noise=IDEAL, config=None, candidate_angles=DESIGN_ANGLES,
@@ -341,179 +393,127 @@ def run(seq, oracle_index, noise=IDEAL, config=None, candidate_angles=DESIGN_ANG
 
     With ideal noise every oracle index of the built-in sequences lands on
     readout_map[oracle_index] deterministically (to the precision of the
-    stored pulse angles).
+    stored pulse angles). A seeded outcome is drawn from the returned
+    probabilities, leakage included.
     """
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
-    state, duration = _run_pulses(seq, oracle.hidden_angle, noise, config)
-    result = sequential_readout(state, noise, config, seed=seed)
-    return _apply_leakage(result, noise, duration)
+    probs = _evaluate(seq, config, noise, np.array([oracle.hidden_angle]))[0]
+    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed), seed=seed)
 
 
 def run_qubit_reduction(seq, signal_angle):
     """Two-level execution of the rotation core, shelving bookkeeping included.
 
-    The first laser pulse loads the start level; the later one removes the
-    amplitude of the coupled level to a spectator slot. Returns the three
-    readout-state populations in the same order as run(). At the design
-    angles, where each half of a built-in sequence composes to an exact
-    identity or flip, this matches the six-level run; away from them the
-    two spaces genuinely differ. The tabulated ask3 angles miss that
-    composition by 1e-4 here, a miss the six-level run scales by 2J = 5.
+    The compiled program runs on a qubit (index 0 = the coupled level) plus
+    one ground slot: the first laser pulse loads the coupled level, the
+    later one shelves its amplitude. Returns the three readout-state
+    populations in the same order as run(); signal_angle may be an array,
+    giving one row per angle. At the design angles, where each half of a
+    built-in sequence composes to an exact identity or flip, this matches
+    the six-level run; away from them the two spaces genuinely differ. The
+    tabulated ask3 angles miss that composition by 1e-4 here, a miss the
+    six-level run scales by 2J = 5.
     """
-    from .spin_algebra import rotation
-
     config = default_config(seq)
-    couple_d = config.couple_pair[0]
-    state1_d = config.readout_pairs[0][0]
-
-    psi = np.array([1.0, 0.0], dtype=complex)  # index 0 = the coupled level
-    shelf = 0.0 + 0.0j
-    lasers_seen = 0
-    for pulse in seq.pulses:
-        if pulse.channel == LASER:
-            lasers_seen += 1
-            if lasers_seen == 1:
-                continue
-            shelf = psi[0]
-            psi = np.array([0.0, psi[1]], dtype=complex)
-            continue
-        if pulse.channel == ORACLE:
-            theta, phi = resolve_oracle_pulse(pulse, seq.encoding, signal_angle)
-        else:
-            theta, phi = pulse.theta, pulse.phi
-        psi = rotation(2, theta, phi) @ psi
-    p_couple, p_mirror = abs(psi[0]) ** 2, abs(psi[1]) ** 2
-    p1 = p_couple if state1_d == couple_d else p_mirror
-    p2 = p_mirror if state1_d == couple_d else p_couple
-    return np.array([abs(shelf) ** 2, p1, p2])
+    signal_angle = np.asarray(signal_angle, dtype=float)
+    # In the reduced space the laser couples qubit level 0 to the ground slot 2.
+    segments = _compile(seq, replace(config, couple_pair=(0, 2)), IDEAL, signal_angle.ravel())
+    states = np.zeros((signal_angle.size, 3), dtype=complex)
+    states[:, 2] = 1.0
+    for segment in segments:
+        states = _advance(states, segment, IDEAL, 0.0, dim=2)
+    pops = np.abs(states) ** 2
+    mirror = int(config.readout_pairs[0][0] != config.couple_pair[0])
+    return pops[:, [2, mirror, 1 - mirror]].reshape(signal_angle.shape + (3,))
 
 
 def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
                 candidate_angles=DESIGN_ANGLES):
     """Readout-state populations versus evolution time.
 
-    The pulse program is truncated at n_points evenly spaced times; laser
-    pulses are instantaneous by default, so the curves are piecewise smooth
-    with steps at the shelving events. The final row equals run().
+    The compiled program is evaluated at n_points evenly spaced times. The
+    state after each whole segment is propagated once; a time point inside
+    a segment is that prefix plus the part of the segment it has reached,
+    and survives leakage with exp(-leakage_rate * t). Laser pulses are
+    instantaneous by default, so the curves are piecewise smooth with steps
+    at the shelving events; a pulse starting at a time point takes effect
+    just after it. The final row is the whole program and equals run().
 
     Returns an (n_points, 4) array with columns (time, p0, p1, p2).
     """
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
-
-    # Timeline of (kind, payload, duration) entries.
-    timeline = []
-    for n, pulse in enumerate(seq.pulses):
-        if n > 0 and config.pulse_gap_s > 0.0:
-            timeline.append(("gap", None, config.pulse_gap_s))
-        if pulse.channel == LASER:
-            timeline.append(("laser", None, config.laser_time_s))
-        else:
-            if pulse.channel == ORACLE:
-                theta, phi = resolve_oracle_pulse(pulse, seq.encoding, oracle.hidden_angle)
-                if config.oracle_fixed_length and seq.encoding == ASK:
-                    timeline.append(("rf_fixed", (theta, phi), config.pi_time))
-                    continue
-            else:
-                theta, phi = pulse.theta, pulse.phi
-            timeline.append(("rf", (theta, phi), abs(theta) / config.rabi_freq))
-    total = sum(entry[2] for entry in timeline)
-
+    segments = _compile(seq, config, noise, oracle.hidden_angle)
+    ends = np.cumsum([segment.duration for segment in segments])
+    total = float(ends[-1]) if segments else 0.0
     times = np.linspace(0.0, total, n_points)
     eps = 1e-15 * max(total, 1e-30)
-    rows = np.empty((n_points, 4))
-    for i, t in enumerate(times):
-        state = init_state(config)
-        remaining = t
-        for kind, payload, duration in timeline:
-            if remaining <= eps:
-                break
-            if kind == "laser":
-                # The swap itself is instantaneous; any configured duration
-                # is pure detuning dephasing.
-                state = apply_laser_pi(state, config.couple_pair, noise)
-                if duration > 0.0:
-                    step = min(remaining, duration)
-                    state = _free_evolution(state, step, noise)
-                    remaining -= step
-            elif kind == "gap":
-                step = min(remaining, duration)
-                state = _free_evolution(state, step, noise)
-                remaining -= step
-            else:
-                theta, phi = payload
-                fixed = duration if kind == "rf_fixed" else None
-                if duration <= remaining + eps:
-                    state = apply_rf(state, theta, phi, noise, config, fixed)
-                    remaining -= duration
-                else:
-                    frac = remaining / duration
-                    state = apply_rf(state, theta * frac, phi, noise, config,
-                                     fixed and fixed * frac)
-                    remaining = 0.0
-        probs = sequential_readout(state, noise, config).probabilities
-        rows[i] = (t, probs[0], probs[1], probs[2])
-    return rows
+
+    prefix = init_state(config)[None, :]
+    states = np.repeat(prefix, n_points, axis=0)
+    start = 0.0
+    for segment, end in zip(segments, ends):
+        started = (times - start > eps) | (times >= total - eps)
+        inside = started & (times < end - eps)
+        if inside.any():
+            states[inside] = _advance(np.repeat(prefix, inside.sum(), axis=0), segment,
+                                      noise, noise.detuning_hz, times[inside] - start)
+        prefix = _advance(prefix, segment, noise, noise.detuning_hz)
+        states[started & ~inside] = prefix
+        start = end
+    probs = _apply_leakage(sequential_readout(states, noise, config).probabilities,
+                           noise, times)
+    return np.column_stack([times, probs[:, :3]])
 
 
 def angle_scan(seq, angles, config=None, noise=IDEAL, dim=6):
     """Readout populations as the oracle's signal angle sweeps a grid.
 
-    dim=6 runs the full ion model; dim=2 runs the two-level reduction.
+    dim=6 runs the full ion model; dim=2 runs the two-level reduction. All
+    grid points are evaluated together as one batch.
     Returns an (n, 4) array with columns (angle, p0, p1, p2).
     """
     angles = np.asarray(angles, dtype=float)
-    rows = np.empty((angles.size, 4))
-    for i, angle in enumerate(angles):
-        if dim == 2:
-            probs = run_qubit_reduction(seq, angle)
-        elif dim == 6:
-            probs = run(seq, 0, noise, config, candidate_angles=(angle,)).probabilities[:3]
-        else:
-            raise ValueError(f"unsupported dimension {dim}")
-        rows[i] = (angle, probs[0], probs[1], probs[2])
-    return rows
+    if dim == 2:
+        probs = run_qubit_reduction(seq, angles)
+    elif dim == 6:
+        probs = _evaluate(seq, config or default_config(seq), noise, angles)[:, :3]
+    else:
+        raise ValueError(f"unsupported dimension {dim}")
+    return np.column_stack([angles, probs])
 
 
 def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES,
                   noise=IDEAL):
     """Minimum correct-identification probability over the candidate set.
 
-    Returns an (n, 2) array with columns (detuning_hz, min_accuracy); other
-    noise fields are taken from the supplied model.
+    Every (detuning, candidate) pair is evaluated in one batch. Returns an
+    (n, 2) array with columns (detuning_hz, min_accuracy); other noise
+    fields are taken from the supplied model.
     """
+    config = config or default_config(seq)
+    candidates = np.asarray(OracleSpec(seq.encoding, tuple(candidate_angles), 0)
+                            .candidate_angles, dtype=float)
     detunings_hz = np.asarray(detunings_hz, dtype=float)
-    rows = np.empty((detunings_hz.size, 2))
-    for i, delta in enumerate(detunings_hz):
-        model = replace(noise, detuning_hz=float(delta))
-        accs = []
-        for index in range(len(candidate_angles)):
-            result = run(seq, index, model, config, candidate_angles)
-            accs.append(result.probabilities[seq.readout_map[index]])
-        rows[i] = (delta, min(accs))
-    return rows
+    probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
+                      np.repeat(detunings_hz, candidates.size))
+    probs = probs.reshape(detunings_hz.size, candidates.size, 4)
+    index = np.arange(candidates.size)
+    correct = probs[:, index, [seq.readout_map[i] for i in index]]
+    return np.column_stack([detunings_hz, correct.min(axis=1)])
 
 
 def rabi_curve(times, start_level, config=None):
     """Six-level populations under a continuous resonant drive from one level.
 
     Evolution is exp(-1j * rabi_freq * t * Jx); at the pi-time the
-    populations mirror m -> -m, and after twice that they return.
+    populations mirror m -> -m, and after twice that they return. This is
+    light_shift_isolation with zero shift.
 
     Returns (times, populations) with populations of shape (n, 6).
     """
-    config = config or ExperimentConfig()
-    times = np.asarray(times, dtype=float)
-    w, v = np.linalg.eigh(_J6.jx)
-    start = np.zeros(D_DIM, dtype=complex)
-    start[start_level] = 1.0
-    coeffs = v.conj().T @ start
-    pops = np.empty((times.size, D_DIM))
-    for i, t in enumerate(times):
-        psi = v @ (np.exp(-1j * w * config.rabi_freq * t) * coeffs)
-        pops[i] = np.abs(psi) ** 2
-    return times, pops
+    return light_shift_isolation(0.0, times, config, start_level=start_level)
 
 
 def light_shift_isolation(shift_hz, times, config=None, start_level=5,
@@ -531,11 +531,6 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
     h = config.rabi_freq * _J6.jx.copy()
     h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz
     w, v = np.linalg.eigh(h)
-    start = np.zeros(D_DIM, dtype=complex)
-    start[start_level] = 1.0
-    coeffs = v.conj().T @ start
-    pops = np.empty((times.size, D_DIM))
-    for i, t in enumerate(times):
-        psi = v @ (np.exp(-1j * w * t) * coeffs)
-        pops[i] = np.abs(psi) ** 2
-    return times, pops
+    coeffs = v[start_level].conj()
+    psi = (np.exp(-1j * np.multiply.outer(times, w)) * coeffs) @ v.T
+    return times, np.abs(psi) ** 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import qsp
-from .spin_algebra import rotation, rotation_z
+from .spin_algebra import rotation, rotation_z, two_level_rotation
 
 RF = "rf"
 LASER = "laser"
@@ -200,9 +200,11 @@ def ask3_sequence(exact=False):
         Pulse(13, "U7", RF, 2.0 * _PI / 3.0, _PI / 2.0),
         Pulse(14, "U8", RF, u2, 0.0),
         Pulse(15, "Oracle", ORACLE, 0.0, _PI / 2.0),
-        # The cycling rotation must share the oracle axis for both calls;
-        # with phi = 0 here the second call is not cycled and the response
-        # caps near 0.8 instead of 1 (see tests/test_protocols.py).
+        # The cycling rotation must share the oracle axis for both calls.
+        # With phi = 0 here the second call is not cycled: branches 1 and 2
+        # then send ~0.81 to the other branch's readout state in two levels,
+        # and about two thirds ends as leakage in six (notes/decisions.md,
+        # "The ASK U9 cycling phase").
         Pulse(16, "U9", RF, 2.0 * _PI / 3.0, _PI / 2.0),
         Pulse(17, "U10", RF, u3, 0.0),
         Pulse(18, "U11", RF, -_PI / 2.0, 0.0),
@@ -351,19 +353,6 @@ def even_psk_disambiguation(phi_pair):
     return DisambiguationStep(phi_low=phi_low, phi_high=phi_high)
 
 
-def _laser_block_unitary(dim_total, pair, theta, phase=0.0):
-    """Two-level rotation embedded at the given index pair."""
-    u = np.eye(dim_total, dtype=complex)
-    i, k = pair
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    u[i, i] = c
-    u[k, k] = c
-    u[i, k] = -1j * s * np.exp(1j * phase)
-    u[k, i] = -1j * s * np.exp(-1j * phase)
-    return u
-
-
 def run_disambiguation(step, which):
     """Ideal simulation of the disambiguation step on the 8-level ion space.
 
@@ -381,21 +370,15 @@ def run_disambiguation(step, which):
     phi_true = step.phi_low if which == 0 else step.phi_high
 
     d_level, s_level = step.block_levels
-    dim = 8
-    state = np.zeros(dim, dtype=complex)
+    state = np.zeros(8, dtype=complex)
     state[s_level] = 1.0
 
-    def embed(u6):
-        full = np.eye(dim, dtype=complex)
-        full[:6, :6] = u6
-        return full
+    state = two_level_rotation(8, (d_level, s_level), _PI / 2.0) @ state
+    # The wrapped oracle and the known inverse act on the metastable block.
+    undo = rotation(6, 2.0 * step.phi_low, 0.0).conj().T
+    state[:6] = undo @ (psk_to_ask_wrap(phi_true, 6) @ state[:6])
+    state = two_level_rotation(8, (d_level, s_level), _PI / 2.0, phase=_PI) @ state
 
-    half = _laser_block_unitary(dim, (d_level, s_level), _PI / 2.0)
-    wrapped = embed(psk_to_ask_wrap(phi_true, 6))
-    undo = embed(rotation(6, 2.0 * step.phi_low, 0.0).conj().T)
-    closing = _laser_block_unitary(dim, (d_level, s_level), _PI / 2.0, phase=_PI)
-
-    state = closing @ (undo @ (wrapped @ (half @ state)))
     p_ground = abs(state[s_level]) ** 2
     p_block = abs(state[d_level]) ** 2
     # The +1 branch interferes back into the ground level, the -1 branch

@@ -11,7 +11,9 @@ plane equals exp(-1j * (theta/2) * sigma_phi).
 
 Unitaries are plain complex numpy arrays. Propagators are built from the
 eigendecomposition of the Hermitian generator, which keeps them unitary to
-rounding even for long evolution times.
+rounding even for long evolution times. Rotations reuse one cached
+eigendecomposition of Jx per dimension and accept arrays of angles, so a
+whole batch of rotations costs a few array operations.
 """
 
 from typing import NamedTuple
@@ -31,6 +33,7 @@ class SpinOperators(NamedTuple):
 
 
 _OPERATOR_CACHE = {}
+_JX_EIGEN_CACHE = {}
 
 
 def _m_values(dim):
@@ -107,6 +110,24 @@ def hermitian_propagator(h, t):
     return _expm_i_hermitian(h, t)
 
 
+def _jx_eigenbasis(dim):
+    """Eigenvalues and real eigenvectors of Jx, computed once per dimension."""
+    if dim not in _JX_EIGEN_CACHE:
+        _JX_EIGEN_CACHE[dim] = np.linalg.eigh(spin_operators(dim).jx.real)
+    return _JX_EIGEN_CACHE[dim]
+
+
+def z_frame(u, phi):
+    """Rz(phi) u Rz(-phi) with Rz(phi) = exp(-1j * phi * Jz), batched over phi.
+
+    Entry (i, k) picks up the phase exp(-1j * phi * (m_i - m_k)); u and phi
+    broadcast, with u's last two axes the matrix.
+    """
+    m = _m_values(u.shape[-1])
+    phi = np.asarray(phi, dtype=float)[..., None, None]
+    return u * np.exp(-1j * phi * (m[:, None] - m[None, :]))
+
+
 def rotation(dim, theta, phi):
     """Rotation by angle theta about the equatorial axis at angle phi.
 
@@ -114,10 +135,33 @@ def rotation(dim, theta, phi):
     is exp(-1j * (theta/2) * sigma_phi); for dim=6 a theta=pi rotation maps
     populations |m> -> |-m> (six-level NOT), and theta=2*pi gives -identity
     because the spin is half-integer.
+
+    Built as Rz(phi) Rx(theta) Rz(-phi) from the cached eigendecomposition
+    of Jx. theta and phi may be arrays: they broadcast against each other
+    and the result has their broadcast shape followed by (dim, dim).
     """
-    ops = spin_operators(dim)
-    j_phi = np.cos(phi) * ops.jx + np.sin(phi) * ops.jy
-    return _expm_i_hermitian(j_phi, theta)
+    w, v = _jx_eigenbasis(dim)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    rx = (v * np.exp(-1j * theta * w)[..., None, :]) @ v.T
+    return z_frame(rx, phi)
+
+
+def two_level_rotation(dim, pair, theta, phase=0.0):
+    """Rotation by theta between the levels pair = (i, k), identity elsewhere.
+
+    The (i, k) block is [[c, -1j s e^(1j phase)], [-1j s e^(-1j phase), c]]
+    with c = cos(theta/2) and s = sin(theta/2), so theta = pi swaps the two
+    populations.
+    """
+    u = np.eye(dim, dtype=complex)
+    i, k = pair
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    u[i, i] = c
+    u[k, k] = c
+    u[i, k] = -1j * s * np.exp(1j * phase)
+    u[k, i] = -1j * s * np.exp(-1j * phase)
+    return u
 
 
 def rotation_z(dim, angle):

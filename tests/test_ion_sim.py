@@ -211,6 +211,22 @@ def test_time_series_boundaries():
         assert np.all(table[:, 1:].sum(axis=1) <= 1 + 1e-10)
 
 
+def test_time_series_last_row_equals_run_with_leakage():
+    """The last time point is the whole program, leakage included."""
+    noise = NoiseModel(leakage_rate=200.0, spam_error=4e-4, laser_pi_error=1e-3,
+                       rf_amp_error=-8e-4)
+    detuned = replace(noise, detuning_hz=20.0)
+    for seq in (psk3_sequence(), ask3_sequence()):
+        base = default_config(seq)
+        slow = replace(base, pulse_gap_s=7e-6, laser_time_s=3e-6)
+        for config, model in ((base, noise), (slow, detuned),
+                              (replace(slow, oracle_fixed_length=True), detuned)):
+            for index in range(3):
+                table = time_series(seq, index, 33, config=config, noise=model)
+                final = run(seq, index, model, config).probabilities[:3]
+                np.testing.assert_allclose(table[-1, 1:], final, rtol=0, atol=1e-12)
+
+
 def test_angle_scan_identity_at_design_angles():
     for seq in (ask3_sequence(exact=True), psk3_sequence()):
         table = angle_scan(seq, DESIGN)

@@ -46,8 +46,9 @@ def test_ask3_table():
     assert row4.channel == ORACLE and row4.phi == math.pi / 2
     # Extra cycling rotations accompany each second-half oracle call. A
     # variant tabulation gives the second one phase 0, which breaks the
-    # cycle (branch fidelity caps near 0.81); both are stored on the
-    # oracle axis here. See notes/decisions.md.
+    # cycle: branches 1 and 2 then send ~0.81 to the other branch's
+    # readout state in two levels, and about two thirds ends as leakage in
+    # six. Both are stored on the oracle axis here. See notes/decisions.md.
     assert (seq.pulses[12].theta, seq.pulses[12].phi) == (2 * math.pi / 3, math.pi / 2)
     assert (seq.pulses[15].theta, seq.pulses[15].phi) == (2 * math.pi / 3, math.pi / 2)
     assert [p.index for p in seq.pulses if p.channel == ORACLE] == [4, 6, 12, 15]
