@@ -64,12 +64,10 @@ def srm_povm(state_set):
     rho is inverted on its support; for state sets spanning the space the
     elements sum to the identity.
     """
-    dim = state_set.states[0].size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for eta, psi in zip(state_set.priors, state_set.states):
-        rho += eta * np.outer(psi, psi.conj())
+    states = np.array(state_set.states)
+    rho = np.einsum("i,ia,ib->ab", state_set.priors, states, states.conj())
     w, v = np.linalg.eigh(rho)
-    inv_sqrt = np.zeros(dim)
+    inv_sqrt = np.zeros(w.size)
     inv_sqrt[w > 1e-12] = 1.0 / np.sqrt(w[w > 1e-12])
     r = (v * inv_sqrt) @ v.conj().T
     return [np.outer(r @ (eta * psi), (r @ psi).conj())
@@ -86,13 +84,9 @@ def _require_symmetric(state_set):
 def outcome_probabilities(state_set):
     """p[i, o]: probability of outcome o when state i was sent."""
     _require_symmetric(state_set)
-    povm = srm_povm(state_set)
-    n = state_set.n
-    p = np.empty((n, n))
-    for i, psi in enumerate(state_set.states):
-        for o, e in enumerate(povm):
-            p[i, o] = float(np.real(np.vdot(psi, e @ psi)))
-    return p
+    povm = np.array(srm_povm(state_set))
+    states = np.array(state_set.states)
+    return np.einsum("ia,oab,ib->io", states.conj(), povm, states).real
 
 
 def me_single_shot(state_set):
@@ -111,19 +105,27 @@ def me_majority(state_set, k=4):
     A tied vote carries no decision and is counted as a failure; with that
     rule four queries on the triad succeed with probability 60/81, about
     74%. (Breaking ties randomly would instead give about 81%.)
+
+    The vote depends only on how often each outcome occurs, so the sum runs
+    over count vectors c weighted by the multinomial coefficient
+    k! / prod(c_j!): (k+1)(k+2)/2 terms for the triad instead of 3^k
+    outcome tuples. Each c with a unique top count contributes
+    eta_w k! / prod(c_j!) prod_j p[w, j]^c_j for its winner w.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     p = outcome_probabilities(state_set)
     n = state_set.n
-    total = 0.0
-    for i, eta in enumerate(state_set.priors):
-        for outcomes in itertools.product(range(n), repeat=k):
-            counts = np.bincount(outcomes, minlength=n)
-            top = counts.max()
-            if counts[i] == top and (counts == top).sum() == 1:
-                total += eta * float(np.prod(p[i, list(outcomes)]))
-    return total
+    votes = np.array(list(itertools.combinations_with_replacement(range(n), k)))
+    counts = (votes[:, :, None] == np.arange(n)).sum(axis=1)
+    factorial = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    ways = factorial[k] / factorial[counts].prod(axis=1)
+    top = counts.max(axis=1)
+    unique = (counts == top[:, None]).sum(axis=1) == 1
+    winner = counts.argmax(axis=1)
+    priors = np.asarray(state_set.priors, dtype=float)
+    weight = priors[winner] * ways * (p[winner] ** counts).prod(axis=1)
+    return float(weight[unique].sum())
 
 
 def me_majority_mc(state_set, k=4, n_samples=1_000_000, seed=0):

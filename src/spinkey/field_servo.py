@@ -11,6 +11,7 @@ budget.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,9 +84,10 @@ class ServoConfig:
     interrogation_s is the Ramsey free-evolution time per fringe side,
     step_hz the fixed frequency increment, offset_hz the calibrated
     light-shift offset subtracted from every measurement, period_s the
-    repetition interval, and shots the detections per fringe side (None
-    means noiseless probabilities). miscalibration_hz models an imperfect
-    offset calibration: the servo converges to that residual detuning.
+    repetition interval, and shots the detections per fringe side, an
+    integer >= 1 (None means noiseless probabilities). miscalibration_hz
+    models an imperfect offset calibration: the servo converges to that
+    residual detuning.
     """
 
     interrogation_s: float = 5e-3
@@ -98,6 +100,9 @@ class ServoConfig:
     def __post_init__(self):
         if self.interrogation_s <= 0 or self.step_hz <= 0 or self.period_s <= 0:
             raise ValueError("interrogation_s, step_hz, period_s must be positive")
+        if self.shots is not None and not (
+                isinstance(self.shots, numbers.Integral) and self.shots >= 1):
+            raise ValueError(f"shots must be None or an integer >= 1, got {self.shots!r}")
 
     @classmethod
     def lab(cls):
@@ -216,12 +221,14 @@ def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0)
     from .protocols import psk3_sequence
 
     residuals_hz = np.asarray(residuals_hz, dtype=float)
+    if residuals_hz.size == 0:
+        raise ValueError("residuals_hz is empty: the budget is a mean over residuals")
     if seq is None:
         seq = psk3_sequence()
     if config is None:
         config = replace(default_config(seq), laser_time_s=200e-6)
 
-    lim = max(40.0, float(np.max(np.abs(residuals_hz))) * 1.1) if residuals_hz.size else 40.0
+    lim = max(40.0, float(np.max(np.abs(residuals_hz))) * 1.1)
     n_side = int(math.ceil(lim / grid_step_hz))
     grid = np.linspace(-n_side * grid_step_hz, n_side * grid_step_hz, 2 * n_side + 1)
     curve = detuning_scan(seq, grid, config=config)

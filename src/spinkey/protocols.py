@@ -16,11 +16,11 @@ query accounting.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import qsp
 from .spin_algebra import rotation, rotation_z, two_level_rotation
 
 RF = "rf"
@@ -31,6 +31,9 @@ DESIGN_ANGLES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 
 PSK = "psk"
 ASK = "ask"
+
+CHANNELS = (RF, LASER, ORACLE)
+ENCODINGS = (PSK, ASK)
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,14 @@ class Pulse:
     phi: float
     oracle_phase_offset: float = 0.0
 
+    def __post_init__(self):
+        if self.channel not in CHANNELS:
+            raise ValueError(f"pulse channel must be one of {CHANNELS}, got {self.channel!r}")
+        for name in ("theta", "phi", "oracle_phase_offset"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"pulse {name} must be a finite number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -66,6 +77,14 @@ class PulseSequence:
     pulses: tuple
     readout_map: dict
 
+    def __post_init__(self):
+        if self.encoding not in ENCODINGS:
+            raise ValueError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
+        for index, state in self.readout_map.items():
+            if not isinstance(state, numbers.Integral) or not 0 <= state <= 2:
+                raise ValueError(
+                    f"readout_map[{index}] must be a readout state 0, 1 or 2, got {state!r}")
+
     def to_json(self):
         payload = {
             "name": self.name,
@@ -78,10 +97,15 @@ class PulseSequence:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        pulses = tuple(Pulse(**record) for record in data["pulses"])
-        readout_map = {int(k): int(v) for k, v in data["readout_map"].items()}
-        return cls(name=data["name"], encoding=data["encoding"],
-                   pulses=pulses, readout_map=readout_map)
+        try:
+            pulses = tuple(Pulse(**record) for record in data["pulses"])
+            readout_map = {int(k): v for k, v in data["readout_map"].items()}
+            return cls(name=data["name"], encoding=data["encoding"],
+                       pulses=pulses, readout_map=readout_map)
+        except KeyError as err:
+            raise ValueError(f"sequence JSON is missing field {err}") from None
+        except (TypeError, AttributeError) as err:
+            raise ValueError(f"malformed sequence JSON: {err}") from None
 
 
 def pulses_to_json(pulses):
@@ -94,7 +118,10 @@ def pulses_from_json(text):
     records = json.loads(text)
     if not isinstance(records, list):
         raise ValueError("expected a JSON array of pulse records")
-    return tuple(Pulse(**record) for record in records)
+    try:
+        return tuple(Pulse(**record) for record in records)
+    except TypeError as err:
+        raise ValueError(f"malformed pulse record: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -106,7 +133,7 @@ class OracleSpec:
     hidden_index: int
 
     def __post_init__(self):
-        if self.encoding not in (PSK, ASK):
+        if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         angles = np.asarray(self.candidate_angles, dtype=float)
         wrapped = np.mod(angles, 2.0 * np.pi)
@@ -302,9 +329,11 @@ def bisection_protocol(n):
 def run_bisection(protocol, hidden_index):
     """Noiseless simulation of the bisection protocol.
 
-    Each stage evaluates the Chebyshev product on the offset signal and
-    measures the return population, which is exactly 1 for the even half of
-    the surviving subset and exactly 0 for the odd half.
+    Each stage applies the all-zero-phase product of degree d to the offset
+    signal x and measures the return population. That product's top-left
+    entry is the Chebyshev polynomial T_d(cos(x/2)) = cos(d x / 2), so the
+    population is cos(d x / 2)^2 in closed form: exactly 1 for the even
+    half of the surviving subset and exactly 0 for the odd half.
 
     Returns
     -------
@@ -318,9 +347,7 @@ def run_bisection(protocol, hidden_index):
     queries = 0
     worst = 0.0
     for stage in protocol.stages:
-        phases = np.zeros(stage.qsp_degree + 1)
-        a = np.cos((theta - offset) / 2.0)
-        p_return = abs(qsp.qsp_unitary(phases, a)[0, 0]) ** 2
+        p_return = math.cos(stage.qsp_degree * (theta - offset) / 2.0) ** 2
         queries += stage.qsp_degree
         worst = max(worst, min(p_return, 1.0 - p_return))
         if p_return < 0.5:

@@ -7,7 +7,10 @@ The signal operator
 is an x-rotation with a = cos(half the rotation angle). Interleaving W(a)
 with z-phases exp(1j * theta_k * sigma_z) produces a unitary whose top-left
 entry is a degree-d polynomial P(a); the populations after such a product
-are set by |P(a)|^2. This module provides:
+are set by |P(a)|^2. Signal values may be arrays: the 2x2 matrices stack
+along the array's shape and the product runs as one stacked matmul per
+phase, so a response curve or a phase-finder residual is one call. This
+module provides:
 
 - signal_w, qsp_unitary, polynomial_entries: the product and its P, Q entries
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
@@ -39,18 +42,24 @@ class PhaseFindingError(RuntimeError):
 def signal_w(a):
     """Signal rotation W(a) for a = cos(angle/2), |a| <= 1.
 
+    a may be a scalar or an array; the 2x2 matrices stack along its shape,
+    so a scalar gives a (2, 2) array and an (N,) array an (N, 2, 2) stack.
+    Non-finite values and |a| > 1 raise ValueError.
+
     Equals rotation(2, angle, pi) from spin_algebra, i.e. the inverse of the
     canonical x-rotation by the same angle (the two differ by the sign
     convention of the generator; populations are identical).
     """
-    if abs(a) > 1.0:
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"signal parameter must be finite, got {a}")
+    if np.any(np.abs(a) > 1.0):
         raise ValueError(f"signal parameter must satisfy |a| <= 1, got {a}")
-    s = np.sqrt(max(0.0, 1.0 - a * a))
-    return np.array([[a, 1j * s], [1j * s, a]], dtype=complex)
-
-
-def _z_phase(theta):
-    return np.array([[np.exp(1j * theta), 0.0], [0.0, np.exp(-1j * theta)]], dtype=complex)
+    s = 1j * np.sqrt(np.maximum(0.0, 1.0 - a * a))
+    w = np.empty(a.shape + (2, 2), dtype=complex)
+    w[..., 0, 0] = w[..., 1, 1] = a
+    w[..., 0, 1] = w[..., 1, 0] = s
+    return w
 
 
 def qsp_unitary(phases, a):
@@ -60,13 +69,16 @@ def qsp_unitary(phases, a):
     ----------
     phases : array_like
         d+1 phase angles in radians; d is the polynomial degree.
-    a : float
-        Signal parameter in [-1, 1].
+    a : float or array_like
+        Signal parameters in [-1, 1].
 
     Returns
     -------
     np.ndarray
-        2x2 unitary whose top-left entry is a degree-d polynomial P(a).
+        Unitaries of shape a.shape + (2, 2), one per signal value, whose
+        top-left entry is a degree-d polynomial P(a). Every value is
+        evaluated by the same stacked 2x2 products, so a batch equals the
+        per-value calls exactly.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1:
@@ -74,10 +86,23 @@ def qsp_unitary(phases, a):
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
     w = signal_w(a)
-    u = _z_phase(phases[0])
-    for theta in phases[1:]:
-        u = u @ w @ _z_phase(theta)
+    z = np.zeros((phases.size, 2, 2), dtype=complex)
+    z[:, 0, 0] = np.exp(1j * phases)
+    z[:, 1, 1] = np.exp(-1j * phases)
+    u = np.broadcast_to(z[0], w.shape).copy()
+    for z_k in z[1:]:
+        u = u @ w @ z_k
     return u
+
+
+def _p_squared(phases, a):
+    """|P(a)|^2 over an array of signal values.
+
+    hypot and float_power round exactly as the scalar abs(p) ** 2 does; the
+    array forms np.abs(p) and m * m differ from it in the last bit.
+    """
+    p = qsp_unitary(phases, a)[..., 0, 0]
+    return np.float_power(np.hypot(p.real, p.imag), 2.0)
 
 
 def polynomial_entries(phases, a):
@@ -164,9 +189,8 @@ class PolynomialSpec:
 
 
 def _residual_terms(phases, samples):
-    return np.array(
-        [abs(qsp_unitary(phases, a)[0, 0]) ** 2 - t * t for a, t in samples]
-    )
+    a, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    return _p_squared(phases, a) - t * t
 
 
 def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
@@ -230,9 +254,9 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
 def response_curve(phases, angles):
     """|P(cos(angle/2))|^2 for each signal angle in the grid."""
     angles = np.asarray(angles, dtype=float)
-    return np.array(
-        [abs(qsp_unitary(phases, np.cos(angle / 2.0))[0, 0]) ** 2 for angle in angles]
-    )
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("signal angles must be finite")
+    return _p_squared(phases, np.cos(angles / 2.0))
 
 
 def phases_to_json(phases):

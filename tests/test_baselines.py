@@ -119,3 +119,36 @@ def test_advantage_report_rows():
     assert not any(r["beaten"] for r in low[1:])
     probs = [r["success_probability"] for r in report]
     assert all(0.0 <= p <= 1.0 for p in probs)
+
+
+def _majority_by_enumeration(state_set, k):
+    """me_majority by enumerating every outcome tuple in turn."""
+    from itertools import product
+
+    from spinkey.baselines import outcome_probabilities
+
+    p = outcome_probabilities(state_set)
+    total = 0.0
+    for i, eta in enumerate(state_set.priors):
+        for outcomes in product(range(state_set.n), repeat=k):
+            counts = np.bincount(outcomes, minlength=state_set.n)
+            top = counts.max()
+            if counts[i] == top and (counts == top).sum() == 1:
+                total += eta * float(np.prod(p[i, list(outcomes)]))
+    return total
+
+
+def test_majority_matches_enumeration():
+    triad = symmetric_states(3)
+    up = np.array([1.0, 0.0], dtype=complex)
+    tilted = np.array([np.cos(0.6), np.sin(0.6)], dtype=complex)
+    sets = [
+        triad,
+        SymmetricStateSet(3, triad.states, (0.5, 0.3, 0.2)),
+        symmetric_states(2),
+        SymmetricStateSet(2, (up, tilted), (0.7, 0.3)),
+    ]
+    for state_set in sets:
+        for k in range(1, 7):
+            expected = _majority_by_enumeration(state_set, k)
+            assert me_majority(state_set, k) == pytest.approx(expected, abs=1e-13)

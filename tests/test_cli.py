@@ -72,6 +72,28 @@ def test_run_bad_sequence_file_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def _edit_sequence(edit):
+    data = json.loads(psk3_sequence().to_json())
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.update(encoding="fsk"), "encoding"),
+    (lambda d: d["pulses"][2].update(theta="nan"), "theta"),
+    (lambda d: d["pulses"][0].update(channel="microwave"), "channel"),
+    (lambda d: d["readout_map"].update({"2": 5}), "readout_map"),
+], ids=["encoding", "theta", "channel", "readout_map"])
+def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
+    seq_path = tmp_path / "bad.json"
+    seq_path.write_text(_edit_sequence(edit))
+    rc = main(["run", "--seq-file", str(seq_path), "--oracle", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_scan_angle_schema_and_period_check(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "angle", "--seq", "psk3", "--points", "9",

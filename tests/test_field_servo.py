@@ -130,3 +130,16 @@ def test_budget_paper_preset_band():
     trace = simulate_servo(DriftModel.lab(), ServoConfig.lab(), 600, seed=7)
     budget = detuning_error_budget(trace.residual_hz)
     assert 0.001 <= budget <= 0.006
+
+
+def test_servo_config_rejects_bad_shots():
+    for bad in (0, -1, 2.5, "50"):
+        with pytest.raises(ValueError, match="shots"):
+            ServoConfig(shots=bad)
+    assert ServoConfig(shots=None).shots is None
+    assert ServoConfig(shots=np.int64(1)).shots == 1
+
+
+def test_budget_rejects_empty_residuals():
+    with pytest.raises(ValueError, match="empty"):
+        detuning_error_budget([])

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,17 +11,21 @@ from spinkey.protocols import (
     ORACLE,
     DESIGN_ANGLES,
     OracleSpec,
+    Pulse,
     PulseSequence,
     ask3_sequence,
     bisection_protocol,
     even_psk_disambiguation,
     psk3_sequence,
     psk_to_ask_wrap,
+    pulses_from_json,
+    pulses_to_json,
     query_count,
     resolve_oracle_pulse,
     run_bisection,
     run_disambiguation,
 )
+from spinkey.qsp import qsp_unitary
 from spinkey.spin_algebra import rotation
 
 
@@ -213,3 +219,56 @@ def test_psk3_first_half_flag_behavior():
     assert populations[0] > 1 - 1e-7  # printed precision leaves ~4e-8
     np.testing.assert_allclose(populations[1], 0.35444, atol=1e-4)
     np.testing.assert_allclose(populations[2], 0.35452, atol=1e-4)
+
+
+def _product_bisection(protocol, hidden_index):
+    """run_bisection from explicit zero-phase products, one per stage."""
+    n = protocol.n
+    theta = 2.0 * np.pi * hidden_index / n
+    offset, queries, worst = 0.0, 0, 0.0
+    for stage in protocol.stages:
+        a = np.cos((theta - offset) / 2.0)
+        p_return = abs(qsp_unitary(np.zeros(stage.qsp_degree + 1), a)[0, 0]) ** 2
+        queries += stage.qsp_degree
+        worst = max(worst, min(p_return, 1.0 - p_return))
+        if p_return < 0.5:
+            offset += stage.offset
+    return int(round(offset / (2.0 * np.pi / n))) % n, queries, worst
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_bisection_closed_form_matches_product(n):
+    proto = bisection_protocol(n)
+    for hidden in range(n):
+        identified, used, worst = run_bisection(proto, hidden)
+        ref_identified, ref_used, ref_worst = _product_bisection(proto, hidden)
+        assert (identified, used) == (ref_identified, ref_used)
+        assert abs(worst - ref_worst) <= 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("channel", "microwave"), ("theta", "nan"), ("phi", float("inf")),
+    ("oracle_phase_offset", None),
+])
+def test_pulse_rejects_bad_fields(field, value):
+    fields = {**asdict(psk3_sequence().pulses[2]), field: value}
+    with pytest.raises(ValueError, match=field):
+        Pulse(**fields)
+
+
+def test_sequence_rejects_bad_fields():
+    seq = psk3_sequence()
+    with pytest.raises(ValueError, match="encoding"):
+        PulseSequence(seq.name, "fsk", seq.pulses, seq.readout_map)
+    with pytest.raises(ValueError, match="readout_map"):
+        PulseSequence(seq.name, seq.encoding, seq.pulses, {0: 0, 1: 1, 2: 5})
+    text = seq.to_json()
+    for broken, match in ((text.replace('"readout_map"', '"readout"'), "readout_map"),
+                          (text.replace('"label"', '"lable"', 1), "lable"),
+                          ("[]", "malformed"),
+                          (json.dumps({**json.loads(text), "readout_map": [0, 1, 2]}),
+                           "malformed")):
+        with pytest.raises(ValueError, match=match):
+            PulseSequence.from_json(broken)
+    with pytest.raises(ValueError, match="bogus"):
+        pulses_from_json(pulses_to_json(seq.pulses).replace('"label"', '"bogus"', 1))

@@ -161,3 +161,35 @@ def test_phase_json_rejects_bad_input():
         phases_from_json("[]")
     with pytest.raises(ValueError):
         phases_from_json('[1.0, "NaN"]')
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 17, 64])
+def test_batched_unitary_equals_per_point_calls(degree):
+    rng = np.random.default_rng(degree)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    scalar = rng.uniform(-1.0, 1.0)
+    assert qsp_unitary(phases, scalar).shape == (2, 2)
+    np.testing.assert_array_equal(qsp_unitary(phases, np.asarray(scalar)),
+                                  qsp_unitary(phases, scalar))
+    for shape in ((7,), (3, 5)):
+        a = rng.uniform(-1.0, 1.0, shape)
+        a.flat[0] = 1.0  # the edge of the domain, where sqrt(1 - a^2) is 0
+        batch = qsp_unitary(phases, a)
+        assert batch.shape == shape + (2, 2)
+        for index in np.ndindex(shape):
+            np.testing.assert_array_equal(batch[index], qsp_unitary(phases, float(a[index])))
+    np.testing.assert_array_equal(signal_w(a)[2, 4], signal_w(float(a[2, 4])))
+
+
+def test_non_finite_signal_values_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            signal_w(bad)
+        with pytest.raises(ValueError, match="finite"):
+            qsp_unitary([0.1, 0.2], bad)
+        with pytest.raises(ValueError, match="finite"):
+            qsp_unitary([0.1, 0.2], [0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            response_curve([0.1, 0.2], [0.0, bad])
+    with pytest.raises(ValueError, match="<= 1"):
+        qsp_unitary([0.1, 0.2], [0.5, -1.5])
