@@ -145,22 +145,28 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
     subtracted again), and steps the drive by +/- step_hz toward resonance.
     The residual recorded for a period is the detuning the algorithm
     experiences during it, before that period's correction.
+
+    Each period evaluates the two fringe sides of ramsey_probability,
+    0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
+    without clipping. With shots, each side is one binomial draw, plus side
+    first.
     """
     n = int(round(duration_s / servo.period_s))
     _, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
     resonance = y * drift.carrier_hz + initial_offset_hz
 
     rng = np.random.default_rng(None if seed is None else seed + 0x5EED)
-    applied = np.zeros(n)
+    applied = []
     level = 0.0
-    for k in range(n):
-        applied[k] = level
+    for freq in resonance.tolist():
+        applied.append(level)
         # The atom responds at its shifted frequency during interrogation;
         # the calibrated offset is subtracted in software, leaving only the
         # miscalibrated part.
-        delta = (resonance[k] + servo.miscalibration_hz) - level
-        p_plus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, +1), 0, 1))
-        p_minus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, -1), 0, 1))
+        delta = (freq + servo.miscalibration_hz) - level
+        s = math.sin(2.0 * math.pi * delta * servo.interrogation_s)
+        p_plus = 0.5 * (1.0 + s)
+        p_minus = 0.5 * (1.0 - s)
         if servo.shots is None:
             diff = p_plus - p_minus
         else:
@@ -171,7 +177,7 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
         elif diff < 0:
             level -= servo.step_hz
     t = np.arange(n) * servo.period_s
-    return ServoTrace(t=t, true_freq_hz=resonance, applied_freq_hz=applied)
+    return ServoTrace(t=t, true_freq_hz=resonance, applied_freq_hz=np.array(applied))
 
 
 def allan_deviation(y, taus, dt=1.0):

@@ -13,9 +13,10 @@ One interpreter runs every pulse program. A (sequence, config, noise,
 signal angles) tuple compiles once into a list of segments (rf pulse,
 laser swap, free precession), and run, angle_scan, detuning_scan,
 time_series and run_qubit_reduction apply those segments to a whole
-(N, 8) batch of grid points at once. Resonant rf segments are closed-form
-rotations from one cached eigendecomposition of Jx; detuned ones take one
-stacked eigh per segment. The readout cascade is linear in the level
+(N, 8) batch of grid points at once. rf segments are closed-form
+rotations from one cached eigendecomposition of Jx: a resonant pulse turns
+about an equatorial axis, a detuned one about an axis tilted out of the
+equator by the detuning. The readout cascade is linear in the level
 populations, so it is one (4, 8) matrix per (noise, config) applied to
 |psi|^2 of the batch.
 
@@ -27,7 +28,8 @@ m = -1/2 and m = +1/2), and the amplitude-keyed table wants m = +5/2
 """
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +58,11 @@ class NoiseModel:
     """Error channels applied during a run; everything defaults to ideal.
 
     detuning_hz is the rf offset from the Zeeman resonance (constant within
-    a run), rf_amp_error a fractional Rabi-frequency error, laser_pi_error
-    the failure probability of one laser pi-swap, spam_error the flip
-    probability of each binary fluorescence detection, and leakage_rate a
-    uniform per-second probability of leaving the readout space.
+    a run), rf_amp_error a fractional Rabi-frequency error (> -1),
+    laser_pi_error the failure probability of one laser pi-swap, spam_error
+    the flip probability of each binary fluorescence detection, and
+    leakage_rate a uniform non-negative per-second rate of leaving the
+    readout space.
     """
 
     detuning_hz: float = 0.0
@@ -69,6 +72,14 @@ class NoiseModel:
     leakage_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("detuning_hz", "rf_amp_error", "leakage_rate"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.rf_amp_error <= -1.0:
+            raise ValueError(f"rf_amp_error must be > -1, got {self.rf_amp_error}")
+        if self.leakage_rate < 0.0:
+            raise ValueError(f"leakage_rate must be non-negative, got {self.leakage_rate}")
         for name in ("laser_pi_error", "spam_error"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -95,7 +106,9 @@ class ExperimentConfig:
     rabi_freq fixes the rf pi-time (55 us by default). couple_pair is the
     (metastable, ground) index pair driven by in-sequence laser pulses;
     readout_pairs are the deshelving pairs for readout states 1 and 2, in
-    detection order. Readout state 0 is the ground manifold itself.
+    detection order. Readout state 0 is the ground manifold itself. Every
+    pair is (metastable level 0-5, ground level 6-7), and init_level is a
+    ground level.
     """
 
     rabi_freq: float = math.pi / 55e-6
@@ -111,6 +124,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rabi_freq <= 0:
             raise ValueError("rabi_freq must be positive")
+        if not _is_level(self.init_level, S_LEVELS):
+            raise ValueError(f"init_level must be a ground level 6 or 7, got {self.init_level!r}")
+        readout = self.readout_pairs
+        if not (isinstance(readout, (tuple, list)) and len(readout) == 2):
+            raise ValueError(f"readout_pairs must hold two level pairs, got {readout!r}")
+        for name, pair in (("couple_pair", self.couple_pair),
+                           ("readout_pairs[0]", readout[0]), ("readout_pairs[1]", readout[1])):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and _is_level(pair[0], range(D_DIM)) and _is_level(pair[1], S_LEVELS)):
+                raise ValueError(
+                    f"{name} must be a (metastable 0-5, ground 6-7) level pair, got {pair!r}")
 
     @property
     def pi_time(self):
@@ -124,6 +148,10 @@ class ExperimentConfig:
             "readout1": self.readout_pairs[0],
             "readout2": self.readout_pairs[1],
         }
+
+
+def _is_level(index, levels):
+    return isinstance(index, numbers.Integral) and index in levels
 
 
 _SEQUENCE_CONFIGS = {
@@ -171,24 +199,24 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     theta, phi, duration and detuning_hz (default: noise.detuning_hz) may
     be arrays with one value per pulse; they broadcast, and the (6, 6)
     propagators stack along their broadcast shape. Resonant pulses are the
-    closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation();
-    when any detuning is nonzero the generator of each pulse, turned to the
-    x axis (which leaves Jz alone), goes through one stacked eigh.
+    closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation().
+    When any detuning is nonzero, each pulse's generator turned to the x
+    axis, angle * Jx + z * Jz, is a rotation by r = hypot(angle, z) about
+    an axis tilted beta = arctan2(angle, z) from z, so the propagator is
+    Rz(phi) d(beta) exp(-i r Jz) d(beta)^T Rz(-phi) with the real Wigner
+    matrix d(beta) = exp(-i beta Jy).
     """
-    config = config or ExperimentConfig()
     if duration is None:
-        duration = np.abs(theta) / config.rabi_freq
+        duration = np.abs(theta) / (config or ExperimentConfig()).rabi_freq
     if detuning_hz is None:
         detuning_hz = noise.detuning_hz
     angle = np.multiply(theta, 1.0 + noise.rf_amp_error)
     z_phase = 2.0 * math.pi * np.multiply(detuning_hz, duration)
     if not np.any(z_phase):
         return rotation(D_DIM, angle, phi)
-    angle, z_phase = np.broadcast_arrays(angle, z_phase)
-    generator = (z_phase[..., None, None] * _J6.jz.real
-                 + angle[..., None, None] * _J6.jx.real)
-    w, v = np.linalg.eigh(generator)
-    return z_frame((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2), phi)
+    d = rotation(D_DIM, np.arctan2(angle, z_phase), math.pi / 2.0).real
+    spin = np.exp(-1j * np.multiply.outer(np.hypot(angle, z_phase), _M6))
+    return z_frame((d * spin[..., None, :]) @ np.swapaxes(d, -1, -2), phi)
 
 
 def apply_rf(state, theta, phi, noise=IDEAL, config=None, duration=None):
@@ -418,7 +446,8 @@ def run_qubit_reduction(seq, signal_angle):
     config = default_config(seq)
     signal_angle = np.asarray(signal_angle, dtype=float)
     # In the reduced space the laser couples qubit level 0 to the ground slot 2.
-    segments = _compile(seq, replace(config, couple_pair=(0, 2)), IDEAL, signal_angle.ravel())
+    segments = [segment._replace(pair=(0, 2)) if segment.kind == "laser" else segment
+                for segment in _compile(seq, config, IDEAL, signal_angle.ravel())]
     states = np.zeros((signal_angle.size, 3), dtype=complex)
     states[:, 2] = 1.0
     for segment in segments:
@@ -496,6 +525,9 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
     candidates = np.asarray(OracleSpec(seq.encoding, tuple(candidate_angles), 0)
                             .candidate_angles, dtype=float)
     detunings_hz = np.asarray(detunings_hz, dtype=float)
+    bad = detunings_hz[~np.isfinite(detunings_hz)]
+    if bad.size:
+        raise ValueError(f"detunings_hz must be finite, got {bad[0]}")
     probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
                       np.repeat(detunings_hz, candidates.size))
     probs = probs.reshape(detunings_hz.size, candidates.size, 4)

@@ -109,15 +109,16 @@ def polynomial_entries(phases, a):
     """Return (P(a), Q(a)) read off the product unitary.
 
     Q is defined through the top-right entry i Q(a) sqrt(1-a^2), so it is
-    only recoverable for |a| < 1.
+    only recoverable for |a| < 1. a may be an array; P and Q then have its
+    shape, and a scalar gives scalars.
     """
     u = qsp_unitary(phases, a)
-    p = u[0, 0]
+    a = np.asarray(a, dtype=float)
     s = np.sqrt(1.0 - a * a)
-    if s == 0.0:
+    if np.any(s == 0.0):
         raise ValueError("Q(a) is not defined at |a| = 1")
-    q = u[0, 1] / (1j * s)
-    return p, q
+    # [()] turns the 0-d entries of a scalar a into scalars.
+    return u[..., 0, 0][()], (u[..., 0, 1] / (1j * s))[()]
 
 
 def bisecting_poly(a):

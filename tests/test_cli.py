@@ -94,6 +94,20 @@ def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["scan", "detuning", "--start=nan"], "detunings_hz"),
+    (["run", "--oracle", "0", "--leakage-rate=-1"], "leakage_rate"),
+    (["run", "--oracle", "0", "--detuning-hz=inf"], "detuning_hz"),
+    (["run", "--oracle", "0", "--rf-amp-error=-1"], "rf_amp_error"),
+], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error"])
+def test_invalid_noise_names_field(capsys, argv, field):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
 def test_scan_angle_schema_and_period_check(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "angle", "--seq", "psk3", "--points", "9",

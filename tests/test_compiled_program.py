@@ -19,6 +19,7 @@ from spinkey.ion_sim import (
     angle_scan,
     default_config,
     detuning_scan,
+    rf_unitary,
     run,
     sequential_readout,
 )
@@ -30,7 +31,7 @@ from spinkey.protocols import (
     ask3_sequence,
     psk3_sequence,
 )
-from spinkey.spin_algebra import spin_operators
+from spinkey.spin_algebra import rotation, spin_operators
 
 J = spin_operators(6)
 
@@ -221,3 +222,35 @@ def test_readout_is_linear_in_populations():
         mixed = np.sqrt(w * np.abs(a) ** 2 + (1 - w) * np.abs(b) ** 2)
         np.testing.assert_allclose(readout(mixed), w * readout(a) + (1 - w) * readout(b),
                                    rtol=0, atol=1e-15)
+
+
+def test_rf_propagators_match_expm():
+    """One batch of rf propagators against expm of the pulse Hamiltonian:
+    zero and nonzero detuning, negative theta, theta = 0 under detuning
+    (the rotation axis along +z or -z), detuning far above the Rabi
+    frequency, and an rf amplitude error."""
+    noise = NoiseModel(rf_amp_error=0.03)
+    config = ExperimentConfig()
+    theta = np.array([math.pi, -math.pi / 2, 0.0, 0.0, 2.5, -4.0, 1.0, 0.3, 7.0, 0.0])
+    phi = np.array([0.0, 0.7, 1.1, -2.0, 3.0, 0.2, -0.4, 5.5, 1.3, 0.9])
+    detuning = np.array([0.0, 25.0, 40.0, -40.0, -1e5, 3e4, 0.0, -15.0, 2e3, 0.0])
+    duration = np.where(theta == 0.0, config.pi_time, np.abs(theta) / config.rabi_freq)
+    u = rf_unitary(theta, phi, noise, config, duration=duration, detuning_hz=detuning)
+    assert u.shape == (theta.size, 6, 6)
+    for k in range(theta.size):
+        omega = theta[k] / duration[k] * (1.0 + noise.rf_amp_error)
+        h = (2 * math.pi * detuning[k] * J.jz
+             + omega * (math.cos(phi[k]) * J.jx + math.sin(phi[k]) * J.jy))
+        np.testing.assert_allclose(u[k], expm(-1j * h * duration[k]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(6), rtol=0, atol=1e-12)
+
+
+def test_resonant_rf_batch_is_the_rotation():
+    noise = NoiseModel(rf_amp_error=-0.02)
+    theta = np.array([math.pi, -1.3, 0.0, 5.0])
+    phi = np.array([0.0, 2.1, -0.5, 4.0])
+    expected = rotation(6, theta * (1.0 + noise.rf_amp_error), phi)
+    np.testing.assert_array_equal(rf_unitary(theta, phi, noise), expected)
+    np.testing.assert_array_equal(
+        rf_unitary(theta, phi, noise, duration=np.full(4, 1e-4), detuning_hz=np.zeros(4)),
+        expected)

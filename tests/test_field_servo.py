@@ -6,6 +6,7 @@ from spinkey.field_servo import (
     HZ_PER_GAUSS,
     DriftModel,
     ServoConfig,
+    ServoTrace,
     allan_deviation,
     detuning_error_budget,
     ramsey_probability,
@@ -143,3 +144,50 @@ def test_servo_config_rejects_bad_shots():
 def test_budget_rejects_empty_residuals():
     with pytest.raises(ValueError, match="empty"):
         detuning_error_budget([])
+
+
+def _reference_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
+    """The servo loop written with numpy scalars: per period, two
+    ramsey_probability calls clipped to [0, 1], and one binomial draw per
+    fringe side, plus side first."""
+    n = int(round(duration_s / servo.period_s))
+    _, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
+    resonance = y * drift.carrier_hz + initial_offset_hz
+    rng = np.random.default_rng(seed + 0x5EED)
+    applied = np.zeros(n)
+    level = 0.0
+    for k in range(n):
+        applied[k] = level
+        delta = (resonance[k] + servo.miscalibration_hz) - level
+        p_plus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, +1), 0, 1))
+        p_minus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, -1), 0, 1))
+        if servo.shots is None:
+            diff = p_plus - p_minus
+        else:
+            diff = (rng.binomial(servo.shots, p_plus)
+                    - rng.binomial(servo.shots, p_minus)) / servo.shots
+        if diff > 0:
+            level += servo.step_hz
+        elif diff < 0:
+            level -= servo.step_hz
+    return ServoTrace(t=np.arange(n) * servo.period_s, true_freq_hz=resonance,
+                      applied_freq_hz=applied)
+
+
+@pytest.mark.parametrize("servo, duration_s, offset_hz", [
+    (ServoConfig(shots=None), 600, 0.0),
+    (ServoConfig(shots=1), 600, 0.0),
+    (ServoConfig(shots=50), 3600, 0.0),
+    (ServoConfig.lab(), 3600, 0.0),
+    (ServoConfig.lab(), 300, 37.5),
+    (ServoConfig(shots=None, miscalibration_hz=-8.0), 300, -20.0),
+], ids=["noiseless", "one-shot", "shots50", "lab", "lab-offset", "noiseless-offset"])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_servo_trace_is_bitwise_the_reference_loop(servo, duration_s, offset_hz, seed):
+    drift = DriftModel.lab()
+    trace = simulate_servo(drift, servo, duration_s, seed=seed, initial_offset_hz=offset_hz)
+    ref = _reference_servo(drift, servo, duration_s, seed=seed, initial_offset_hz=offset_hz)
+    assert trace.applied_freq_hz.shape == (round(duration_s / servo.period_s),)
+    assert np.array_equal(trace.applied_freq_hz, ref.applied_freq_hz)
+    assert np.array_equal(trace.true_freq_hz, ref.true_freq_hz)
+    assert np.array_equal(trace.t, ref.t)

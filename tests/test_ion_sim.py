@@ -200,6 +200,22 @@ def test_noise_model_validation_and_preset():
     assert preset.laser_pi_error == 5e-4 and preset.spam_error == 2e-4
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("leakage_rate", -1.0), ("leakage_rate", math.nan), ("leakage_rate", math.inf),
+    ("detuning_hz", math.nan), ("detuning_hz", -math.inf),
+    ("rf_amp_error", math.nan), ("rf_amp_error", -1.0), ("rf_amp_error", -3.0),
+])
+def test_noise_model_rejects_bad_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: bad})
+
+
+def test_detuning_scan_rejects_non_finite_detunings():
+    for bad in ([0.0, math.nan], [math.inf], -math.inf):
+        with pytest.raises(ValueError, match="detunings_hz"):
+            detuning_scan(psk3_sequence(), bad)
+
+
 def test_time_series_boundaries():
     seq = psk3_sequence()
     for index in range(3):
@@ -327,6 +343,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(rabi_freq=0.0)
     assert ExperimentConfig().pi_time == pytest.approx(55e-6)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"couple_pair": (9, 6)}, "couple_pair"),
+    ({"couple_pair": (2, 3)}, "couple_pair"),
+    ({"couple_pair": (6, 2)}, "couple_pair"),
+    ({"couple_pair": (2.0, 6)}, "couple_pair"),
+    ({"couple_pair": (2, 6, 7)}, "couple_pair"),
+    ({"readout_pairs": ((3, 6), (2, 8))}, r"readout_pairs\[1\]"),
+    ({"readout_pairs": ((-1, 6), (2, 6))}, r"readout_pairs\[0\]"),
+    ({"readout_pairs": ((3, 6),)}, "readout_pairs"),
+    ({"init_level": 2}, "init_level"),
+    ({"init_level": 8}, "init_level"),
+])
+def test_config_rejects_bad_levels(fields, name):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**fields)
 
 
 def test_named_laser_pairs():

@@ -193,3 +193,22 @@ def test_non_finite_signal_values_rejected():
             response_curve([0.1, 0.2], [0.0, bad])
     with pytest.raises(ValueError, match="<= 1"):
         qsp_unitary([0.1, 0.2], [0.5, -1.5])
+
+
+@pytest.mark.parametrize("degree", [1, 3, 8])
+def test_polynomial_entries_over_arrays_equal_per_point_calls(degree):
+    rng = np.random.default_rng(100 + degree)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    scalar = rng.uniform(-0.99, 0.99)
+    p, q = polynomial_entries(phases, scalar)
+    assert np.ndim(p) == 0 and np.ndim(q) == 0
+    np.testing.assert_array_equal(polynomial_entries(phases, np.asarray(scalar)), (p, q))
+    for shape in ((7,), (3, 5)):
+        a = rng.uniform(-0.99, 0.99, shape)
+        p, q = polynomial_entries(phases, a)
+        assert p.shape == q.shape == shape
+        for index in np.ndindex(shape):
+            np.testing.assert_array_equal((p[index], q[index]),
+                                          polynomial_entries(phases, float(a[index])))
+    with pytest.raises(ValueError, match=r"\|a\| = 1"):
+        polynomial_entries(phases, np.array([0.2, -1.0]))
