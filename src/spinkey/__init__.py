@@ -6,6 +6,11 @@ spin-5/2 processing manifold with two ground shelving levels, together
 with the supporting machinery: spin algebra, signal-processing phase
 finding, noise and detuning budgets, a frequency feed-forward servo, and
 incoherent measurement baselines.
+
+The package namespace re-exports the spin algebra and the protocols. The
+signal-processing names (find_phases, PolynomialSpec, qsp_unitary, ...)
+are imported from spinkey.qsp, the only module that loads scipy, so
+importing spinkey or its CLI does not.
 """
 
 __version__ = "0.1.0"
@@ -17,15 +22,6 @@ from .spin_algebra import (
     rotation,
     rotation_z,
     hermitian_propagator,
-)
-from .qsp import (
-    signal_w,
-    qsp_unitary,
-    bisecting_poly,
-    PolynomialSpec,
-    find_phases,
-    response_curve,
-    PhaseFindingError,
 )
 from .protocols import (
     Pulse,

@@ -82,17 +82,18 @@ class ServoConfig:
     """Feed-forward loop parameters.
 
     interrogation_s is the Ramsey free-evolution time per fringe side,
-    step_hz the fixed frequency increment, offset_hz the calibrated
-    light-shift offset subtracted from every measurement, period_s the
-    repetition interval, and shots the detections per fringe side, an
-    integer >= 1 (None means noiseless probabilities). miscalibration_hz
-    models an imperfect offset calibration: the servo converges to that
-    residual detuning.
+    step_hz the fixed frequency increment, period_s the repetition
+    interval, and shots the detections per fringe side, an integer >= 1
+    (None means noiseless probabilities). The atom is interrogated at its
+    light-shifted frequency and the calibrated light-shift offset is
+    subtracted from every measurement again, so a correct calibration
+    cancels exactly and needs no parameter. miscalibration_hz models an
+    imperfect offset calibration: the servo converges to that residual
+    detuning.
     """
 
     interrogation_s: float = 5e-3
     step_hz: float = 5.0
-    offset_hz: float = 100.0
     period_s: float = 1.0
     shots: int = 50
     miscalibration_hz: float = 0.0

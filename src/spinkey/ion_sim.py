@@ -140,15 +140,6 @@ class ExperimentConfig:
     def pi_time(self):
         return math.pi / self.rabi_freq
 
-    @property
-    def laser_pairs(self):
-        """Named coupling map used by apply_laser_pi."""
-        return {
-            "couple": self.couple_pair,
-            "readout1": self.readout_pairs[0],
-            "readout2": self.readout_pairs[1],
-        }
-
 
 def _is_level(index, levels):
     return isinstance(index, numbers.Integral) and index in levels
@@ -219,46 +210,20 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     return z_frame((d * spin[..., None, :]) @ np.swapaxes(d, -1, -2), phi)
 
 
-def apply_rf(state, theta, phi, noise=IDEAL, config=None, duration=None):
-    """Apply one rf pulse; the ground block is untouched."""
-    out = state.copy()
-    out[:D_DIM] = rf_unitary(theta, phi, noise, config, duration) @ state[:D_DIM]
-    return out
-
-
 def _laser_angle(noise):
     """Two-level rotation angle of a pi-swap that transfers 1 - laser_pi_error."""
     return 2.0 * math.asin(math.sqrt(1.0 - noise.laser_pi_error))
 
 
-def apply_laser_pi(state, pair, noise=IDEAL, config=None):
-    """Population swap of the pair; with error p, a fraction p stays behind.
+def apply_laser_pi(state, pair, noise=IDEAL):
+    """Population swap of a (metastable, ground) index pair; with error p, a
+    fraction p stays behind.
 
-    pair is either a (metastable, ground) index tuple or the name of an
-    entry in the config's coupling map ("couple", "readout1", "readout2").
     The imperfect swap is unitary: the transfer probability is 1 - p, so
     applying it twice is the identity on populations only in the ideal
     case.
     """
-    if isinstance(pair, str):
-        pairs = (config or ExperimentConfig()).laser_pairs
-        if pair not in pairs:
-            raise ValueError(f"unknown laser pair {pair!r}; expected one of {sorted(pairs)}")
-        pair = pairs[pair]
     return two_level_rotation(DIM, pair, _laser_angle(noise)) @ state
-
-
-def apply_oracle(state, oracle, noise=IDEAL, config=None, phase_offset=math.pi):
-    """Apply the hidden channel once.
-
-    Phase keying drives a fixed-length pi-pulse about the encoded axis plus
-    the sequence's phase offset; amplitude keying drives the encoded angle
-    about the y axis.
-    """
-    if oracle.encoding == PSK:
-        return apply_rf(state, math.pi, oracle.hidden_angle + phase_offset,
-                        noise, config)
-    return apply_rf(state, oracle.hidden_angle, math.pi / 2.0, noise, config)
 
 
 class _Segment(NamedTuple):

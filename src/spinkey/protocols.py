@@ -108,22 +108,6 @@ class PulseSequence:
             raise ValueError(f"malformed sequence JSON: {err}") from None
 
 
-def pulses_to_json(pulses):
-    """Serialize pulses as a bare JSON array of records (lossless floats)."""
-    return json.dumps([asdict(p) for p in pulses], indent=2)
-
-
-def pulses_from_json(text):
-    """Parse a bare JSON array of pulse records."""
-    records = json.loads(text)
-    if not isinstance(records, list):
-        raise ValueError("expected a JSON array of pulse records")
-    try:
-        return tuple(Pulse(**record) for record in records)
-    except TypeError as err:
-        raise ValueError(f"malformed pulse record: {err}") from None
-
-
 @dataclass(frozen=True)
 class OracleSpec:
     """The unknown channel: an encoding, its candidate angles, a hidden index."""

@@ -10,8 +10,6 @@ from spinkey.ion_sim import (
     NoiseModel,
     angle_scan,
     apply_laser_pi,
-    apply_oracle,
-    apply_rf,
     default_config,
     detuning_scan,
     init_state,
@@ -23,7 +21,7 @@ from spinkey.ion_sim import (
     sequential_readout,
     time_series,
 )
-from spinkey.protocols import DESIGN_ANGLES, OracleSpec, ask3_sequence, psk3_sequence
+from spinkey.protocols import DESIGN_ANGLES, ask3_sequence, psk3_sequence
 from spinkey.spin_algebra import spin_operators
 
 DESIGN = np.array(DESIGN_ANGLES)
@@ -40,12 +38,11 @@ def test_init_state_and_trivial_readout():
 def test_pi_pulse_mirrors_population():
     state = np.zeros(8, dtype=complex)
     state[4] = 1.0  # m = -3/2
-    out = apply_rf(state, math.pi, 0.0)
+    u = rf_unitary(math.pi, 0.0)
+    # The pulse acts on the metastable block only.
+    assert u.shape == (6, 6)
+    out = u @ state[:6]
     assert abs(out[1]) ** 2 > 1 - 1e-10  # m = +3/2
-    # Ground block untouched.
-    state[4], state[6] = 0.0, 1.0
-    out = apply_rf(state, math.pi, 0.0)
-    assert abs(out[6]) ** 2 > 1 - 1e-12
 
 
 def test_two_pi_pulse_preserves_populations():
@@ -53,8 +50,8 @@ def test_two_pi_pulse_preserves_populations():
     amps = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = np.zeros(8, dtype=complex)
     state[:6] = amps / np.linalg.norm(amps)
-    out = apply_rf(state, 2 * math.pi, 0.4)
-    np.testing.assert_allclose(np.abs(out) ** 2, np.abs(state) ** 2, atol=1e-10)
+    out = rf_unitary(2 * math.pi, 0.4) @ state[:6]
+    np.testing.assert_allclose(np.abs(out) ** 2, np.abs(state[:6]) ** 2, atol=1e-10)
 
 
 def test_detuned_pulse_matches_trotter_oracle():
@@ -69,7 +66,7 @@ def test_detuned_pulse_matches_trotter_oracle():
     # Transfer is degraded below unity.
     state = np.zeros(8, dtype=complex)
     state[4] = 1.0
-    out = apply_rf(state, math.pi, 0.0, noise, config)
+    out = rf_unitary(math.pi, 0.0, noise, config) @ state[:6]
     assert abs(out[1]) ** 2 < 1.0 - 1e-6
 
 
@@ -103,23 +100,6 @@ def test_laser_swap_and_error_channel():
     noisy = apply_laser_pi(state, config.couple_pair, NoiseModel(laser_pi_error=0.002))
     assert abs(noisy[6]) ** 2 == pytest.approx(0.002, abs=1e-12)
     assert abs(np.linalg.norm(noisy) - 1.0) < 1e-12
-
-
-def test_apply_oracle_dispatch():
-    state = init_state()
-    state = apply_laser_pi(state, (4, 6))
-    psk = OracleSpec("psk", DESIGN_ANGLES, 0)
-    np.testing.assert_allclose(
-        apply_oracle(state, psk), apply_rf(state, math.pi, math.pi), atol=1e-14
-    )
-    ask1 = OracleSpec("ask", DESIGN_ANGLES, 1)
-    np.testing.assert_allclose(
-        apply_oracle(state, ask1),
-        apply_rf(state, 2 * math.pi / 3, math.pi / 2),
-        atol=1e-14,
-    )
-    ask0 = OracleSpec("ask", DESIGN_ANGLES, 0)
-    np.testing.assert_allclose(apply_oracle(state, ask0), state, atol=1e-14)
 
 
 def test_ideal_runs_are_deterministic():
@@ -360,16 +340,6 @@ def test_config_validation():
 def test_config_rejects_bad_levels(fields, name):
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**fields)
-
-
-def test_named_laser_pairs():
-    config = default_config(psk3_sequence())
-    state = init_state(config)
-    by_name = apply_laser_pi(state, "couple", config=config)
-    by_tuple = apply_laser_pi(state, config.couple_pair)
-    np.testing.assert_allclose(by_name, by_tuple, atol=1e-15)
-    with pytest.raises(ValueError, match="unknown laser pair"):
-        apply_laser_pi(state, "sideband", config=config)
 
 
 def test_fixed_length_oracle_option():

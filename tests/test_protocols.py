@@ -18,8 +18,6 @@ from spinkey.protocols import (
     even_psk_disambiguation,
     psk3_sequence,
     psk_to_ask_wrap,
-    pulses_from_json,
-    pulses_to_json,
     query_count,
     resolve_oracle_pulse,
     run_bisection,
@@ -189,16 +187,6 @@ def test_sequence_json_round_trip():
             assert p.theta == q.theta and p.phi == q.phi  # bit-exact floats
 
 
-def test_bare_pulse_array_round_trip():
-    from spinkey.protocols import pulses_from_json, pulses_to_json
-
-    pulses = ask3_sequence(exact=True).pulses
-    back = pulses_from_json(pulses_to_json(pulses))
-    assert back == pulses
-    with pytest.raises(ValueError, match="array"):
-        pulses_from_json('{"index": 1}')
-
-
 def test_psk3_first_half_flag_behavior():
     """The qubit composition of the first half returns the start state only
     for the zero phase; for the other candidates the sequence is native to
@@ -270,5 +258,3 @@ def test_sequence_rejects_bad_fields():
                            "malformed")):
         with pytest.raises(ValueError, match=match):
             PulseSequence.from_json(broken)
-    with pytest.raises(ValueError, match="bogus"):
-        pulses_from_json(pulses_to_json(seq.pulses).replace('"label"', '"bogus"', 1))

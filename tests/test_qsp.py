@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinkey
 from spinkey.qsp import (
     PhaseFindingError,
     PolynomialSpec,
@@ -16,6 +21,23 @@ from spinkey.qsp import (
     signal_w,
 )
 from spinkey.spin_algebra import rotation
+
+
+def test_package_and_cli_import_without_scipy():
+    """Only spinkey.qsp loads scipy; the package and its CLI do not."""
+    code = (
+        "import sys, spinkey, spinkey.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from spinkey.qsp import find_phases\n"
+        "import spinkey.qsp\n"
+        "print(callable(find_phases), callable(spinkey.qsp.minimize))\n"
+    )
+    src = str(Path(spinkey.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_signal_endpoints():
