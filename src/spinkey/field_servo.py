@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .protocols import check_real
+
 # Nominal splitting of the processing manifold driven by the rf antenna.
 CARRIER_HZ = 8.6e6
 
@@ -30,7 +32,8 @@ class DriftModel:
 
     white_sigma1 is the white-FM Allan deviation at 1 s (slope -1/2);
     rw_sigma10 the random-walk-FM Allan deviation at 10 s (slope +1/2).
-    Either may be zero.
+    Either may be zero; both must be finite and >= 0. carrier_hz is the
+    resonance the fractional noise scales into hertz, finite and > 0.
     """
 
     white_sigma1: float = 0.0
@@ -38,8 +41,9 @@ class DriftModel:
     carrier_hz: float = CARRIER_HZ
 
     def __post_init__(self):
-        if self.white_sigma1 < 0 or self.rw_sigma10 < 0:
-            raise ValueError("noise amplitudes must be non-negative")
+        check_real("white_sigma1", self.white_sigma1, 0.0)
+        check_real("rw_sigma10", self.rw_sigma10, 0.0)
+        check_real("carrier_hz", self.carrier_hz, 0.0, strict=True)
 
     @classmethod
     def white(cls, sigma1):
@@ -89,7 +93,8 @@ class ServoConfig:
     subtracted from every measurement again, so a correct calibration
     cancels exactly and needs no parameter. miscalibration_hz models an
     imperfect offset calibration: the servo converges to that residual
-    detuning.
+    detuning. Every float field is finite; interrogation_s, step_hz and
+    period_s are > 0.
     """
 
     interrogation_s: float = 5e-3
@@ -99,8 +104,9 @@ class ServoConfig:
     miscalibration_hz: float = 0.0
 
     def __post_init__(self):
-        if self.interrogation_s <= 0 or self.step_hz <= 0 or self.period_s <= 0:
-            raise ValueError("interrogation_s, step_hz, period_s must be positive")
+        for name in ("interrogation_s", "step_hz", "period_s"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("miscalibration_hz", self.miscalibration_hz)
         if self.shots is not None and not (
                 isinstance(self.shots, numbers.Integral) and self.shots >= 1):
             raise ValueError(f"shots must be None or an integer >= 1, got {self.shots!r}")
@@ -150,8 +156,10 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
     Each period evaluates the two fringe sides of ramsey_probability,
     0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
     without clipping. With shots, each side is one binomial draw, plus side
-    first.
+    first. duration_s must be finite and >= 0, initial_offset_hz finite.
     """
+    check_real("duration_s", duration_s, 0.0)
+    check_real("initial_offset_hz", initial_offset_hz)
     n = int(round(duration_s / servo.period_s))
     _, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
     resonance = y * drift.carrier_hz + initial_offset_hz

@@ -41,6 +41,7 @@ from .protocols import (
     ORACLE,
     OracleSpec,
     PSK,
+    check_real,
     resolve_oracle_pulse,
 )
 from .spin_algebra import rotation, spin_operators, two_level_rotation, z_frame
@@ -72,14 +73,9 @@ class NoiseModel:
     leakage_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("detuning_hz", "rf_amp_error", "leakage_rate"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.rf_amp_error <= -1.0:
-            raise ValueError(f"rf_amp_error must be > -1, got {self.rf_amp_error}")
-        if self.leakage_rate < 0.0:
-            raise ValueError(f"leakage_rate must be non-negative, got {self.leakage_rate}")
+        check_real("detuning_hz", self.detuning_hz)
+        check_real("rf_amp_error", self.rf_amp_error, -1.0, strict=True)
+        check_real("leakage_rate", self.leakage_rate, 0.0)
         for name in ("laser_pi_error", "spam_error"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -103,12 +99,14 @@ IDEAL = NoiseModel()
 class ExperimentConfig:
     """Pulse timing and level assignments.
 
-    rabi_freq fixes the rf pi-time (55 us by default). couple_pair is the
-    (metastable, ground) index pair driven by in-sequence laser pulses;
-    readout_pairs are the deshelving pairs for readout states 1 and 2, in
-    detection order. Readout state 0 is the ground manifold itself. Every
-    pair is (metastable level 0-5, ground level 6-7), and init_level is a
-    ground level.
+    rabi_freq fixes the rf pi-time (55 us by default) and must be > 0.
+    pulse_gap_s (free precession between consecutive pulses) and
+    laser_time_s (precession after each in-sequence laser swap) are finite
+    and >= 0. couple_pair is the (metastable, ground) index pair driven by
+    in-sequence laser pulses; readout_pairs are the deshelving pairs for
+    readout states 1 and 2, in detection order. Readout state 0 is the
+    ground manifold itself. Every pair is (metastable level 0-5, ground
+    level 6-7), and init_level is a ground level.
     """
 
     rabi_freq: float = math.pi / 55e-6
@@ -122,8 +120,9 @@ class ExperimentConfig:
     oracle_fixed_length: bool = False
 
     def __post_init__(self):
-        if self.rabi_freq <= 0:
-            raise ValueError("rabi_freq must be positive")
+        check_real("rabi_freq", self.rabi_freq, 0.0, strict=True)
+        check_real("pulse_gap_s", self.pulse_gap_s, 0.0)
+        check_real("laser_time_s", self.laser_time_s, 0.0)
         if not _is_level(self.init_level, S_LEVELS):
             raise ValueError(f"init_level must be a ground level 6 or 7, got {self.init_level!r}")
         readout = self.readout_pairs
@@ -143,6 +142,15 @@ class ExperimentConfig:
 
 def _is_level(index, levels):
     return isinstance(index, numbers.Integral) and index in levels
+
+
+def _finite_array(name, values):
+    """values as a float array; a ValueError naming the field if any is not finite."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    return values
 
 
 _SEQUENCE_CONFIGS = {
@@ -468,7 +476,7 @@ def angle_scan(seq, angles, config=None, noise=IDEAL, dim=6):
     grid points are evaluated together as one batch.
     Returns an (n, 4) array with columns (angle, p0, p1, p2).
     """
-    angles = np.asarray(angles, dtype=float)
+    angles = _finite_array("angles", angles)
     if dim == 2:
         probs = run_qubit_reduction(seq, angles)
     elif dim == 6:
@@ -489,10 +497,7 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
     config = config or default_config(seq)
     candidates = np.asarray(OracleSpec(seq.encoding, tuple(candidate_angles), 0)
                             .candidate_angles, dtype=float)
-    detunings_hz = np.asarray(detunings_hz, dtype=float)
-    bad = detunings_hz[~np.isfinite(detunings_hz)]
-    if bad.size:
-        raise ValueError(f"detunings_hz must be finite, got {bad[0]}")
+    detunings_hz = _finite_array("detunings_hz", detunings_hz)
     probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
                       np.repeat(detunings_hz, candidates.size))
     probs = probs.reshape(detunings_hz.size, candidates.size, 4)
@@ -520,11 +525,17 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
     Shifting m = -1/2 while driving from m = -5/2 pins the dynamics to the
     lowest two sublevels once the shift dominates the drive's ladder
     coupling; at zero shift this reduces to the free six-level curve.
+    start_level and shifted_level are metastable levels 0-5; shift_hz and
+    the times must be finite.
 
     Returns (times, populations) with populations of shape (n, 6).
     """
+    for name, level in (("start_level", start_level), ("shifted_level", shifted_level)):
+        if not _is_level(level, range(D_DIM)):
+            raise ValueError(f"{name} must be a metastable level 0-5, got {level!r}")
+    check_real("shift_hz", shift_hz)
     config = config or ExperimentConfig()
-    times = np.asarray(times, dtype=float)
+    times = _finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
     h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz
     w, v = np.linalg.eigh(h)

@@ -36,6 +36,18 @@ CHANNELS = (RF, LASER, ORACLE)
 ENCODINGS = (PSK, ASK)
 
 
+def check_real(name, value, minimum=None, strict=False):
+    """Boundary check shared by the configuration dataclasses.
+
+    Raises a ValueError naming the field unless value is a finite real
+    number at or above minimum (strictly above it when strict is true).
+    """
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One rotation instruction.
@@ -58,9 +70,7 @@ class Pulse:
         if self.channel not in CHANNELS:
             raise ValueError(f"pulse channel must be one of {CHANNELS}, got {self.channel!r}")
         for name in ("theta", "phi", "oracle_phase_offset"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"pulse {name} must be a finite number, got {value!r}")
+            check_real(f"pulse {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,15 @@ def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     (["run", "--oracle", "0", "--leakage-rate=-1"], "leakage_rate"),
     (["run", "--oracle", "0", "--detuning-hz=inf"], "detuning_hz"),
     (["run", "--oracle", "0", "--rf-amp-error=-1"], "rf_amp_error"),
-], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error"])
+    (["rabi", "--start-level=-1"], "start_level"),
+    (["rabi", "--start-level", "9"], "start_level"),
+    (["rabi", "--t-max=nan"], "times"),
+    (["scan", "angle", "--start=nan"], "angles"),
+    (["servo", "--duration=inf"], "duration_s"),
+    (["servo", "--preset", "custom", "--miscal-hz=nan"], "miscalibration_hz"),
+    (["servo", "--preset", "custom", "--white-sigma1=nan"], "white_sigma1"),
+], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
+        "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()

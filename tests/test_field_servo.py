@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,37 @@ def test_servo_config_rejects_bad_shots():
             ServoConfig(shots=bad)
     assert ServoConfig(shots=None).shots is None
     assert ServoConfig(shots=np.int64(1)).shots == 1
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("interrogation_s", math.nan), ("interrogation_s", 0.0), ("step_hz", math.inf),
+    ("period_s", -1.0), ("miscalibration_hz", math.nan), ("miscalibration_hz", -math.inf),
+])
+def test_servo_config_rejects_bad_floats(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ServoConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("white_sigma1", math.nan), ("white_sigma1", -1e-7), ("rw_sigma10", math.inf),
+    ("carrier_hz", 0.0), ("carrier_hz", math.nan),
+])
+def test_drift_model_rejects_bad_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        DriftModel(**{field: bad})
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"duration_s": math.inf}, "duration_s"),
+    ({"duration_s": math.nan}, "duration_s"),
+    ({"duration_s": -1.0}, "duration_s"),
+    ({"initial_offset_hz": math.inf}, "initial_offset_hz"),
+    ({"initial_offset_hz": math.nan}, "initial_offset_hz"),
+])
+def test_simulate_servo_rejects_bad_arguments(kwargs, field):
+    args = {"duration_s": 20.0, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        simulate_servo(DriftModel.lab(), ServoConfig(shots=None), **args)
 
 
 def test_budget_rejects_empty_residuals():

@@ -196,6 +196,23 @@ def test_detuning_scan_rejects_non_finite_detunings():
             detuning_scan(psk3_sequence(), bad)
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda: rabi_curve([0.0, 1e-5], -1), "start_level"),
+    (lambda: rabi_curve([0.0, 1e-5], 9), "start_level"),
+    (lambda: rabi_curve([0.0, 1e-5], 2.0), "start_level"),
+    (lambda: rabi_curve([0.0, math.nan], 4), "times"),
+    (lambda: light_shift_isolation(1e5, [math.inf]), "times"),
+    (lambda: light_shift_isolation(1e5, [0.0], shifted_level=6), "shifted_level"),
+    (lambda: light_shift_isolation(math.nan, [0.0]), "shift_hz"),
+    (lambda: angle_scan(psk3_sequence(), [0.0, math.nan]), "angles"),
+    (lambda: angle_scan(psk3_sequence(), [math.inf], dim=2), "angles"),
+], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
+        "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2"])
+def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
 def test_time_series_boundaries():
     seq = psk3_sequence()
     for index in range(3):
@@ -336,6 +353,13 @@ def test_config_validation():
     ({"readout_pairs": ((3, 6),)}, "readout_pairs"),
     ({"init_level": 2}, "init_level"),
     ({"init_level": 8}, "init_level"),
+    ({"rabi_freq": math.nan}, "rabi_freq"),
+    ({"rabi_freq": math.inf}, "rabi_freq"),
+    ({"rabi_freq": 0.0}, "rabi_freq"),
+    ({"pulse_gap_s": math.inf}, "pulse_gap_s"),
+    ({"pulse_gap_s": -1e-5}, "pulse_gap_s"),
+    ({"laser_time_s": math.nan}, "laser_time_s"),
+    ({"laser_time_s": -1e-6}, "laser_time_s"),
 ])
 def test_config_rejects_bad_levels(fields, name):
     with pytest.raises(ValueError, match=name):
