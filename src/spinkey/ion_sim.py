@@ -224,12 +224,11 @@ def _laser_angle(noise):
 
 
 def apply_laser_pi(state, pair, noise=IDEAL):
-    """Population swap of a (metastable, ground) index pair; with error p, a
-    fraction p stays behind.
+    """Population swap of the pair; with error p, a fraction p stays behind.
 
-    The imperfect swap is unitary: the transfer probability is 1 - p, so
-    applying it twice is the identity on populations only in the ideal
-    case.
+    pair is a (metastable, ground) index tuple. The imperfect swap is
+    unitary: the transfer probability is 1 - p, so applying it twice is
+    the identity on populations only in the ideal case.
     """
     return two_level_rotation(DIM, pair, _laser_angle(noise)) @ state
 
