@@ -243,6 +243,8 @@ def _cmd_servo(args):
 def _cmd_rabi(args):
     params = {"cmd": "rabi", "start_level": args.start_level,
               "t_max": args.t_max, "points": args.points, "seed": args.seed}
+    if args.points < 1:
+        raise ValueError(f"rabi --points must be >= 1, got {args.points}")
     times = np.linspace(0.0, args.t_max, args.points)
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))

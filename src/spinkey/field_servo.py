@@ -65,8 +65,11 @@ class DriftModel:
         Returns (t, y) with t in seconds and y dimensionless. The white
         component has per-sample deviation sigma1/sqrt(dt); the random-walk
         step size reproduces rw_sigma10 at tau = 10 s through the exact
-        discrete Allan variance of a random walk.
+        discrete Allan variance of a random walk. duration_s must be
+        finite and >= 0, dt finite and > 0.
         """
+        check_real("duration_s", duration_s, 0.0)
+        check_real("dt", dt, 0.0, strict=True)
         n = int(round(duration_s / dt))
         rng = np.random.default_rng(seed)
         y = np.zeros(n)
@@ -158,10 +161,8 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
     without clipping. With shots, each side is one binomial draw, plus side
     first. duration_s must be finite and >= 0, initial_offset_hz finite.
     """
-    check_real("duration_s", duration_s, 0.0)
     check_real("initial_offset_hz", initial_offset_hz)
-    n = int(round(duration_s / servo.period_s))
-    _, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
+    t, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
     resonance = y * drift.carrier_hz + initial_offset_hz
 
     rng = np.random.default_rng(None if seed is None else seed + 0x5EED)
@@ -185,7 +186,6 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
             level += servo.step_hz
         elif diff < 0:
             level -= servo.step_hz
-    t = np.arange(n) * servo.period_s
     return ServoTrace(t=t, true_freq_hz=resonance, applied_freq_hz=np.array(applied))
 
 

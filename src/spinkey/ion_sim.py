@@ -9,16 +9,18 @@ probability. Readout is the three-stage fluorescence cascade: detect the
 ground manifold, then deshelve and detect each metastable readout level in
 turn; whatever norm remains is leakage.
 
-One interpreter runs every pulse program. A (sequence, config, noise,
-signal angles) tuple compiles once into a list of segments (rf pulse,
-laser swap, free precession), and run, angle_scan, detuning_scan,
-time_series and run_qubit_reduction apply those segments to a whole
-(N, 8) batch of grid points at once. rf segments are closed-form
-rotations from one cached eigendecomposition of Jx: a resonant pulse turns
-about an equatorial axis, a detuned one about an axis tilted out of the
-equator by the detuning. The readout cascade is linear in the level
-populations, so it is one (4, 8) matrix per (noise, config) applied to
-|psi|^2 of the batch.
+One interpreter runs every pulse program. A (sequence, config, signal
+angles) tuple compiles once into a list of segments of one form: an
+optional laser swap on a (metastable, ground) pair, then a drive of some
+angle, axis and duration (angle 0 is free precession). run, angle_scan,
+detuning_scan, time_series and run_qubit_reduction all pass a whole
+(N, 8) batch of grid points through the same loop. Between two laser
+swaps every rf pulse and free precession is the spin-5/2 image of an
+SU(2) element, so the loop multiplies the 2x2 elements in closed form and
+applies each laser-free block once, as one resonant rotation followed by
+one precession about z (spin_algebra.su2_factors). The readout cascade is
+linear in the level populations, so it is one (4, 8) matrix per (noise,
+config) applied to |psi|^2 of the batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -44,14 +46,21 @@ from .protocols import (
     check_real,
     resolve_oracle_pulse,
 )
-from .spin_algebra import rotation, spin_operators, two_level_rotation, z_frame
+from .spin_algebra import (
+    hermitian_propagator,
+    rotation,
+    spin_operators,
+    su2_factors,
+    su2_product,
+    su2_pulse,
+    two_level_rotation,
+)
 
 D_DIM = 6
 DIM = 8
 S_LEVELS = (6, 7)
 
 _J6 = spin_operators(6)
-_M6 = np.diag(_J6.jz).real
 
 
 @dataclass(frozen=True)
@@ -193,29 +202,38 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     the opposite axis. The detuning enters as 2*pi*detuning*Jz alongside
     the (1 + amp_error)-scaled drive. The duration is theta/rabi_freq
     unless an explicit duration is given, in which case the drive amplitude
-    is rescaled to produce the same rotation angle in that time.
+    is rescaled to produce the same rotation angle in that time; only a
+    detuned pulse needs it.
 
     theta, phi, duration and detuning_hz (default: noise.detuning_hz) may
     be arrays with one value per pulse; they broadcast, and the (6, 6)
     propagators stack along their broadcast shape. Resonant pulses are the
     closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation().
-    When any detuning is nonzero, each pulse's generator turned to the x
-    axis, angle * Jx + z * Jz, is a rotation by r = hypot(angle, z) about
-    an axis tilted beta = arctan2(angle, z) from z, so the propagator is
-    Rz(phi) d(beta) exp(-i r Jz) d(beta)^T Rz(-phi) with the real Wigner
-    matrix d(beta) = exp(-i beta Jy).
+    When any detuning is nonzero, each pulse is written in SU(2)
+    (spin_algebra.su2_pulse) and factored as Rz(z) R(beta, phi'), so its
+    propagator is that resonant rotation followed by a precession about z,
+    the same image the interpreter takes of a whole laser-free block.
     """
-    if duration is None:
-        duration = np.abs(theta) / (config or ExperimentConfig()).rabi_freq
     if detuning_hz is None:
         detuning_hz = noise.detuning_hz
     angle = np.multiply(theta, 1.0 + noise.rf_amp_error)
-    z_phase = 2.0 * math.pi * np.multiply(detuning_hz, duration)
-    if not np.any(z_phase):
+    if not np.any(detuning_hz):
         return rotation(D_DIM, angle, phi)
-    d = rotation(D_DIM, np.arctan2(angle, z_phase), math.pi / 2.0).real
-    spin = np.exp(-1j * np.multiply.outer(np.hypot(angle, z_phase), _M6))
-    return z_frame((d * spin[..., None, :]) @ np.swapaxes(d, -1, -2), phi)
+    if duration is None:
+        duration = np.abs(theta) / (config or ExperimentConfig()).rabi_freq
+    return _spin_image(su2_pulse(angle, phi, 2.0 * math.pi * np.multiply(detuning_hz, duration)))
+
+
+def _spin_image(element, dim=D_DIM):
+    """Spin image Rz(z) R(beta, phi) of SU(2) elements (a, b), a (..., dim, dim) stack.
+
+    The resonant rotation goes through rf_unitary on the six metastable
+    levels and through rotation(2, ...) on the two-level reduction.
+    """
+    beta, phi, z = su2_factors(*element)
+    pulse = rf_unitary(beta, phi) if dim == D_DIM else rotation(dim, beta, phi)
+    m = np.diag(spin_operators(dim).jz).real
+    return np.exp(-1j * np.multiply.outer(z, m))[..., None] * pulse
 
 
 def _laser_angle(noise):
@@ -228,29 +246,32 @@ def apply_laser_pi(state, pair, noise=IDEAL):
 
     pair is a (metastable, ground) index tuple. The imperfect swap is
     unitary: the transfer probability is 1 - p, so applying it twice is
-    the identity on populations only in the ideal case.
+    the identity on populations only in the ideal case. state may be one
+    state or a batch of them along its leading axes; the last axis is the
+    level index.
     """
-    return two_level_rotation(DIM, pair, _laser_angle(noise)) @ state
+    return state @ two_level_rotation(np.shape(state)[-1], pair, _laser_angle(noise)).T
 
 
 class _Segment(NamedTuple):
-    """One step of a compiled pulse program.
+    """One step of a compiled pulse program: an optional swap, then a drive.
 
-    kind is "rf", "laser" or "free" (precession only). duration is the wall
-    time; angle is the rf pulse's nominal rotation angle or the laser's
-    two-level rotation angle; phi is the rf drive axis; pair is the laser's
-    (metastable, ground) pair. Each number is a scalar or one value per
+    pair is the (metastable, ground) pair a laser swaps at the segment's
+    start, or None. The drive then rotates the spin block by the nominal
+    angle about the equatorial axis phi over duration seconds; angle 0 is
+    free precession. rows is True, or an (N, 1) mask of the grid points
+    that have reached the swap. Each number is a scalar or one value per
     grid point.
     """
 
-    kind: str
     duration: object
     angle: object = 0.0
     phi: object = 0.0
     pair: tuple = None
+    rows: object = True
 
 
-def _compile(seq, config, noise, signal_angles):
+def _compile(seq, config, signal_angles):
     """The pulse program as segments, for a scalar or an array of signal angles.
 
     This is the only place that knows the program's rules: a free gap
@@ -258,14 +279,12 @@ def _compile(seq, config, noise, signal_angles):
     followed by its laser time, oracle resolution, and the fixed-length
     option for amplitude-keyed oracles.
     """
-    laser_angle = _laser_angle(noise)
     segments = []
     for n, pulse in enumerate(seq.pulses):
         if n > 0 and config.pulse_gap_s > 0.0:
-            segments.append(_Segment("free", config.pulse_gap_s))
+            segments.append(_Segment(config.pulse_gap_s))
         if pulse.channel == LASER:
-            segments.append(_Segment("laser", config.laser_time_s, laser_angle,
-                                     pair=config.couple_pair))
+            segments.append(_Segment(config.laser_time_s, pair=config.couple_pair))
             continue
         theta, phi = pulse.theta, pulse.phi
         duration = None
@@ -275,40 +294,35 @@ def _compile(seq, config, noise, signal_angles):
                 duration = config.pi_time
         if duration is None:
             duration = np.abs(theta) / config.rabi_freq
-        segments.append(_Segment("rf", duration, theta, phi))
+        segments.append(_Segment(duration, theta, phi))
     return segments
 
 
-def _advance(states, segment, noise, detuning_hz, tau=None, dim=D_DIM):
-    """Apply the first tau seconds of a segment (all of it by default).
+def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
+    """Apply compiled segments to an (N, dim + grounds) batch, which it overwrites.
 
-    states is an (N, dim + grounds) batch whose first dim entries are the
-    spin block; detuning_hz and tau are scalars or one value per row. The
-    six-level block takes the noisy rf_unitary; the ideal two-level
-    reduction (dim = 2) takes plain rotations. Returns a new array.
+    The first dim entries of each row are the spin block; detuning_hz is a
+    scalar or one value per row. The drives between two swaps multiply as
+    SU(2) elements, and each such block acts once through its spin image,
+    before the next swap and at the end. The six-level block takes the
+    noisy drives; the ideal two-level reduction (dim = 2) passes IDEAL.
     """
-    scale = 1.0
-    if tau is None:
-        tau = segment.duration
-    else:
-        scale = tau / segment.duration
-    if segment.kind == "laser":
-        # The swap is instantaneous; the laser time after it only precesses.
-        states = states @ two_level_rotation(states.shape[1], segment.pair, segment.angle).T
-    else:
-        states = states.copy()
-    block = states[:, :dim]
-    if segment.kind == "rf":
-        theta = segment.angle * scale
-        if dim == D_DIM:
-            u = rf_unitary(theta, segment.phi, noise, duration=tau, detuning_hz=detuning_hz)
-        else:
-            u = rotation(dim, theta, segment.phi)
-        states[:, :dim] = (u @ block[..., None])[..., 0]
-    elif np.any(detuning_hz):
-        z_phase = 2.0 * math.pi * np.multiply.outer(np.multiply(detuning_hz, tau), _M6)
-        states[:, :dim] = block * np.exp(-1j * z_phase)
+    block = None
+    for segment in segments:
+        if segment.pair is not None:
+            _apply_block(states, block, dim)
+            states = np.where(segment.rows, apply_laser_pi(states, segment.pair, noise), states)
+            block = None
+        pulse = su2_pulse(segment.angle * (1.0 + noise.rf_amp_error), segment.phi,
+                          2.0 * math.pi * np.multiply(detuning_hz, segment.duration))
+        block = pulse if block is None else su2_product(pulse, block)
+    _apply_block(states, block, dim)
     return states
+
+
+def _apply_block(states, block, dim):
+    if block is not None:
+        states[:, :dim] = (_spin_image(block, dim) @ states[:, :dim, None])[..., 0]
 
 
 def _readout_matrix(noise, config):
@@ -376,13 +390,12 @@ def _evaluate(seq, config, noise, signal_angles, detunings_hz=None):
 
     signal_angles and detunings_hz (default: the noise model's) broadcast
     to the N grid points; the program is compiled once and applied to all
-    of them, one segment at a time.
+    of them through the one segment loop.
     """
     detuning = noise.detuning_hz if detunings_hz is None else detunings_hz
-    segments = _compile(seq, config, noise, signal_angles)
+    segments = _compile(seq, config, signal_angles)
     states = np.tile(init_state(config), (np.broadcast(signal_angles, detuning).size, 1))
-    for segment in segments:
-        states = _advance(states, segment, noise, detuning)
+    states = _propagate(states, segments, noise, detuning)
     probs = sequential_readout(states, noise, config).probabilities
     return _apply_leakage(probs, noise, sum(segment.duration for segment in segments))
 
@@ -418,13 +431,10 @@ def run_qubit_reduction(seq, signal_angle):
     config = default_config(seq)
     signal_angle = np.asarray(signal_angle, dtype=float)
     # In the reduced space the laser couples qubit level 0 to the ground slot 2.
-    segments = [segment._replace(pair=(0, 2)) if segment.kind == "laser" else segment
-                for segment in _compile(seq, config, IDEAL, signal_angle.ravel())]
-    states = np.zeros((signal_angle.size, 3), dtype=complex)
-    states[:, 2] = 1.0
-    for segment in segments:
-        states = _advance(states, segment, IDEAL, 0.0, dim=2)
-    pops = np.abs(states) ** 2
+    segments = [segment if segment.pair is None else segment._replace(pair=(0, 2))
+                for segment in _compile(seq, config, signal_angle.ravel())]
+    states = np.tile(np.eye(3, dtype=complex)[2], (signal_angle.size, 1))
+    pops = np.abs(_propagate(states, segments, IDEAL, 0.0, dim=2)) ** 2
     mirror = int(config.readout_pairs[0][0] != config.couple_pair[0])
     return pops[:, [2, mirror, 1 - mirror]].reshape(signal_angle.shape + (3,))
 
@@ -433,36 +443,40 @@ def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
                 candidate_angles=DESIGN_ANGLES):
     """Readout-state populations versus evolution time.
 
-    The compiled program is evaluated at n_points evenly spaced times. The
-    state after each whole segment is propagated once; a time point inside
-    a segment is that prefix plus the part of the segment it has reached,
-    and survives leakage with exp(-leakage_rate * t). Laser pulses are
-    instantaneous by default, so the curves are piecewise smooth with steps
-    at the shelving events; a pulse starting at a time point takes effect
-    just after it. The final row is the whole program and equals run().
+    The compiled program is evaluated at n_points (an integer >= 2) evenly
+    spaced times, one row of the batch per time. Each row runs every
+    segment: whole once it has ended, scaled to the part it has reached
+    while it runs, and not at all before it starts; a laser swap acts only
+    on the rows that have reached it. Each row survives leakage with
+    exp(-leakage_rate * t). Laser pulses are instantaneous by default, so
+    the curves are piecewise smooth with steps at the shelving events; a
+    pulse starting at a time point takes effect just after it. The final
+    row is the whole program and equals run().
 
     Returns an (n_points, 4) array with columns (time, p0, p1, p2).
     """
+    if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
-    segments = _compile(seq, config, noise, oracle.hidden_angle)
-    ends = np.cumsum([segment.duration for segment in segments])
+    segments = _compile(seq, config, oracle.hidden_angle)
+    durations = np.array([segment.duration for segment in segments], dtype=float)
+    ends = np.cumsum(durations)
     total = float(ends[-1]) if segments else 0.0
     times = np.linspace(0.0, total, n_points)
     eps = 1e-15 * max(total, 1e-30)
 
-    prefix = init_state(config)[None, :]
-    states = np.repeat(prefix, n_points, axis=0)
-    start = 0.0
-    for segment, end in zip(segments, ends):
-        started = (times - start > eps) | (times >= total - eps)
-        inside = started & (times < end - eps)
-        if inside.any():
-            states[inside] = _advance(np.repeat(prefix, inside.sum(), axis=0), segment,
-                                      noise, noise.detuning_hz, times[inside] - start)
-        prefix = _advance(prefix, segment, noise, noise.detuning_hz)
-        states[started & ~inside] = prefix
-        start = end
+    # One row per segment and one column per time point.
+    starts = np.concatenate([[0.0], ends[:-1]])[:, None]
+    started = (times - starts > eps) | (times >= total - eps)
+    inside = started & (times < ends[:, None] - eps)
+    fractions = np.divide(times - starts, durations[:, None], out=started.astype(float),
+                          where=inside)
+    scaled = [segment._replace(duration=segment.duration * f, angle=segment.angle * f,
+                               rows=reached[:, None])
+              for segment, f, reached in zip(segments, fractions, started)]
+    states = _propagate(np.tile(init_state(config), (n_points, 1)), scaled, noise,
+                        noise.detuning_hz)
     probs = _apply_leakage(sequential_readout(states, noise, config).probabilities,
                            noise, times)
     return np.column_stack([times, probs[:, :3]])
@@ -537,7 +551,5 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
     times = _finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
     h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz
-    w, v = np.linalg.eigh(h)
-    coeffs = v[start_level].conj()
-    psi = (np.exp(-1j * np.multiply.outer(times, w)) * coeffs) @ v.T
+    psi = hermitian_propagator(h, times[:, None, None])[:, :, start_level]
     return times, np.abs(psi) ** 2

@@ -14,6 +14,14 @@ eigendecomposition of the Hermitian generator, which keeps them unitary to
 rounding even for long evolution times. Rotations reuse one cached
 eigendecomposition of Jx per dimension and accept arrays of angles, so a
 whole batch of rotations costs a few array operations.
+
+Pulses also compose in SU(2) itself. su2_pulse gives the element (a, b)
+of [[a, -conj(b)], [b, conj(a)]] for any pulse, resonant or detuned, in
+closed form; su2_product multiplies two such elements; su2_factors
+writes an element as Rz(z) R(beta, phi), one equatorial rotation followed
+by one precession about z. For half-integer spin the spin-J image of
+SU(2) is a group homomorphism, so the same three numbers give the
+six-level propagator of a whole product, sign included.
 """
 
 from typing import NamedTuple
@@ -81,12 +89,6 @@ def spin_operators(dim):
     return ops
 
 
-def _expm_i_hermitian(h, t):
-    """exp(-1j * h * t) for Hermitian h, via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def hermitian_propagator(h, t):
     """Unitary propagator exp(-1j * H * t) of a Hermitian generator.
 
@@ -94,20 +96,23 @@ def hermitian_propagator(h, t):
     ----------
     h : array_like
         Hermitian matrix (checked to 1e-10).
-    t : float
-        Evolution time in the units conjugate to H.
+    t : float or array_like
+        Evolution time in the units conjugate to H. An array of times
+        must end in two length-1 axes (e.g. times[:, None, None]); the
+        propagators then stack along its leading shape.
 
     Returns
     -------
     np.ndarray
-        Unitary matrix of the same shape.
+        Unitary matrix of the same shape as h, or a stack of them.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"generator must be square, got shape {h.shape}")
     if not np.allclose(h, h.conj().T, atol=1e-10):
         raise ValueError("generator is not Hermitian to 1e-10")
-    return _expm_i_hermitian(h, t)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def _jx_eigenbasis(dim):
@@ -115,17 +120,6 @@ def _jx_eigenbasis(dim):
     if dim not in _JX_EIGEN_CACHE:
         _JX_EIGEN_CACHE[dim] = np.linalg.eigh(spin_operators(dim).jx.real)
     return _JX_EIGEN_CACHE[dim]
-
-
-def z_frame(u, phi):
-    """Rz(phi) u Rz(-phi) with Rz(phi) = exp(-1j * phi * Jz), batched over phi.
-
-    Entry (i, k) picks up the phase exp(-1j * phi * (m_i - m_k)); u and phi
-    broadcast, with u's last two axes the matrix.
-    """
-    m = _m_values(u.shape[-1])
-    phi = np.asarray(phi, dtype=float)[..., None, None]
-    return u * np.exp(-1j * phi * (m[:, None] - m[None, :]))
 
 
 def rotation(dim, theta, phi):
@@ -137,13 +131,51 @@ def rotation(dim, theta, phi):
     because the spin is half-integer.
 
     Built as Rz(phi) Rx(theta) Rz(-phi) from the cached eigendecomposition
-    of Jx. theta and phi may be arrays: they broadcast against each other
-    and the result has their broadcast shape followed by (dim, dim).
+    of Jx, with the diagonal Rz(phi) = exp(-1j * phi * Jz) applied to the
+    rows and its inverse to the columns. theta and phi may be arrays: they
+    broadcast against each other and the result has their broadcast shape
+    followed by (dim, dim).
     """
     w, v = _jx_eigenbasis(dim)
     theta = np.asarray(theta, dtype=float)[..., None]
     rx = (v * np.exp(-1j * theta * w)[..., None, :]) @ v.T
-    return z_frame(rx, phi)
+    rz = np.exp(-1j * np.asarray(phi, dtype=float)[..., None] * _m_values(dim))
+    return rz[..., :, None] * rx * rz.conj()[..., None, :]
+
+
+def su2_pulse(angle, phi, z):
+    """SU(2) element (a, b) of exp(-1j * (angle * (Jx cos(phi) + Jy sin(phi)) + z * Jz)).
+
+    The element is the spin-1/2 matrix [[a, -conj(b)], [b, conj(a)]]. With
+    r = hypot(angle, z) the pulse is cos(r/2) - 1j sin(r/2) n.sigma for the
+    unit axis n = (angle cos(phi), angle sin(phi), z) / r, so
+    a = cos(r/2) - 1j z sin(r/2)/r and b = -1j angle e^(1j phi) sin(r/2)/r.
+    A negative angle turns about the opposite axis. The arguments
+    broadcast.
+    """
+    r = np.hypot(angle, z)
+    # sin(r/2) / r; at r = 0 both angle and z vanish, so any finite value does.
+    s = np.sin(r / 2.0) / np.maximum(r, 1e-300)
+    return np.cos(r / 2.0) - 1j * z * s, -1j * s * angle * np.exp(1j * phi)
+
+
+def su2_product(u, v):
+    """The SU(2) product u v of two (a, b) elements; v acts first."""
+    return u[0] * v[0] - np.conj(u[1]) * v[1], u[1] * v[0] + np.conj(u[0]) * v[1]
+
+
+def su2_factors(a, b):
+    """(beta, phi, z) with [[a, -conj(b)], [b, conj(a)]] = Rz(z) R(beta, phi).
+
+    R(beta, phi) = rotation(2, beta, phi) and Rz(z) = exp(-1j * z * Jz):
+    beta = 2 atan2(|b|, |a|), phi = arg a + arg b + pi/2 and z = -2 arg a,
+    with z in [-2 pi, 2 pi). The factorisation is exact in SU(2), not only
+    up to sign, so for half-integer spin the spin-J image of the element is
+    Rz(z) R(beta, phi) in that spin too. At |a| = 0 it takes z = 0, and at
+    |b| = 0 beta = 0 makes phi immaterial.
+    """
+    arg_a = np.angle(a)
+    return 2.0 * np.arctan2(np.abs(b), np.abs(a)), arg_a + np.angle(b) + np.pi / 2.0, -2.0 * arg_a
 
 
 def two_level_rotation(dim, pair, theta, phase=0.0):

@@ -174,6 +174,20 @@ def test_simulate_servo_rejects_bad_arguments(kwargs, field):
         simulate_servo(DriftModel.lab(), ServoConfig(shots=None), **args)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"duration_s": math.inf}, "duration_s"),
+    ({"duration_s": math.nan}, "duration_s"),
+    ({"duration_s": -1.0}, "duration_s"),
+    ({"duration_s": 10.0, "dt": 0.0}, "dt"),
+    ({"duration_s": 10.0, "dt": -1.0}, "dt"),
+    ({"duration_s": 10.0, "dt": math.nan}, "dt"),
+    ({"duration_s": 10.0, "dt": math.inf}, "dt"),
+])
+def test_drift_generate_rejects_bad_arguments(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        DriftModel.lab().generate(**kwargs)
+
+
 def test_budget_rejects_empty_residuals():
     with pytest.raises(ValueError, match="empty"):
         detuning_error_budget([])

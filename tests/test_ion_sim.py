@@ -206,8 +206,13 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: light_shift_isolation(math.nan, [0.0]), "shift_hz"),
     (lambda: angle_scan(psk3_sequence(), [0.0, math.nan]), "angles"),
     (lambda: angle_scan(psk3_sequence(), [math.inf], dim=2), "angles"),
+    (lambda: time_series(psk3_sequence(), 1, 1), "n_points"),
+    (lambda: time_series(psk3_sequence(), 1, 0), "n_points"),
+    (lambda: time_series(psk3_sequence(), 1, -3), "n_points"),
+    (lambda: time_series(psk3_sequence(), 1, 20.0), "n_points"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
-        "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2"])
+        "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
+        "n_points-1", "n_points-0", "n_points-negative", "n_points-float"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):
         call()
