@@ -20,7 +20,7 @@ SU(2) element, so the loop multiplies the 2x2 elements in closed form and
 applies each laser-free block once, as one resonant rotation followed by
 one precession about z (spin_algebra.su2_factors). The readout cascade is
 linear in the level populations, so it is one (4, 8) matrix per (noise,
-config) applied to |psi|^2 of the batch.
+config), built once and cached, applied to |psi|^2 of the batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -29,6 +29,7 @@ m = -1/2 and m = +1/2), and the amplitude-keyed table wants m = +5/2
 (branches end on m = +5/2 and m = -5/2).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,7 +116,8 @@ class ExperimentConfig:
     in-sequence laser pulses; readout_pairs are the deshelving pairs for
     readout states 1 and 2, in detection order. Readout state 0 is the
     ground manifold itself. Every pair is (metastable level 0-5, ground
-    level 6-7), and init_level is a ground level.
+    level 6-7), and init_level is a ground level. Pairs given as lists are
+    stored as tuples of ints, so every valid config is hashable.
     """
 
     rabi_freq: float = math.pi / 55e-6
@@ -143,6 +145,8 @@ class ExperimentConfig:
                     and _is_level(pair[0], range(D_DIM)) and _is_level(pair[1], S_LEVELS)):
                 raise ValueError(
                     f"{name} must be a (metastable 0-5, ground 6-7) level pair, got {pair!r}")
+        object.__setattr__(self, "couple_pair", _level_pair(self.couple_pair))
+        object.__setattr__(self, "readout_pairs", tuple(map(_level_pair, readout)))
 
     @property
     def pi_time(self):
@@ -151,6 +155,10 @@ class ExperimentConfig:
 
 def _is_level(index, levels):
     return isinstance(index, numbers.Integral) and index in levels
+
+
+def _level_pair(pair):
+    return tuple(int(index) for index in pair)
 
 
 def _finite_array(name, values):
@@ -325,28 +333,32 @@ def _apply_block(states, block, dim):
         states[:, :dim] = (_spin_image(block, dim) @ states[:, :dim, None])[..., 0]
 
 
-def _readout_matrix(noise, config):
+@functools.lru_cache(maxsize=64)
+def _readout_matrix(s, laser_angle, readout_pairs):
     """(4, 8) map from the 8 level populations to outcome probabilities.
 
+    s is the spam error, laser_angle the deshelving swap's rotation angle.
     Right after each projection one side of the next laser pair is empty,
     so the swap moves population without interference and the whole
     cascade is linear in |psi|^2. Column k is the cascade run on all
-    population in level k.
+    population in level k. The matrix is cached on exactly the inputs it
+    depends on and shared, so it is read-only.
     """
-    s = noise.spam_error
     ground = np.isin(np.arange(DIM), S_LEVELS)
     pops = np.eye(DIM)
     rows = []
     for stage in range(3):
         if stage:
-            pair = config.readout_pairs[stage - 1]
-            pops = np.abs(two_level_rotation(DIM, pair, _laser_angle(noise))) ** 2 @ pops
+            pair = readout_pairs[stage - 1]
+            pops = np.abs(two_level_rotation(DIM, pair, laser_angle)) ** 2 @ pops
         rows.append((1.0 - s) * pops[ground].sum(axis=0) + s * pops[~ground].sum(axis=0))
         # Only a branch reported dark goes on: the true-dark one, and the
         # true-bright one with probability spam_error.
         pops = np.where(ground[:, None], s, 1.0 - s) * pops
     rows.append(pops.sum(axis=0))
-    return np.array(rows)
+    matrix = np.array(rows)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _sample(probs, seed):
@@ -372,7 +384,8 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     for a single state.
     """
     config = config or ExperimentConfig()
-    probs = np.abs(np.asarray(state)) ** 2 @ _readout_matrix(noise, config).T
+    matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
+    probs = np.abs(np.asarray(state)) ** 2 @ matrix.T
     return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed), seed=seed)
 
 

@@ -131,10 +131,12 @@ class OracleSpec:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         angles = np.asarray(self.candidate_angles, dtype=float)
         wrapped = np.mod(angles, 2.0 * np.pi)
-        for i in range(len(wrapped)):
-            for k in range(i + 1, len(wrapped)):
-                if np.isclose(wrapped[i], wrapped[k], atol=1e-12):
-                    raise ValueError("candidate angles must be distinct modulo 2*pi")
+        # Pair (i, k), i < k, clashes when wrapped[i], shifted by -2*pi, 0
+        # or 2*pi, is close to wrapped[k]: the shifts catch 0 and 2*pi - eps.
+        shifted = wrapped[:, None, None] + 2.0 * np.pi * np.array([-1.0, 0.0, 1.0])
+        clash = np.isclose(shifted, wrapped[None, :, None], atol=1e-12).any(axis=-1)
+        if np.triu(clash, 1).any():
+            raise ValueError("candidate angles must be distinct modulo 2*pi")
         if not 0 <= self.hidden_index < len(angles):
             raise ValueError(
                 f"hidden index {self.hidden_index} out of range for "

@@ -22,10 +22,13 @@ module provides:
 """
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+_log = logging.getLogger(__name__)
 
 
 class PhaseFindingError(RuntimeError):
@@ -80,28 +83,44 @@ def qsp_unitary(phases, a):
         evaluated by the same stacked 2x2 products, so a batch equals the
         per-value calls exactly.
     """
+    for u in _prefix_products(phases, signal_w(a)):
+        pass
+    return u
+
+
+def _prefix_products(phases, w):
+    """Yield A_k = e^{i th0 Z} W e^{i th1 Z} ... W e^{i th_k Z} for k = 0..d.
+
+    w is the stack signal_w(a). The last A_k is the qsp_unitary product;
+    both run this one loop, so the phase finder's residuals equal those of
+    qsp_unitary bit for bit.
+    """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1:
         raise ValueError("phases must be a 1-d sequence of length >= 1")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
-    w = signal_w(a)
     z = np.zeros((phases.size, 2, 2), dtype=complex)
     z[:, 0, 0] = np.exp(1j * phases)
     z[:, 1, 1] = np.exp(-1j * phases)
     u = np.broadcast_to(z[0], w.shape).copy()
+    yield u
     for z_k in z[1:]:
         u = u @ w @ z_k
-    return u
+        yield u
 
 
 def _p_squared(phases, a):
-    """|P(a)|^2 over an array of signal values.
+    """|P(a)|^2 over an array of signal values."""
+    return _abs_squared(qsp_unitary(phases, a)[..., 0, 0])
+
+
+def _abs_squared(p):
+    """|p|^2 of a complex array.
 
     hypot and float_power round exactly as the scalar abs(p) ** 2 does; the
     array forms np.abs(p) and m * m differ from it in the last bit.
     """
-    p = qsp_unitary(phases, a)[..., 0, 0]
     return np.float_power(np.hypot(p.real, p.imag), 2.0)
 
 
@@ -179,13 +198,16 @@ class PolynomialSpec:
             if abs(a) > 1.0:
                 raise ValueError(f"sample point |{a}| > 1")
         # Definite parity forces |P(-a)| = |P(a)|; reject inconsistent pairs.
-        for a1, t1 in pairs:
-            for a2, t2 in pairs:
-                if np.isclose(a1, -a2) and not np.isclose(abs(t1), abs(t2), atol=1e-12):
-                    raise ValueError(
-                        f"targets at a = +/-{abs(a1)} differ in magnitude; "
-                        "incompatible with a definite-parity polynomial"
-                    )
+        a, t = np.array(pairs, dtype=float).reshape(-1, 2).T
+        t = np.abs(t)
+        clash = (np.isclose(a[:, None], -a[None, :])
+                 & ~np.isclose(t[:, None], t[None, :], atol=1e-12))
+        if clash.any():
+            first = np.argwhere(clash)[0][0]
+            raise ValueError(
+                f"targets at a = +/-{abs(a[first])} differ in magnitude; "
+                "incompatible with a definite-parity polynomial"
+            )
         return cls("sampled", int(degree), pairs)
 
 
@@ -194,13 +216,48 @@ def _residual_terms(phases, samples):
     return _p_squared(phases, a) - t * t
 
 
+def _residuals_and_jacobian(phases, w, t):
+    """Residuals r_i = |P(a_i)|^2 - t_i^2 and the Jacobian dr_i/dtheta_k.
+
+    w is signal_w(a) for the (N,) sample points a, computed once by the
+    caller.
+
+    With prefixes A_k = Z_0 W ... W Z_k and suffixes B_k = W Z_{k+1} ...
+    W Z_d (B_d = I), U = A_k B_k and dU/dtheta_k = A_k (i sigma_z) B_k, so
+    dP/dtheta_k = i (A_k[0,0] B_k[0,0] - A_k[0,1] B_k[1,0]) and
+    dr/dtheta_k = 2 Re(conj(P) dP/dtheta_k). Only row 0 of each prefix and
+    column 0 of each suffix enter; the suffix columns are built right to
+    left, each diagonal Z_k acting as a row scaling. r equals
+    _residual_terms bit for bit. Returns r of shape (N,) and the Jacobian
+    of shape (N, d + 1).
+    """
+    rows = np.stack([u[:, 0, :] for u in _prefix_products(phases, w)])
+    phase = np.exp(1j * np.asarray(phases, dtype=float))
+    diag, off = w[:, 0, 0], w[:, 0, 1]
+    cols = np.empty_like(rows)
+    c0, c1 = np.ones_like(diag), np.zeros_like(diag)
+    cols[-1, :, 0], cols[-1, :, 1] = c0, c1
+    for k in range(phase.size - 1, 0, -1):
+        c0, c1 = phase[k] * c0, phase[k].conjugate() * c1
+        c0, c1 = diag * c0 + off * c1, off * c0 + diag * c1
+        cols[k - 1, :, 0], cols[k - 1, :, 1] = c0, c1
+    p = rows[-1, :, 0]
+    dp = 1j * (rows[..., 0] * cols[..., 0] - rows[..., 1] * cols[..., 1])
+    jac = 2.0 * (p.real * dp.real + p.imag * dp.imag)
+    return _abs_squared(p) - t * t, jac.T
+
+
 def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     """Find phases whose product matches the spec's squared magnitudes.
 
     Multi-start local optimization of sum((|P(a_i)|^2 - |t_i|^2)^2) over the
-    (degree+1)-dimensional phase vector. Deterministic for a fixed seed: the
-    first start is the all-zero vector (which already solves any Chebyshev
-    spec exactly), the rest are drawn from a seeded generator.
+    (degree+1)-dimensional phase vector. Deterministic for a fixed seed.
+    The first start is the all-zero vector. It is checked, not optimized:
+    P is then the Chebyshev T_d, which solves any Chebyshev spec exactly,
+    and the objective is stationary there (notes/decisions.md), so no
+    gradient step can leave it. The other n_starts - 1 starts are drawn
+    from a seeded generator and each runs BFGS with the analytic gradient.
+    Each start is logged at DEBUG level on the "spinkey.qsp" logger.
 
     Parameters
     ----------
@@ -208,7 +265,7 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     seed : int
         Seed for the multi-start generator.
     n_starts : int
-        Number of optimization starts before giving up.
+        Number of starts, the zero start included, before giving up.
     point_tol : float
         Maximum allowed | |P|^2 - |t|^2 | at any sample point.
 
@@ -224,25 +281,28 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     """
     samples = spec.samples
     n_phases = spec.degree + 1
+    a, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    w = signal_w(a)
 
     def objective(phases):
-        return float(np.sum(_residual_terms(phases, samples) ** 2))
+        r, jac = _residuals_and_jacobian(phases, w, t)
+        return float(np.sum(r ** 2)), 2.0 * (r @ jac)
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(n_phases)]
-    starts += [rng.uniform(-np.pi, np.pi, n_phases) for _ in range(n_starts - 1)]
-
+    candidate, iterations = np.zeros(n_phases), 0
     best = np.inf
-    for x0 in starts:
-        res = minimize(objective, x0, method="BFGS", options={"maxiter": 800})
-        candidate = res.x
-        # Polish with a simplex pass when BFGS stalls short of tolerance.
-        if np.max(np.abs(_residual_terms(candidate, samples))) > point_tol:
-            res = minimize(objective, candidate, method="Nelder-Mead",
-                           options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-16})
-            candidate = res.x
-        worst = np.max(np.abs(_residual_terms(candidate, samples)))
-        best = min(best, objective(candidate))
+    for start in range(max(n_starts, 1)):
+        if start:
+            x0 = rng.uniform(-np.pi, np.pi, n_phases)
+            res = minimize(objective, x0, jac=True, method="BFGS",
+                           options={"gtol": 1e-14, "maxiter": 800})
+            candidate, iterations = res.x, res.nit
+        residuals = _residual_terms(candidate, samples)
+        total = float(np.sum(residuals ** 2))
+        worst = np.max(np.abs(residuals))
+        _log.debug("start %d: residual sum %.3e, worst point %.3e, %d iterations",
+                   start, total, worst, iterations)
+        best = min(best, total)
         if worst <= point_tol:
             return np.asarray(candidate, dtype=float)
     raise PhaseFindingError(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import trotter_propagator
+from spinkey import ion_sim
 from spinkey.ion_sim import (
     ExperimentConfig,
     NoiseModel,
@@ -385,3 +386,26 @@ def test_fixed_length_oracle_option():
     p_default = run(seq, 0, noise).probabilities[0]
     p_fixed = run(seq, 0, noise, config=config).probabilities[0]
     assert abs(p_fixed - p_default) > 1e-4
+
+
+def test_list_pairs_are_stored_as_int_tuples():
+    config = ExperimentConfig(couple_pair=[np.int64(2), 6], readout_pairs=[[3, 6], (2, 6)])
+    assert config == ExperimentConfig() and hash(config) == hash(ExperimentConfig())
+    assert config.couple_pair == (2, 6) and config.readout_pairs == ((3, 6), (2, 6))
+    assert all(type(i) is int for pair in (config.couple_pair, *config.readout_pairs)
+               for i in pair)
+
+
+def test_cached_readout_matrix_equals_a_fresh_build_and_is_read_only():
+    config = ExperimentConfig(couple_pair=[0, 6], readout_pairs=[[0, 6], [5, 7]])
+    noise = NoiseModel(laser_pi_error=3e-3, spam_error=2e-3)
+    key = (noise.spam_error, ion_sim._laser_angle(noise), config.readout_pairs)
+    cached = ion_sim._readout_matrix(*key)
+    assert ion_sim._readout_matrix(*key) is cached
+    np.testing.assert_array_equal(cached, ion_sim._readout_matrix.__wrapped__(*key))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 0.5
+    state = np.random.default_rng(8).normal(size=8) + 0j
+    state /= np.linalg.norm(state)
+    np.testing.assert_array_equal(sequential_readout(state, noise, config).probabilities,
+                                  np.abs(state) ** 2 @ cached.T)

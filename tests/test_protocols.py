@@ -97,6 +97,29 @@ def test_oracle_spec_validation():
         OracleSpec("fsk", DESIGN_ANGLES, 0)
 
 
+def _distinct_by_loop(angles):
+    wrapped = np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
+    return not any(np.isclose(wrapped[i], wrapped[k], atol=1e-12)
+                   for i in range(len(wrapped)) for k in range(i + 1, len(wrapped)))
+
+
+def test_oracle_spec_rejects_angles_equal_across_the_wrap():
+    for angles in ((0.0, 2 * math.pi - 1e-13, 1.0), (2 * math.pi - 1e-13, 0.0),
+                   (1.0, -1e-13, 0.0)):
+        with pytest.raises(ValueError, match="distinct modulo"):
+            OracleSpec(ASK, angles, 0)
+    for angles in (DESIGN_ANGLES, (0.0, 2 * math.pi - 1e-3), (-1.0, 1.0, 3.0 + 2 * math.pi)):
+        OracleSpec(ASK, angles, 0)
+    # Every set the pairwise loop rejects is still rejected.
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        angles = rng.choice([0.0, 1e-13, 1.0, 1.0 + 1e-13, 2 * math.pi - 1e-13, 4.0],
+                            size=rng.integers(2, 5)) + 2 * math.pi * rng.integers(-2, 3)
+        if not _distinct_by_loop(angles):
+            with pytest.raises(ValueError, match="distinct modulo"):
+                OracleSpec(ASK, tuple(angles), 0)
+
+
 @pytest.mark.parametrize("dim", [2, 6])
 def test_wrap_equals_doubled_x_rotation(dim):
     for phi in np.linspace(0, 2 * np.pi, 64, endpoint=False):

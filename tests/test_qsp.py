@@ -1,4 +1,7 @@
+import cmath
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import spinkey
+from spinkey import qsp
 from spinkey.qsp import (
     PhaseFindingError,
     PolynomialSpec,
@@ -234,3 +238,117 @@ def test_polynomial_entries_over_arrays_equal_per_point_calls(degree):
                                           polynomial_entries(phases, float(a[index])))
     with pytest.raises(ValueError, match=r"\|a\| = 1"):
         polynomial_entries(phases, np.array([0.2, -1.0]))
+
+
+def _plain_p(phases, a):
+    """P(a) by explicit 2x2 row-vector algebra on Python complex numbers."""
+    s = 1j * math.sqrt(max(0.0, 1.0 - a * a))
+    u00, u01 = cmath.exp(1j * phases[0]), 0j
+    for theta in phases[1:]:
+        u00, u01 = u00 * a + u01 * s, u00 * s + u01 * a
+        u00, u01 = u00 * cmath.exp(1j * theta), u01 * cmath.exp(-1j * theta)
+    return u00
+
+
+def _random_signals(rng, count):
+    a = rng.uniform(-1.0, 1.0, count)
+    return a, rng.uniform(0.0, 1.0, count)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_jacobian_matches_central_differences(degree):
+    rng = np.random.default_rng(200 + degree)
+    h = 1e-6
+    for _ in range(5):
+        phases = rng.uniform(-np.pi, np.pi, degree + 1)
+        a, t = _random_signals(rng, 6)
+        r, jac = qsp._residuals_and_jacobian(phases, signal_w(a), t)
+        np.testing.assert_array_equal(r, qsp._residual_terms(phases, list(zip(a, t))))
+        assert jac.shape == (a.size, degree + 1)
+        for k in range(degree + 1):
+            step = np.zeros(degree + 1)
+            step[k] = h
+            central = (qsp._residual_terms(phases + step, list(zip(a, t)))
+                       - qsp._residual_terms(phases - step, list(zip(a, t)))) / (2 * h)
+            np.testing.assert_allclose(jac[:, k], central, rtol=0.0, atol=1e-8)
+
+
+def test_zero_phases_are_stationary():
+    # At theta = 0 every factor is real on the diagonal and imaginary off it,
+    # so P is real and each dP/dtheta_k imaginary: the gradient is exactly 0.
+    rng = np.random.default_rng(23)
+    for degree in range(1, 20):
+        a, t = _random_signals(rng, 7)
+        r, jac = qsp._residuals_and_jacobian(np.zeros(degree + 1), signal_w(a), t)
+        np.testing.assert_array_equal(r @ jac, 0.0)
+        assert np.any(r != 0.0)
+
+
+def test_chebyshev_spec_is_solved_by_the_zero_start_alone(monkeypatch):
+    calls = []
+    minimize = qsp.minimize
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+    for degree in (1, 4, 17):
+        np.testing.assert_array_equal(find_phases(PolynomialSpec.chebyshev(degree)),
+                                      np.zeros(degree + 1))
+    assert calls == []
+    find_phases(PolynomialSpec.bisecting())
+    assert calls
+
+
+def test_each_start_is_logged_at_debug_level(caplog):
+    with caplog.at_level(logging.DEBUG, logger="spinkey.qsp"):
+        find_phases(PolynomialSpec.bisecting(), seed=3)
+        # Degree 1 forces |P(a)| = |a|, so this spec is infeasible.
+        with pytest.raises(PhaseFindingError) as err:
+            find_phases(PolynomialSpec.sampled([(0.9, 1.0), (0.3, 0.0)], degree=1), n_starts=3)
+    # args: (start index, residual sum, worst point residual, iterations)
+    records = [rec.args for rec in caplog.records if rec.name == "spinkey.qsp"]
+    solved, failed = records[:-3], records[-3:]
+    assert [args[0] for args in solved] == list(range(len(solved)))
+    assert solved[0][3] == 0 and solved[-1][3] > 0 and solved[-1][2] <= 1e-9
+    assert [args[0] for args in failed] == [0, 1, 2]
+    assert err.value.best_residual == min(args[1] for args in failed)
+
+
+def _degree3_sampled_spec(seed):
+    """Three |P| samples of a random degree-3 product and a finder seed."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, 4)
+    points = np.sort(rng.uniform(0.05, 0.95, 3))
+    pairs = [(float(a), abs(_plain_p(phases, float(a)))) for a in points]
+    return PolynomialSpec.sampled(pairs, 3), int(rng.integers(2**31))
+
+
+def test_every_spec_kind_is_solved_under_an_independent_product():
+    cases = [(PolynomialSpec.chebyshev(d), 0) for d in range(1, 18)]
+    cases += [(PolynomialSpec.bisecting(), seed) for seed in (0, 1, 123)]
+    cases += [_degree3_sampled_spec(seed) for seed in range(1000, 1040)]
+    phases = np.random.default_rng(4).uniform(-math.pi, math.pi, 5)
+    pairs = [(a, abs(_plain_p(phases, a))) for a in (-0.3, 0.3, 0.6, 0.9)]
+    cases.append((PolynomialSpec.sampled(pairs, 4), 5))
+    for spec, seed in cases:
+        phases = find_phases(spec, seed=seed)
+        assert phases.shape == (spec.degree + 1,)
+        worst = max(abs(abs(_plain_p(phases.tolist(), a)) ** 2 - t * t)
+                    for a, t in spec.samples)
+        assert worst <= 1e-9 + 1e-12, (spec.kind, spec.degree, seed, worst)
+
+
+def _parity_clash_by_loop(pairs):
+    return any(np.isclose(a1, -a2) and not np.isclose(abs(t1), abs(t2), atol=1e-12)
+               for a1, t1 in pairs for a2, t2 in pairs)
+
+
+def test_sampled_parity_check_matches_the_pairwise_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a = rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-9, 0.7], size=rng.integers(1, 5))
+        a = a * rng.choice([-1.0, 1.0], size=a.size)
+        t = rng.choice([0.3, 0.3 + 1e-13, 0.3 + 1e-9, 0.6], size=a.size)
+        pairs = list(zip(a.tolist(), t.tolist()))
+        if _parity_clash_by_loop(pairs):
+            with pytest.raises(ValueError, match="definite-parity"):
+                PolynomialSpec.sampled(pairs, 2)
+        else:
+            assert PolynomialSpec.sampled(pairs, 2).samples == tuple(pairs)
