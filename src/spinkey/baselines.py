@@ -194,7 +194,11 @@ def advantage_report(accuracy, state_set=None, k=4):
 
     Returns five rows of (strategy, success_probability, beaten), where
     beaten records whether the supplied accuracy exceeds that strategy.
+    accuracy must be a probability: finite and in [0, 1].
     """
+    accuracy = float(accuracy)
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValueError(f"accuracy must be finite and in [0, 1], got {accuracy}")
     state_set = state_set or symmetric_states()
     rows = [
         ("coherent_protocol", float(accuracy), None),

@@ -7,10 +7,12 @@ The signal operator
 is an x-rotation with a = cos(half the rotation angle). Interleaving W(a)
 with z-phases exp(1j * theta_k * sigma_z) produces a unitary whose top-left
 entry is a degree-d polynomial P(a); the populations after such a product
-are set by |P(a)|^2. Signal values may be arrays: the 2x2 matrices stack
-along the array's shape and the product runs as one stacked matmul per
-phase, so a response curve or a phase-finder residual is one call. This
-module provides:
+are set by |P(a)|^2. Every factor is an SU(2) element, so the product is
+composed as (alpha, beta) pairs of [[alpha, -conj(beta)], [beta,
+conj(alpha)]] with spin_algebra.su2_product, one product per phase, and
+written out as 2x2 matrices only at the end. Signal values may be arrays:
+the pairs stack along the array's shape, so a response curve or a
+phase-finder residual is one call. This module provides:
 
 - signal_w, qsp_unitary, polynomial_entries: the product and its P, Q entries
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
@@ -23,10 +25,14 @@ module provides:
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+from .spin_algebra import su2_matrix, su2_product
 
 _log = logging.getLogger(__name__)
 
@@ -53,16 +59,17 @@ def signal_w(a):
     canonical x-rotation by the same angle (the two differ by the sign
     convention of the generator; populations are identical).
     """
+    return su2_matrix(*_signal_pair(a))
+
+
+def _signal_pair(a):
+    """W(a) as the SU(2) pair (a, i sqrt(1 - a^2)), after checking a."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"signal parameter must be finite, got {a}")
     if np.any(np.abs(a) > 1.0):
         raise ValueError(f"signal parameter must satisfy |a| <= 1, got {a}")
-    s = 1j * np.sqrt(np.maximum(0.0, 1.0 - a * a))
-    w = np.empty(a.shape + (2, 2), dtype=complex)
-    w[..., 0, 0] = w[..., 1, 1] = a
-    w[..., 0, 1] = w[..., 1, 0] = s
-    return w
+    return a, 1j * np.sqrt(np.maximum(0.0, 1.0 - a * a))
 
 
 def qsp_unitary(phases, a):
@@ -80,33 +87,34 @@ def qsp_unitary(phases, a):
     np.ndarray
         Unitaries of shape a.shape + (2, 2), one per signal value, whose
         top-left entry is a degree-d polynomial P(a). Every value is
-        evaluated by the same stacked 2x2 products, so a batch equals the
-        per-value calls exactly.
+        evaluated by the same SU(2) products over a flat array, a scalar
+        as a 1-element one, so a batch equals the per-value calls exactly.
     """
-    for u in _prefix_products(phases, signal_w(a)):
+    a = np.asarray(a, dtype=float)
+    for u in _prefix_products(phases, _signal_pair(a.reshape(-1))):
         pass
-    return u
+    return su2_matrix(*u).reshape(a.shape + (2, 2))
 
 
 def _prefix_products(phases, w):
     """Yield A_k = e^{i th0 Z} W e^{i th1 Z} ... W e^{i th_k Z} for k = 0..d.
 
-    w is the stack signal_w(a). The last A_k is the qsp_unitary product;
-    both run this one loop, so the phase finder's residuals equal those of
-    qsp_unitary bit for bit.
+    w is W's SU(2) pair (a, b) over a flat array of signal values, and each
+    A_k is such a pair. W e^{i th_k Z} is the pair e^{i th_k} (a, b), so all
+    d steps are formed at once and each A_k is one su2_product. The last
+    A_k is the qsp_unitary product; both run this one loop, so the phase
+    finder's residuals equal those of qsp_unitary bit for bit.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1:
         raise ValueError("phases must be a 1-d sequence of length >= 1")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
-    z = np.zeros((phases.size, 2, 2), dtype=complex)
-    z[:, 0, 0] = np.exp(1j * phases)
-    z[:, 1, 1] = np.exp(-1j * phases)
-    u = np.broadcast_to(z[0], w.shape).copy()
+    phase = np.exp(1j * phases)[:, None]
+    u = (np.broadcast_to(phase[0], w[1].shape), np.zeros_like(w[1]))
     yield u
-    for z_k in z[1:]:
-        u = u @ w @ z_k
+    for step in zip(w[0] * phase[1:], w[1] * phase[1:]):
+        u = su2_product(u, step)
         yield u
 
 
@@ -170,8 +178,7 @@ class PolynomialSpec:
     @classmethod
     def chebyshev(cls, degree):
         """Chebyshev T_degree magnitudes sampled on a 25-point cosine grid."""
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
+        degree = _positive_int("degree", degree)
         grid = np.cos(np.linspace(0.0, np.pi, 25))
         targets = np.cos(degree * np.arccos(grid))
         return cls("chebyshev", degree, tuple(zip(grid.tolist(), np.abs(targets).tolist())))
@@ -190,9 +197,18 @@ class PolynomialSpec:
 
     @classmethod
     def sampled(cls, pairs, degree):
-        """User-supplied (a, target) pairs for a fixed degree."""
+        """User-supplied (a, target) pairs for a fixed degree.
+
+        At least one pair; points and targets must be finite; degree is an
+        integer >= 1.
+        """
+        degree = _positive_int("degree", degree)
         pairs = tuple((float(a), float(t)) for a, t in pairs)
-        for a, t in pairs:
+        if not pairs:
+            raise ValueError("sampled needs at least one (a, target) sample")
+        for i, (a, t) in enumerate(pairs):
+            if not (math.isfinite(a) and math.isfinite(t)):
+                raise ValueError(f"sample {i} (a = {a}, target = {t}) must be finite")
             if abs(t) > 1.0:
                 raise ValueError(f"infeasible target |{t}| > 1 at a = {a}")
             if abs(a) > 1.0:
@@ -208,7 +224,13 @@ class PolynomialSpec:
                 f"targets at a = +/-{abs(a[first])} differ in magnitude; "
                 "incompatible with a definite-parity polynomial"
             )
-        return cls("sampled", int(degree), pairs)
+        return cls("sampled", degree, pairs)
+
+
+def _positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _residual_terms(phases, samples):
@@ -222,27 +244,19 @@ def _residuals_and_jacobian(phases, w, t):
     w is signal_w(a) for the (N,) sample points a, computed once by the
     caller.
 
-    With prefixes A_k = Z_0 W ... W Z_k and suffixes B_k = W Z_{k+1} ...
-    W Z_d (B_d = I), U = A_k B_k and dU/dtheta_k = A_k (i sigma_z) B_k, so
-    dP/dtheta_k = i (A_k[0,0] B_k[0,0] - A_k[0,1] B_k[1,0]) and
-    dr/dtheta_k = 2 Re(conj(P) dP/dtheta_k). Only row 0 of each prefix and
-    column 0 of each suffix enter; the suffix columns are built right to
-    left, each diagonal Z_k acting as a row scaling. r equals
+    With prefixes A_k = Z_0 W ... W Z_k and U = A_k B_k, dU/dtheta_k =
+    A_k (i sigma_z) B_k = A_k (i sigma_z) A_k^dag U. For A_k = (alpha, beta)
+    and U = (P, beta_U) that reads dP/dtheta_k = i ((|alpha|^2 - |beta|^2) P
+    + 2 alpha conj(beta) beta_U), and dr/dtheta_k = 2 Re(conj(P) dP/dtheta_k),
+    so the prefixes alone give the Jacobian (notes/decisions.md). r equals
     _residual_terms bit for bit. Returns r of shape (N,) and the Jacobian
     of shape (N, d + 1).
     """
-    rows = np.stack([u[:, 0, :] for u in _prefix_products(phases, w)])
-    phase = np.exp(1j * np.asarray(phases, dtype=float))
-    diag, off = w[:, 0, 0], w[:, 0, 1]
-    cols = np.empty_like(rows)
-    c0, c1 = np.ones_like(diag), np.zeros_like(diag)
-    cols[-1, :, 0], cols[-1, :, 1] = c0, c1
-    for k in range(phase.size - 1, 0, -1):
-        c0, c1 = phase[k] * c0, phase[k].conjugate() * c1
-        c0, c1 = diag * c0 + off * c1, off * c0 + diag * c1
-        cols[k - 1, :, 0], cols[k - 1, :, 1] = c0, c1
-    p = rows[-1, :, 0]
-    dp = 1j * (rows[..., 0] * cols[..., 0] - rows[..., 1] * cols[..., 1])
+    prefixes = _prefix_products(phases, (w[:, 0, 0], w[:, 1, 0]))
+    alpha, beta = (np.stack(entries) for entries in zip(*prefixes))
+    p, beta_u = alpha[-1], beta[-1]
+    weight = np.abs(alpha) ** 2 - np.abs(beta) ** 2
+    dp = 1j * (weight * p + 2.0 * alpha * np.conj(beta) * beta_u)
     jac = 2.0 * (p.real * dp.real + p.imag * dp.imag)
     return _abs_squared(p) - t * t, jac.T
 
@@ -265,9 +279,9 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     seed : int
         Seed for the multi-start generator.
     n_starts : int
-        Number of starts, the zero start included, before giving up.
+        Number of starts, >= 1, the zero start included, before giving up.
     point_tol : float
-        Maximum allowed | |P|^2 - |t|^2 | at any sample point.
+        Maximum allowed | |P|^2 - |t|^2 | at any sample point; finite, > 0.
 
     Returns
     -------
@@ -276,9 +290,14 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
 
     Raises
     ------
+    ValueError
+        If n_starts or point_tol is out of range, before any start.
     PhaseFindingError
         If no start reaches point_tol; carries the best residual sum.
     """
+    n_starts = _positive_int("n_starts", n_starts)
+    if not (isinstance(point_tol, numbers.Real) and math.isfinite(point_tol) and point_tol > 0):
+        raise ValueError(f"point_tol must be finite and > 0, got {point_tol!r}")
     samples = spec.samples
     n_phases = spec.degree + 1
     a, t = np.array(samples, dtype=float).reshape(-1, 2).T
@@ -291,7 +310,7 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     rng = np.random.default_rng(seed)
     candidate, iterations = np.zeros(n_phases), 0
     best = np.inf
-    for start in range(max(n_starts, 1)):
+    for start in range(n_starts):
         if start:
             x0 = rng.uniform(-np.pi, np.pi, n_phases)
             res = minimize(objective, x0, jac=True, method="BFGS",

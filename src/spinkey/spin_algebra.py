@@ -17,7 +17,8 @@ whole batch of rotations costs a few array operations.
 
 Pulses also compose in SU(2) itself. su2_pulse gives the element (a, b)
 of [[a, -conj(b)], [b, conj(a)]] for any pulse, resonant or detuned, in
-closed form; su2_product multiplies two such elements; su2_factors
+closed form; su2_product multiplies two such elements; su2_matrix
+writes them out as 2x2 matrices; su2_factors
 writes an element as Rz(z) R(beta, phi), one equatorial rotation followed
 by one precession about z. For half-integer spin the spin-J image of
 SU(2) is a group homomorphism, so the same three numbers give the
@@ -162,6 +163,14 @@ def su2_pulse(angle, phi, z):
 def su2_product(u, v):
     """The SU(2) product u v of two (a, b) elements; v acts first."""
     return u[0] * v[0] - np.conj(u[1]) * v[1], u[1] * v[0] + np.conj(u[0]) * v[1]
+
+
+def su2_matrix(a, b):
+    """The matrix [[a, -conj(b)], [b, conj(a)]] of (a, b) elements of one shape.
+
+    The (2, 2) axes come last, so (N,) arrays give an (N, 2, 2) stack.
+    """
+    return np.stack([np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2)
 
 
 def su2_factors(a, b):

@@ -152,3 +152,9 @@ def test_majority_matches_enumeration():
         for k in range(1, 7):
             expected = _majority_by_enumeration(state_set, k)
             assert me_majority(state_set, k) == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("accuracy", [np.nan, np.inf, -0.1, 1.7])
+def test_advantage_report_rejects_accuracy_outside_the_unit_interval(accuracy):
+    with pytest.raises(ValueError, match="accuracy"):
+        advantage_report(accuracy)

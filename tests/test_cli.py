@@ -109,9 +109,12 @@ def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     (["rabi", "--points=-3"], "points"),
     (["rabi", "--points=0"], "points"),
     (["scan", "time", "--points=1"], "n_points"),
+    (["baselines", "--accuracy=nan"], "accuracy"),
+    (["baselines", "--accuracy=1.7"], "accuracy"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
-        "rabi-points-negative", "rabi-points-0", "scan-time-points-1"])
+        "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
+        "accuracy-1.7"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()

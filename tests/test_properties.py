@@ -19,7 +19,9 @@ from spinkey.ion_sim import (
     time_series,
 )
 from spinkey.protocols import ask3_sequence, psk3_sequence
+from spinkey.qsp import qsp_unitary
 from spinkey.spin_algebra import rotation, su2_factors, su2_product, su2_pulse
+from test_qsp import _plain_p
 
 SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 SEQUENCES = (psk3_sequence(), ask3_sequence(), ask3_sequence(exact=True))
@@ -78,6 +80,24 @@ def test_composed_block_is_the_product_of_rf_unitaries(drives, amp_error):
         block = pulse if block is None else su2_product(pulse, block)
         product = rf_unitary(theta, phi, noise, config, detuning_hz=detuning) @ product
     np.testing.assert_allclose(_spin_image(block), product, rtol=0, atol=1e-12)
+
+
+phase_vectors = st.integers(1, 40).flatmap(
+    lambda degree: st.lists(_real(-math.pi, math.pi), min_size=degree + 1, max_size=degree + 1))
+signals = st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), _real(-1.0, 1.0)),
+                   min_size=1, max_size=8)
+
+
+@SETTINGS
+@given(phase_vectors, signals)
+def test_qsp_product_is_an_su2_element_with_the_plain_polynomial(phases, a):
+    u = qsp_unitary(phases, a)
+    alpha, beta = u[:, 0, 0], u[:, 1, 0]
+    np.testing.assert_array_equal(u[:, 0, 1], -np.conj(beta))
+    np.testing.assert_array_equal(u[:, 1, 1], np.conj(alpha))
+    np.testing.assert_allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0, rtol=0, atol=1e-12)
+    plain = [_plain_p(phases, x) for x in a]
+    np.testing.assert_allclose(alpha, plain, rtol=0, atol=1e-12)
 
 
 @st.composite

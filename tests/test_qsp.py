@@ -352,3 +352,47 @@ def test_sampled_parity_check_matches_the_pairwise_loop():
                 PolynomialSpec.sampled(pairs, 2)
         else:
             assert PolynomialSpec.sampled(pairs, 2).samples == tuple(pairs)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: PolynomialSpec.sampled([(math.nan, 0.5), (0.3, math.nan)], 2), "sample 0"),
+    (lambda: PolynomialSpec.sampled([(0.3, 0.5), (0.4, math.nan)], 2), "sample 1"),
+    (lambda: PolynomialSpec.sampled([(math.inf, 0.5)], 2), "sample 0"),
+    (lambda: PolynomialSpec.sampled([(0.3, -math.inf)], 2), "sample 0"),
+    (lambda: PolynomialSpec.sampled([], 2), "at least one"),
+    (lambda: PolynomialSpec.sampled([(0.3, 0.5)], -1), "degree"),
+    (lambda: PolynomialSpec.sampled([(0.3, 0.5)], 0), "degree"),
+    (lambda: PolynomialSpec.sampled([(0.3, 0.5)], 2.7), "degree"),
+    (lambda: PolynomialSpec.sampled([(0.3, 0.5)], 2.0), "degree"),
+    (lambda: PolynomialSpec.chebyshev(2.5), "degree"),
+    (lambda: PolynomialSpec.chebyshev(0), "degree"),
+    (lambda: PolynomialSpec.chebyshev(True), "degree"),
+], ids=["nan-point", "nan-target", "inf-point", "inf-target", "no-samples",
+        "sampled-degree-negative", "sampled-degree-0", "sampled-degree-fraction",
+        "sampled-degree-float", "chebyshev-degree-fraction", "chebyshev-degree-0",
+        "chebyshev-degree-bool"])
+def test_spec_rejects_invalid_samples_and_degrees(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_spec_degree_accepts_numpy_integers():
+    assert PolynomialSpec.chebyshev(np.int64(3)).degree == 3
+    spec = PolynomialSpec.sampled([(0.3, 0.5)], np.int32(2))
+    assert spec.degree == 2 and type(spec.degree) is int
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"n_starts": 0}, "n_starts"),
+    ({"n_starts": -3}, "n_starts"),
+    ({"n_starts": 2.5}, "n_starts"),
+    ({"point_tol": math.nan}, "point_tol"),
+    ({"point_tol": math.inf}, "point_tol"),
+    ({"point_tol": -1.0}, "point_tol"),
+    ({"point_tol": 0.0}, "point_tol"),
+], ids=["n_starts-0", "n_starts-negative", "n_starts-fraction", "point_tol-nan",
+        "point_tol-inf", "point_tol-negative", "point_tol-0"])
+def test_find_phases_rejects_bad_arguments_before_any_start(monkeypatch, kwargs, field):
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
+    with pytest.raises(ValueError, match=field):
+        find_phases(PolynomialSpec.bisecting(), **kwargs)
