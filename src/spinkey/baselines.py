@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .protocols import ASK, PSK
 from .spin_algebra import rotation
 
@@ -44,8 +45,10 @@ def symmetric_states(n=3, encoding=ASK):
     state. Phase keying consists of pi-rotations about equally spaced
     equatorial axes, which all send a pole to the opposite pole; the probe
     is therefore the +x eigenstate, where the candidates differ and the
-    pairwise overlap magnitudes match the amplitude-keyed ones.
+    pairwise overlap magnitudes match the amplitude-keyed ones. n is an
+    integer >= 1.
     """
+    n = check_int("n", n)
     angles = [2.0 * math.pi * k / n for k in range(n)]
     if encoding == ASK:
         probe = np.array([1.0, 0.0], dtype=complex)
@@ -112,8 +115,7 @@ def me_majority(state_set, k=4):
     outcome tuples. Each c with a unique top count contributes
     eta_w k! / prod(c_j!) prod_j p[w, j]^c_j for its winner w.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_int("k", k)
     p = outcome_probabilities(state_set)
     n = state_set.n
     votes = np.array(list(itertools.combinations_with_replacement(range(n), k)))
@@ -150,8 +152,7 @@ def posterior_all_agree(state_set, k=4):
     For the triad this is (2/3)^k / ((2/3)^k + 2 (1/6)^k): 2/3 at k = 1 and
     128/129 = 0.99225 at k = 4, rising monotonically toward certainty.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_int("k", k)
     p = outcome_probabilities(state_set)
     numer = state_set.priors[0] * p[0, 0] ** k
     denom = sum(eta * p[i, 0] ** k for i, eta in enumerate(state_set.priors))
@@ -184,8 +185,7 @@ def ud_success(state_set):
 
 def ud_multi(state_set, trials=4):
     """Probability that at least one of several trials is conclusive."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_int("trials", trials)
     return 1.0 - (1.0 - ud_success(state_set)) ** trials
 
 
@@ -196,12 +196,10 @@ def advantage_report(accuracy, state_set=None, k=4):
     beaten records whether the supplied accuracy exceeds that strategy.
     accuracy must be a probability: finite and in [0, 1].
     """
-    accuracy = float(accuracy)
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError(f"accuracy must be finite and in [0, 1], got {accuracy}")
+    accuracy = float(check_real("accuracy", accuracy, 0.0, maximum=1.0))
     state_set = state_set or symmetric_states()
     rows = [
-        ("coherent_protocol", float(accuracy), None),
+        ("coherent_protocol", accuracy, None),
         ("minimum_error_single_shot", me_single_shot(state_set), None),
         (f"minimum_error_majority_{k}", me_majority(state_set, k), None),
         (f"posterior_all_agree_{k}", posterior_all_agree(state_set, k), None),

@@ -11,12 +11,11 @@ budget.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .protocols import check_real
+from ._checks import check_int, check_real, finite_array
 
 # Nominal splitting of the processing manifold driven by the rf antenna.
 CARRIER_HZ = 8.6e6
@@ -110,9 +109,8 @@ class ServoConfig:
         for name in ("interrogation_s", "step_hz", "period_s"):
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("miscalibration_hz", self.miscalibration_hz)
-        if self.shots is not None and not (
-                isinstance(self.shots, numbers.Integral) and self.shots >= 1):
-            raise ValueError(f"shots must be None or an integer >= 1, got {self.shots!r}")
+        if self.shots is not None:
+            check_int("shots", self.shots)
 
     @classmethod
     def lab(cls):
@@ -199,15 +197,18 @@ def allan_deviation(y, taus, dt=1.0):
     taus : array_like
         Averaging times; each must be a multiple of dt with 2*tau fitting
         in the series.
+    dt : float
+        Sample period, finite and > 0. y and taus must be finite.
 
     Returns
     -------
     np.ndarray
         sigma_y(tau) for each requested tau.
     """
-    y = np.asarray(y, dtype=float)
+    check_real("dt", dt, 0.0, strict=True)
+    y = finite_array("y", y)
     n = y.size
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    taus = np.atleast_1d(finite_array("taus", taus))
     cum = np.concatenate([[0.0], np.cumsum(y)])
     out = np.empty(taus.size)
     for i, tau in enumerate(taus):
@@ -230,14 +231,16 @@ def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0)
     the curve is computed for the phase-keyed sequence with the composite
     laser blocks given their physical duration (200 us per block); the
     instantaneous-laser default would understate the dephasing a real trial
-    accumulates.
+    accumulates. residuals_hz must be non-empty and finite, grid_step_hz
+    finite and > 0.
     """
     from .ion_sim import default_config, detuning_scan
     from .protocols import psk3_sequence
 
-    residuals_hz = np.asarray(residuals_hz, dtype=float)
+    residuals_hz = finite_array("residuals_hz", residuals_hz)
     if residuals_hz.size == 0:
         raise ValueError("residuals_hz is empty: the budget is a mean over residuals")
+    check_real("grid_step_hz", grid_step_hz, 0.0, strict=True)
     if seq is None:
         seq = psk3_sequence()
     if config is None:

@@ -18,7 +18,8 @@ detuning_scan, time_series and run_qubit_reduction all pass a whole
 swaps every rf pulse and free precession is the spin-5/2 image of an
 SU(2) element, so the loop multiplies the 2x2 elements in closed form and
 applies each laser-free block once, as one resonant rotation followed by
-one precession about z (spin_algebra.su2_factors). The readout cascade is
+one precession about z (spin_algebra.su2_factors); in the two-level
+reduction the block is the 2x2 element itself. The readout cascade is
 linear in the level populations, so it is one (4, 8) matrix per (noise,
 config), built once and cached, applied to |psi|^2 of the batch.
 
@@ -37,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_int, check_real, finite_array
 from .protocols import (
     ASK,
     DESIGN_ANGLES,
@@ -44,7 +46,6 @@ from .protocols import (
     ORACLE,
     OracleSpec,
     PSK,
-    check_real,
     resolve_oracle_pulse,
 )
 from .spin_algebra import (
@@ -52,6 +53,7 @@ from .spin_algebra import (
     rotation,
     spin_operators,
     su2_factors,
+    su2_matrix,
     su2_product,
     su2_pulse,
     two_level_rotation,
@@ -87,9 +89,7 @@ class NoiseModel:
         check_real("rf_amp_error", self.rf_amp_error, -1.0, strict=True)
         check_real("leakage_rate", self.leakage_rate, 0.0)
         for name in ("laser_pi_error", "spam_error"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
+            check_real(name, getattr(self, name), 0.0, maximum=1.0)
 
     @classmethod
     def lab(cls):
@@ -161,15 +161,6 @@ def _level_pair(pair):
     return tuple(int(index) for index in pair)
 
 
-def _finite_array(name, values):
-    """values as a float array; a ValueError naming the field if any is not finite."""
-    values = np.asarray(values, dtype=float)
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {bad[0]}")
-    return values
-
-
 _SEQUENCE_CONFIGS = {
     PSK: ExperimentConfig(couple_pair=(2, 6), readout_pairs=((3, 6), (2, 6))),
     ASK: ExperimentConfig(couple_pair=(0, 6), readout_pairs=((0, 6), (5, 7))),
@@ -233,15 +224,18 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
 
 
 def _spin_image(element, dim=D_DIM):
-    """Spin image Rz(z) R(beta, phi) of SU(2) elements (a, b), a (..., dim, dim) stack.
+    """Spin image of SU(2) elements (a, b), a (..., dim, dim) stack.
 
-    The resonant rotation goes through rf_unitary on the six metastable
-    levels and through rotation(2, ...) on the two-level reduction.
+    On the two-level reduction that is the 2x2 matrix itself. On the six
+    metastable levels it is Rz(z) R(beta, phi): the resonant rotation
+    through rf_unitary, then a precession about z.
     """
+    if dim == 2:
+        # A lone pulse whose axis alone varies per grid point has a scalar a.
+        return su2_matrix(*np.broadcast_arrays(*element))
     beta, phi, z = su2_factors(*element)
-    pulse = rf_unitary(beta, phi) if dim == D_DIM else rotation(dim, beta, phi)
-    m = np.diag(spin_operators(dim).jz).real
-    return np.exp(-1j * np.multiply.outer(z, m))[..., None] * pulse
+    m = np.diag(_J6.jz).real
+    return np.exp(-1j * np.multiply.outer(z, m))[..., None] * rf_unitary(beta, phi)
 
 
 def _laser_angle(noise):
@@ -468,8 +462,7 @@ def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
 
     Returns an (n_points, 4) array with columns (time, p0, p1, p2).
     """
-    if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
-        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
+    check_int("n_points", n_points, 2)
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
     segments = _compile(seq, config, oracle.hidden_angle)
@@ -502,7 +495,7 @@ def angle_scan(seq, angles, config=None, noise=IDEAL, dim=6):
     grid points are evaluated together as one batch.
     Returns an (n, 4) array with columns (angle, p0, p1, p2).
     """
-    angles = _finite_array("angles", angles)
+    angles = finite_array("angles", angles)
     if dim == 2:
         probs = run_qubit_reduction(seq, angles)
     elif dim == 6:
@@ -523,7 +516,7 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
     config = config or default_config(seq)
     candidates = np.asarray(OracleSpec(seq.encoding, tuple(candidate_angles), 0)
                             .candidate_angles, dtype=float)
-    detunings_hz = _finite_array("detunings_hz", detunings_hz)
+    detunings_hz = finite_array("detunings_hz", detunings_hz)
     probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
                       np.repeat(detunings_hz, candidates.size))
     probs = probs.reshape(detunings_hz.size, candidates.size, 4)
@@ -561,7 +554,7 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
             raise ValueError(f"{name} must be a metastable level 0-5, got {level!r}")
     check_real("shift_hz", shift_hz)
     config = config or ExperimentConfig()
-    times = _finite_array("times", times)
+    times = finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
     h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz
     psi = hermitian_propagator(h, times[:, None, None])[:, :, start_level]

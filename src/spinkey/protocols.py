@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._checks import check_int, check_real, finite_array
 from .spin_algebra import rotation, rotation_z, two_level_rotation
 
 RF = "rf"
@@ -34,18 +35,6 @@ ASK = "ask"
 
 CHANNELS = (RF, LASER, ORACLE)
 ENCODINGS = (PSK, ASK)
-
-
-def check_real(name, value, minimum=None, strict=False):
-    """Boundary check shared by the configuration dataclasses.
-
-    Raises a ValueError naming the field unless value is a finite real
-    number at or above minimum (strictly above it when strict is true).
-    """
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +118,7 @@ class OracleSpec:
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
-        angles = np.asarray(self.candidate_angles, dtype=float)
+        angles = finite_array("candidate_angles", self.candidate_angles)
         wrapped = np.mod(angles, 2.0 * np.pi)
         # Pair (i, k), i < k, clashes when wrapped[i], shifted by -2*pi, 0
         # or 2*pi, is close to wrapped[k]: the shifts catch 0 and 2*pi - eps.
@@ -137,7 +126,7 @@ class OracleSpec:
         clash = np.isclose(shifted, wrapped[None, :, None], atol=1e-12).any(axis=-1)
         if np.triu(clash, 1).any():
             raise ValueError("candidate angles must be distinct modulo 2*pi")
-        if not 0 <= self.hidden_index < len(angles):
+        if check_int("hidden_index", self.hidden_index, 0) >= len(angles):
             raise ValueError(
                 f"hidden index {self.hidden_index} out of range for "
                 f"{len(angles)} candidates"
@@ -251,8 +240,6 @@ def psk_to_ask_wrap(phi, dim):
     used here the equality is exact in dim 2 and holds in any spin-J space
     because the identity lives at the group level.
     """
-    if dim not in (2, 6):
-        raise ValueError(f"unsupported dimension {dim}")
     return (
         rotation_z(dim, _PI / 2.0)
         @ rotation(dim, -_PI / 2.0, _PI / 2.0)
@@ -307,6 +294,7 @@ def bisection_protocol(n):
     the oracle, so they cost no extra queries. The final stage (degree 1)
     is a single query: apply the re-centered oracle and measure.
     """
+    n = check_int("n", n)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(
             f"n = {n} is not a power of two; protocols for other candidate "

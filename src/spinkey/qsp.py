@@ -26,12 +26,12 @@ phase-finder residual is one call. This module provides:
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
+from ._checks import check_int, check_real, finite_array
 from .spin_algebra import su2_matrix, su2_product
 
 _log = logging.getLogger(__name__)
@@ -64,9 +64,7 @@ def signal_w(a):
 
 def _signal_pair(a):
     """W(a) as the SU(2) pair (a, i sqrt(1 - a^2)), after checking a."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"signal parameter must be finite, got {a}")
+    a = finite_array("signal parameter", a)
     if np.any(np.abs(a) > 1.0):
         raise ValueError(f"signal parameter must satisfy |a| <= 1, got {a}")
     return a, 1j * np.sqrt(np.maximum(0.0, 1.0 - a * a))
@@ -105,17 +103,20 @@ def _prefix_products(phases, w):
     A_k is the qsp_unitary product; both run this one loop, so the phase
     finder's residuals equal those of qsp_unitary bit for bit.
     """
-    phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 1 or phases.size < 1:
-        raise ValueError("phases must be a 1-d sequence of length >= 1")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phases must be finite")
-    phase = np.exp(1j * phases)[:, None]
+    phase = np.exp(1j * _phase_vector(phases))[:, None]
     u = (np.broadcast_to(phase[0], w[1].shape), np.zeros_like(w[1]))
     yield u
     for step in zip(w[0] * phase[1:], w[1] * phase[1:]):
         u = su2_product(u, step)
         yield u
+
+
+def _phase_vector(phases):
+    """phases as a float array, checked to be 1-d, non-empty and finite."""
+    phases = finite_array("phases", phases)
+    if phases.ndim != 1 or phases.size < 1:
+        raise ValueError("phases must be a 1-d sequence of length >= 1")
+    return phases
 
 
 def _p_squared(phases, a):
@@ -163,13 +164,44 @@ def bisecting_poly(a):
 class PolynomialSpec:
     """Target for the phase finder: |P(a_i)| should match |target_i|.
 
-    kind is one of "chebyshev", "bisecting", "sampled"; degree fixes the
-    number of phases (degree + 1); samples holds (a, |target|) pairs.
+    kind is one of "chebyshev", "bisecting", "sampled"; degree, an integer
+    >= 1, fixes the number of phases (degree + 1); samples holds at least
+    one (a, |target|) pair, with a and the target finite and in [-1, 1].
+    Targets at +/-a must share one magnitude, as a definite-parity P
+    forces. Every spec is checked when it is built, however it is built.
     """
 
     kind: str
     degree: int
     samples: tuple
+
+    def __post_init__(self):
+        kinds = ("chebyshev", "bisecting", "sampled")
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+        object.__setattr__(self, "degree", check_int("degree", self.degree))
+        pairs = tuple((float(a), float(t)) for a, t in self.samples)
+        if not pairs:
+            raise ValueError("a spec needs at least one (a, target) sample")
+        for i, (a, t) in enumerate(pairs):
+            if not (math.isfinite(a) and math.isfinite(t)):
+                raise ValueError(f"sample {i} (a = {a}, target = {t}) must be finite")
+            if abs(t) > 1.0:
+                raise ValueError(f"infeasible target |{t}| > 1 at a = {a}")
+            if abs(a) > 1.0:
+                raise ValueError(f"sample point |{a}| > 1")
+        # Definite parity forces |P(-a)| = |P(a)|; reject inconsistent pairs.
+        a, t = np.array(pairs).T
+        t = np.abs(t)
+        clash = (np.isclose(a[:, None], -a[None, :])
+                 & ~np.isclose(t[:, None], t[None, :], atol=1e-12))
+        if clash.any():
+            first = np.argwhere(clash)[0][0]
+            raise ValueError(
+                f"targets at a = +/-{abs(a[first])} differ in magnitude; "
+                "incompatible with a definite-parity polynomial"
+            )
+        object.__setattr__(self, "samples", pairs)
 
     @property
     def parity(self):
@@ -178,7 +210,7 @@ class PolynomialSpec:
     @classmethod
     def chebyshev(cls, degree):
         """Chebyshev T_degree magnitudes sampled on a 25-point cosine grid."""
-        degree = _positive_int("degree", degree)
+        degree = check_int("degree", degree)
         grid = np.cos(np.linspace(0.0, np.pi, 25))
         targets = np.cos(degree * np.arccos(grid))
         return cls("chebyshev", degree, tuple(zip(grid.tolist(), np.abs(targets).tolist())))
@@ -199,38 +231,9 @@ class PolynomialSpec:
     def sampled(cls, pairs, degree):
         """User-supplied (a, target) pairs for a fixed degree.
 
-        At least one pair; points and targets must be finite; degree is an
-        integer >= 1.
+        The spec's checks apply: see PolynomialSpec.
         """
-        degree = _positive_int("degree", degree)
-        pairs = tuple((float(a), float(t)) for a, t in pairs)
-        if not pairs:
-            raise ValueError("sampled needs at least one (a, target) sample")
-        for i, (a, t) in enumerate(pairs):
-            if not (math.isfinite(a) and math.isfinite(t)):
-                raise ValueError(f"sample {i} (a = {a}, target = {t}) must be finite")
-            if abs(t) > 1.0:
-                raise ValueError(f"infeasible target |{t}| > 1 at a = {a}")
-            if abs(a) > 1.0:
-                raise ValueError(f"sample point |{a}| > 1")
-        # Definite parity forces |P(-a)| = |P(a)|; reject inconsistent pairs.
-        a, t = np.array(pairs, dtype=float).reshape(-1, 2).T
-        t = np.abs(t)
-        clash = (np.isclose(a[:, None], -a[None, :])
-                 & ~np.isclose(t[:, None], t[None, :], atol=1e-12))
-        if clash.any():
-            first = np.argwhere(clash)[0][0]
-            raise ValueError(
-                f"targets at a = +/-{abs(a[first])} differ in magnitude; "
-                "incompatible with a definite-parity polynomial"
-            )
-        return cls("sampled", degree, pairs)
-
-
-def _positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
+        return cls("sampled", degree, tuple(pairs))
 
 
 def _residual_terms(phases, samples):
@@ -295,9 +298,8 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     PhaseFindingError
         If no start reaches point_tol; carries the best residual sum.
     """
-    n_starts = _positive_int("n_starts", n_starts)
-    if not (isinstance(point_tol, numbers.Real) and math.isfinite(point_tol) and point_tol > 0):
-        raise ValueError(f"point_tol must be finite and > 0, got {point_tol!r}")
+    n_starts = check_int("n_starts", n_starts)
+    check_real("point_tol", point_tol, 0.0, strict=True)
     samples = spec.samples
     n_phases = spec.degree + 1
     a, t = np.array(samples, dtype=float).reshape(-1, 2).T
@@ -333,9 +335,7 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
 
 def response_curve(phases, angles):
     """|P(cos(angle/2))|^2 for each signal angle in the grid."""
-    angles = np.asarray(angles, dtype=float)
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("signal angles must be finite")
+    angles = finite_array("angles", angles)
     return _p_squared(phases, np.cos(angles / 2.0))
 
 
@@ -346,10 +346,4 @@ def phases_to_json(phases):
 
 def phases_from_json(text):
     """Parse a JSON array of radians back into a phase vector."""
-    values = json.loads(text)
-    phases = np.asarray(values, dtype=float)
-    if phases.ndim != 1 or phases.size < 1:
-        raise ValueError("expected a flat JSON array with at least one phase")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phases must be finite")
-    return phases
+    return _phase_vector(json.loads(text))

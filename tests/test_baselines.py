@@ -154,6 +154,24 @@ def test_majority_matches_enumeration():
             assert me_majority(state_set, k) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda s: me_majority(s, 2.5), "k"),
+    (lambda s: me_majority(s, True), "k"),
+    (lambda s: me_majority(s, 0), "k"),
+    (lambda s: posterior_all_agree(s, np.nan), "k"),
+    (lambda s: posterior_all_agree(s, 1.5), "k"),
+    (lambda s: ud_multi(s, 2.5), "trials"),
+    (lambda s: ud_multi(s, np.nan), "trials"),
+    (lambda s: ud_multi(s, 0), "trials"),
+    (lambda s: symmetric_states(0), "n"),
+    (lambda s: symmetric_states(3.0), "n"),
+], ids=["majority-fraction", "majority-bool", "majority-0", "posterior-nan",
+        "posterior-fraction", "ud-fraction", "ud-nan", "ud-0", "states-0", "states-float"])
+def test_baselines_reject_non_integer_counts(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        call(symmetric_states(3))
+
+
 @pytest.mark.parametrize("accuracy", [np.nan, np.inf, -0.1, 1.7])
 def test_advantage_report_rejects_accuracy_outside_the_unit_interval(accuracy):
     with pytest.raises(ValueError, match="accuracy"):

@@ -55,6 +55,12 @@ def test_allan_input_validation():
         allan_deviation(np.ones(10), [8.0])
     with pytest.raises(ValueError, match="multiple"):
         allan_deviation(np.ones(100), [1.5], dt=1.0)
+    for args, field in (((np.ones(10), [1.0], 0.0), "dt"), ((np.ones(10), [1.0], -1.0), "dt"),
+                        ((np.ones(10), [1.0], math.nan), "dt"), ((np.ones(10), [math.nan]), "taus"),
+                        ((np.ones(10), [1.0, math.inf]), "taus"),
+                        (([0.0, math.nan, 0.0, 0.0], [1.0]), "y")):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            allan_deviation(*args)
 
 
 def test_white_fm_slope():
@@ -136,7 +142,7 @@ def test_budget_paper_preset_band():
 
 
 def test_servo_config_rejects_bad_shots():
-    for bad in (0, -1, 2.5, "50"):
+    for bad in (0, -1, 2.5, "50", True):
         with pytest.raises(ValueError, match="shots"):
             ServoConfig(shots=bad)
     assert ServoConfig(shots=None).shots is None
@@ -191,6 +197,18 @@ def test_drift_generate_rejects_bad_arguments(kwargs, field):
 def test_budget_rejects_empty_residuals():
     with pytest.raises(ValueError, match="empty"):
         detuning_error_budget([])
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"residuals_hz": [0.0, math.nan]}, "residuals_hz"),
+    ({"residuals_hz": [math.inf]}, "residuals_hz"),
+    ({"residuals_hz": [1.0], "grid_step_hz": 0.0}, "grid_step_hz"),
+    ({"residuals_hz": [1.0], "grid_step_hz": -5.0}, "grid_step_hz"),
+    ({"residuals_hz": [1.0], "grid_step_hz": math.nan}, "grid_step_hz"),
+])
+def test_budget_rejects_bad_arguments(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        detuning_error_budget(**kwargs)
 
 
 def _reference_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):

@@ -95,6 +95,13 @@ def test_oracle_spec_validation():
         OracleSpec(ASK, DESIGN_ANGLES, 5)
     with pytest.raises(ValueError, match="encoding"):
         OracleSpec("fsk", DESIGN_ANGLES, 0)
+    for angles in ((math.nan, 1.0, 2.0), (0.0, math.inf, 2.0), (0.0, 1.0, -math.inf)):
+        with pytest.raises(ValueError, match="candidate_angles"):
+            OracleSpec(ASK, angles, 0)
+    for index in (1.5, True, -1, "0"):
+        with pytest.raises(ValueError, match="hidden_index"):
+            OracleSpec(ASK, DESIGN_ANGLES, index)
+    assert OracleSpec(ASK, DESIGN_ANGLES, np.int64(2)).hidden_angle == DESIGN_ANGLES[2]
 
 
 def _distinct_by_loop(angles):
@@ -171,6 +178,9 @@ def test_bisection_rejects_other_counts():
         bisection_protocol(6)
     with pytest.raises(ValueError, match="power of two"):
         bisection_protocol(1)
+    for n in (4.0, True, 0, -4):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            bisection_protocol(n)
 
 
 def test_disambiguation_sign_readout():

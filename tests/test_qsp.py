@@ -367,10 +367,19 @@ def test_sampled_parity_check_matches_the_pairwise_loop():
     (lambda: PolynomialSpec.chebyshev(2.5), "degree"),
     (lambda: PolynomialSpec.chebyshev(0), "degree"),
     (lambda: PolynomialSpec.chebyshev(True), "degree"),
+    (lambda: PolynomialSpec("sampled", 0, ((0.3, 0.5),)), "degree"),
+    (lambda: PolynomialSpec("sampled", 2.0, ((0.3, 0.5),)), "degree"),
+    (lambda: PolynomialSpec("bogus", 2, ((0.3, 0.5),)), "kind"),
+    (lambda: PolynomialSpec("sampled", 2, ((math.nan, 0.5),)), "sample 0"),
+    (lambda: PolynomialSpec("sampled", 2, ()), "at least one"),
+    (lambda: PolynomialSpec("sampled", 2, ((0.3, 1.5),)), "infeasible target"),
+    (lambda: PolynomialSpec("sampled", 2, ((0.5, 1.0), (-0.5, 0.2))), "definite-parity"),
 ], ids=["nan-point", "nan-target", "inf-point", "inf-target", "no-samples",
         "sampled-degree-negative", "sampled-degree-0", "sampled-degree-fraction",
         "sampled-degree-float", "chebyshev-degree-fraction", "chebyshev-degree-0",
-        "chebyshev-degree-bool"])
+        "chebyshev-degree-bool", "direct-degree-0", "direct-degree-float",
+        "direct-unknown-kind", "direct-nan-point", "direct-no-samples",
+        "direct-infeasible-target", "direct-parity-clash"])
 def test_spec_rejects_invalid_samples_and_degrees(build, field):
     with pytest.raises(ValueError, match=field):
         build()
