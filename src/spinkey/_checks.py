@@ -12,12 +12,13 @@ import numpy as np
 
 
 def check_real(name, value, minimum=None, strict=False, maximum=None):
-    """value if it is a finite real number in range.
+    """value if it is a finite real number (not a bool) in range.
 
     The range is at or above minimum (strictly above it when strict is
     true) and at or below maximum; either bound may be None.
     """
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")

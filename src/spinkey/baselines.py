@@ -130,22 +130,6 @@ def me_majority(state_set, k=4):
     return float(weight[unique].sum())
 
 
-def me_majority_mc(state_set, k=4, n_samples=1_000_000, seed=0):
-    """Monte Carlo estimate of me_majority, for cross-checking."""
-    p = outcome_probabilities(state_set)
-    n = state_set.n
-    rng = np.random.default_rng(seed)
-    wins = 0
-    for i, eta in enumerate(state_set.priors):
-        m = int(round(eta * n_samples))
-        draws = rng.choice(n, size=(m, k), p=p[i])
-        counts = np.stack([(draws == j).sum(axis=1) for j in range(n)], axis=1)
-        top = counts.max(axis=1)
-        unique = (counts == top[:, None]).sum(axis=1) == 1
-        wins += int(np.sum(unique & (counts[:, i] == top)))
-    return wins / n_samples
-
-
 def posterior_all_agree(state_set, k=4):
     """Bayesian posterior of the modal hypothesis after k identical outcomes.
 

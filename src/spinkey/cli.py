@@ -6,6 +6,7 @@ output. Subcommands: run, scan, bisect, baselines, servo, rabi.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -13,6 +14,9 @@ import sys
 import numpy as np
 
 from . import __version__, baselines, field_servo, ion_sim, protocols
+
+# The noise channels, in order: each is one --flag with the field's default.
+_NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
 
 
 def _fmt(x):
@@ -104,21 +108,8 @@ def _load_sequence(args):
     return builders[args.seq]()
 
 
-def _with_overrides(args, **kw):
-    ns = argparse.Namespace(**vars(args))
-    for k, v in kw.items():
-        setattr(ns, k, v)
-    return ns
-
-
 def _noise_from(args):
-    return ion_sim.NoiseModel(
-        detuning_hz=args.detuning_hz,
-        rf_amp_error=args.rf_amp_error,
-        laser_pi_error=args.laser_pi_error,
-        spam_error=args.spam_error,
-        leakage_rate=args.leakage_rate,
-    )
+    return ion_sim.NoiseModel(**{field.name: getattr(args, field.name) for field in _NOISE_FIELDS})
 
 
 def _add_common(p):
@@ -130,11 +121,8 @@ def _add_common(p):
 
 
 def _add_noise(p):
-    p.add_argument("--detuning-hz", type=float, default=0.0)
-    p.add_argument("--rf-amp-error", type=float, default=0.0)
-    p.add_argument("--laser-pi-error", type=float, default=0.0)
-    p.add_argument("--spam-error", type=float, default=0.0)
-    p.add_argument("--leakage-rate", type=float, default=0.0)
+    for field in _NOISE_FIELDS:
+        p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
 
 
 def _add_seq(p):
@@ -146,7 +134,7 @@ def _cmd_run(args):
     seq = _load_sequence(args)
     noise = _noise_from(args)
     params = {"cmd": "run", "seq": seq.name, "oracle": args.oracle,
-              "noise": {f: getattr(noise, f) for f in noise.__dataclass_fields__},
+              "noise": dataclasses.asdict(noise),
               "seed": args.seed}
     result = ion_sim.run(seq, args.oracle, noise,
                          seed=args.seed if args.sample else None)
@@ -234,7 +222,7 @@ def _cmd_servo(args):
         n = len(y)
         taus = [float(m) for m in (1, 2, 5, 10, 20, 50, 100, 200) if 2 * m <= n]
         sigma = field_servo.allan_deviation(y, taus, dt=servo.period_s)
-        allan_args = _with_overrides(args, out=args.allan_out, gnuplot=False)
+        allan_args = argparse.Namespace(**{**vars(args), "out": args.allan_out, "gnuplot": False})
         _emit(allan_args, {**params, "cmd": "servo-allan"}, ("tau_s", "sigma_y"),
               list(zip(taus, map(float, sigma))))
     return 0

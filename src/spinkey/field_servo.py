@@ -45,14 +45,6 @@ class DriftModel:
         check_real("carrier_hz", self.carrier_hz, 0.0, strict=True)
 
     @classmethod
-    def white(cls, sigma1):
-        return cls(white_sigma1=sigma1)
-
-    @classmethod
-    def random_walk(cls, sigma10):
-        return cls(rw_sigma10=sigma10)
-
-    @classmethod
     def lab(cls):
         """Composite calibrated so sigma_y(10 s) is below 2e-7 with the
         random walk taking over beyond roughly ten seconds."""

@@ -154,7 +154,7 @@ class ExperimentConfig:
 
 
 def _is_level(index, levels):
-    return isinstance(index, numbers.Integral) and index in levels
+    return not isinstance(index, bool) and isinstance(index, numbers.Integral) and index in levels
 
 
 def _level_pair(pair):
@@ -179,11 +179,6 @@ class ReadoutResult:
 
     probabilities: np.ndarray
     outcome: int = None
-    seed: int = None
-
-    @property
-    def leakage(self):
-        return float(self.probabilities[3])
 
 
 def init_state(config=None):
@@ -380,7 +375,7 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     config = config or ExperimentConfig()
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
     probs = np.abs(np.asarray(state)) ** 2 @ matrix.T
-    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed), seed=seed)
+    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
 
 
 def _apply_leakage(probs, noise, duration):
@@ -419,7 +414,7 @@ def run(seq, oracle_index, noise=IDEAL, config=None, candidate_angles=DESIGN_ANG
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
     probs = _evaluate(seq, config, noise, np.array([oracle.hidden_angle]))[0]
-    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed), seed=seed)
+    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
 
 
 def run_qubit_reduction(seq, signal_angle):

@@ -80,7 +80,8 @@ class PulseSequence:
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
         for index, state in self.readout_map.items():
-            if not isinstance(state, numbers.Integral) or not 0 <= state <= 2:
+            if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
+                    or not 0 <= state <= 2):
                 raise ValueError(
                     f"readout_map[{index}] must be a readout state 0, 1 or 2, got {state!r}")
 
@@ -263,10 +264,6 @@ class BisectionStage:
     qsp_degree: int
     offset: float
 
-    @property
-    def queries(self):
-        return self.qsp_degree
-
 
 @dataclass(frozen=True)
 class BisectionProtocol:
@@ -277,11 +274,7 @@ class BisectionProtocol:
 
     @property
     def total_queries(self):
-        return sum(stage.queries for stage in self.stages)
-
-    @property
-    def candidate_angles(self):
-        return tuple(2.0 * np.pi * k / self.n for k in range(self.n))
+        return sum(stage.qsp_degree for stage in self.stages)
 
 
 def bisection_protocol(n):
@@ -347,13 +340,15 @@ class DisambiguationStep:
 
     The wrapped oracle is +/- the known x-rotation by 2*phi_low; one query
     sandwiched between two half-swaps on an auxiliary two-level block turns
-    that global sign into orthogonal measurement outcomes.
+    that global sign into orthogonal measurement outcomes. Every step
+    spends one extra query on the same auxiliary block, so extra_queries
+    and block_levels are class constants, not fields.
     """
 
     phi_low: float
     phi_high: float
-    extra_queries: int = 1
-    block_levels: tuple = (4, 6)  # metastable m=-3/2 and ground m=+1/2
+    extra_queries = 1
+    block_levels = (4, 6)  # metastable m=-3/2 and ground m=+1/2
 
 
 def even_psk_disambiguation(phi_pair):

@@ -20,10 +20,8 @@ phase-finder residual is one call. This module provides:
 - PolynomialSpec / find_phases: an optimization-based phase finder matching
   |P|^2 to squared targets at sample points
 - response_curve: |P(cos(angle/2))|^2 over a grid of signal angles
-- phases_to_json / phases_from_json: plain JSON array serialization
 """
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -244,8 +242,8 @@ def _residual_terms(phases, samples):
 def _residuals_and_jacobian(phases, w, t):
     """Residuals r_i = |P(a_i)|^2 - t_i^2 and the Jacobian dr_i/dtheta_k.
 
-    w is signal_w(a) for the (N,) sample points a, computed once by the
-    caller.
+    w is W's SU(2) pair _signal_pair(a) for the (N,) sample points a,
+    computed once by the caller.
 
     With prefixes A_k = Z_0 W ... W Z_k and U = A_k B_k, dU/dtheta_k =
     A_k (i sigma_z) B_k = A_k (i sigma_z) A_k^dag U. For A_k = (alpha, beta)
@@ -255,7 +253,7 @@ def _residuals_and_jacobian(phases, w, t):
     _residual_terms bit for bit. Returns r of shape (N,) and the Jacobian
     of shape (N, d + 1).
     """
-    prefixes = _prefix_products(phases, (w[:, 0, 0], w[:, 1, 0]))
+    prefixes = _prefix_products(phases, w)
     alpha, beta = (np.stack(entries) for entries in zip(*prefixes))
     p, beta_u = alpha[-1], beta[-1]
     weight = np.abs(alpha) ** 2 - np.abs(beta) ** 2
@@ -303,7 +301,7 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     samples = spec.samples
     n_phases = spec.degree + 1
     a, t = np.array(samples, dtype=float).reshape(-1, 2).T
-    w = signal_w(a)
+    w = _signal_pair(a)
 
     def objective(phases):
         r, jac = _residuals_and_jacobian(phases, w, t)
@@ -337,13 +335,3 @@ def response_curve(phases, angles):
     """|P(cos(angle/2))|^2 for each signal angle in the grid."""
     angles = finite_array("angles", angles)
     return _p_squared(phases, np.cos(angles / 2.0))
-
-
-def phases_to_json(phases):
-    """Serialize a phase vector to a JSON array of radians."""
-    return json.dumps([float(x) for x in np.asarray(phases, dtype=float)])
-
-
-def phases_from_json(text):
-    """Parse a JSON array of radians back into a phase vector."""
-    return _phase_vector(json.loads(text))

@@ -215,15 +215,3 @@ def rotation_z(dim, angle):
     if dim not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported dimension {dim}; expected one of {SUPPORTED_DIMS}")
     return np.diag(np.exp(1j * angle * 2.0 * _m_values(dim))).astype(complex)
-
-
-def is_unitary(u, atol=1e-12):
-    """Whether u is square with u^dag u = identity to the given tolerance."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
-
-
-def commutator(a, b):
-    return a @ b - b @ a

@@ -4,8 +4,8 @@ import pytest
 from spinkey.baselines import (
     advantage_report,
     me_majority,
-    me_majority_mc,
     me_single_shot,
+    outcome_probabilities,
     posterior_all_agree,
     srm_povm,
     symmetric_states,
@@ -72,6 +72,23 @@ def test_majority_increases_over_odd_k():
     s = symmetric_states(3)
     values = [me_majority(s, k) for k in (1, 3, 5, 7, 9)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def me_majority_mc(state_set, k=4, n_samples=1_000_000, seed=0):
+    """Monte Carlo estimate of me_majority: the independent reference for its
+    closed-form multinomial sum."""
+    p = outcome_probabilities(state_set)
+    n = state_set.n
+    rng = np.random.default_rng(seed)
+    wins = 0
+    for i, eta in enumerate(state_set.priors):
+        m = int(round(eta * n_samples))
+        draws = rng.choice(n, size=(m, k), p=p[i])
+        counts = np.stack([(draws == j).sum(axis=1) for j in range(n)], axis=1)
+        top = counts.max(axis=1)
+        unique = (counts == top[:, None]).sum(axis=1) == 1
+        wins += int(np.sum(unique & (counts[:, i] == top)))
+    return wins / n_samples
 
 
 def test_majority_matches_monte_carlo():
@@ -172,7 +189,7 @@ def test_baselines_reject_non_integer_counts(call, field):
         call(symmetric_states(3))
 
 
-@pytest.mark.parametrize("accuracy", [np.nan, np.inf, -0.1, 1.7])
+@pytest.mark.parametrize("accuracy", [np.nan, np.inf, -0.1, 1.7, True])
 def test_advantage_report_rejects_accuracy_outside_the_unit_interval(accuracy):
     with pytest.raises(ValueError, match="accuracy"):
         advantage_report(accuracy)

@@ -83,7 +83,9 @@ def _edit_sequence(edit):
     (lambda d: d["pulses"][2].update(theta="nan"), "theta"),
     (lambda d: d["pulses"][0].update(channel="microwave"), "channel"),
     (lambda d: d["readout_map"].update({"2": 5}), "readout_map"),
-], ids=["encoding", "theta", "channel", "readout_map"])
+    (lambda d: d["pulses"][2].update(theta=True), "theta"),
+    (lambda d: d["readout_map"].update({"1": True}), "readout_map"),
+], ids=["encoding", "theta", "channel", "readout_map", "theta-bool", "readout_map-bool"])
 def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     seq_path = tmp_path / "bad.json"
     seq_path.write_text(_edit_sequence(edit))

@@ -64,7 +64,7 @@ def test_allan_input_validation():
 
 
 def test_white_fm_slope():
-    _, y = DriftModel.white(1e-6).generate(4096, seed=1)
+    _, y = DriftModel(white_sigma1=1e-6).generate(4096, seed=1)
     taus = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
     sigma = allan_deviation(y, taus)
     slope = np.polyfit(np.log(taus), np.log(sigma), 1)[0]
@@ -74,7 +74,7 @@ def test_white_fm_slope():
 
 
 def test_random_walk_fm_slope():
-    _, y = DriftModel.random_walk(1e-6).generate(4096, seed=2)
+    _, y = DriftModel(rw_sigma10=1e-6).generate(4096, seed=2)
     taus = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
     sigma = allan_deviation(y, taus)
     slope = np.polyfit(np.log(taus), np.log(sigma), 1)[0]
@@ -152,6 +152,7 @@ def test_servo_config_rejects_bad_shots():
 @pytest.mark.parametrize("field, bad", [
     ("interrogation_s", math.nan), ("interrogation_s", 0.0), ("step_hz", math.inf),
     ("period_s", -1.0), ("miscalibration_hz", math.nan), ("miscalibration_hz", -math.inf),
+    ("step_hz", True),
 ])
 def test_servo_config_rejects_bad_floats(field, bad):
     with pytest.raises(ValueError, match=field):

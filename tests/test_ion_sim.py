@@ -185,6 +185,7 @@ def test_noise_model_validation_and_preset():
     ("leakage_rate", -1.0), ("leakage_rate", math.nan), ("leakage_rate", math.inf),
     ("detuning_hz", math.nan), ("detuning_hz", -math.inf),
     ("rf_amp_error", math.nan), ("rf_amp_error", -1.0), ("rf_amp_error", -3.0),
+    ("spam_error", True),
 ])
 def test_noise_model_rejects_bad_fields(field, bad):
     with pytest.raises(ValueError, match=field):
@@ -218,11 +219,12 @@ def test_detuning_scan_rejects_non_finite_detunings():
      "candidate_angles"),
     (lambda: run(psk3_sequence(), 1.5), "hidden_index"),
     (lambda: run(psk3_sequence(), True), "hidden_index"),
+    (lambda: light_shift_isolation(0.0, [0.0], start_level=True), "start_level"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
         "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
         "run-nan-angle", "detuning-scan-inf-angle", "time-series-nan-angle",
-        "run-fraction-index", "run-bool-index"])
+        "run-fraction-index", "run-bool-index", "start_level-bool"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):
         call()
@@ -375,6 +377,8 @@ def test_config_validation():
     ({"pulse_gap_s": -1e-5}, "pulse_gap_s"),
     ({"laser_time_s": math.nan}, "laser_time_s"),
     ({"laser_time_s": -1e-6}, "laser_time_s"),
+    ({"couple_pair": (True, 6)}, "couple_pair"),
+    ({"rabi_freq": True}, "rabi_freq"),
 ])
 def test_config_rejects_bad_levels(fields, name):
     with pytest.raises(ValueError, match=name):

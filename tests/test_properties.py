@@ -5,25 +5,47 @@ suite stays deterministic, and no example database is written.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from spinkey import ion_sim
 from spinkey.ion_sim import (
+    S_LEVELS,
     ExperimentConfig,
     NoiseModel,
     _spin_image,
+    angle_scan,
     default_config,
     rf_unitary,
     run,
+    run_qubit_reduction,
     time_series,
 )
-from spinkey.protocols import ask3_sequence, psk3_sequence
+from spinkey.protocols import (
+    ASK,
+    CHANNELS,
+    LASER,
+    ORACLE,
+    PSK,
+    RF,
+    Pulse,
+    PulseSequence,
+    ask3_sequence,
+    psk3_sequence,
+)
 from spinkey.qsp import qsp_unitary
 from spinkey.spin_algebra import rotation, su2_factors, su2_product, su2_pulse
+from test_acceptance import _mirror_image
 from test_qsp import _plain_p
 
 SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+SX = np.array([[0, 1], [1, 0]])
+SY = np.array([[0, -1j], [1j, 0]])
+SZ = np.diag([1, -1])
 SEQUENCES = (psk3_sequence(), ask3_sequence(), ask3_sequence(exact=True))
 
 
@@ -135,4 +157,117 @@ def test_time_series_ends_at_run(program, n_points):
     seq, index, noise, config = program
     table = time_series(seq, index, n_points, config, noise)
     np.testing.assert_allclose(table[-1, 1:], run(seq, index, noise, config).probabilities[:3],
+                               rtol=0, atol=1e-12)
+
+
+angles = _real(-7.0, 7.0)
+level_pairs = st.tuples(st.integers(0, 5), st.sampled_from(S_LEVELS))
+
+
+def _sequence(encoding, rows):
+    # A pulse reads phi or oracle_phase_offset, never both, so one draw serves both.
+    pulses = tuple(Pulse(n + 1, channel, channel, theta, phi, oracle_phase_offset=phi)
+                   for n, (channel, theta, phi) in enumerate(rows))
+    return PulseSequence("random", encoding, pulses, {0: 0})
+
+
+def random_sequences(channels=CHANNELS):
+    """Pulse programs of either encoding: pulses from channels in any
+    order, with any angles."""
+    rows = st.lists(st.tuples(st.sampled_from(channels), angles, angles), min_size=1, max_size=6)
+    return st.builds(_sequence, st.sampled_from((PSK, ASK)), rows)
+
+
+# Configs with random timing and the default level assignment.
+timings = st.builds(ExperimentConfig, _real(0.5, 2.0).map(lambda x: x * math.pi / 55e-6),
+                    _real(0.0, 2e-5), _real(0.0, 1e-5), oracle_fixed_length=st.booleans())
+# Any program as (sequence, signal angle, noise model, config); the laser
+# and readout pairs are any (metastable, ground) pairs.
+random_programs = st.tuples(
+    random_sequences(), angles,
+    st.builds(NoiseModel, _real(-2e3, 2e3), _real(-0.05, 0.05), _real(0.0, 1.0),
+              _real(0.0, 1.0), _real(0.0, 1e3)),
+    st.builds(replace, timings, init_level=st.sampled_from(S_LEVELS), couple_pair=level_pairs,
+              readout_pairs=st.tuples(level_pairs, level_pairs)))
+
+
+@SETTINGS
+@given(random_programs)
+def test_every_block_image_is_unitary(program):
+    """Each laser-free block the interpreter applies, in run, time_series
+    and the two-level reduction, is unitary to 1e-12."""
+    seq, signal, noise, config = program
+    images = []
+
+    def recording(element, dim=ion_sim.D_DIM):
+        images.append(_spin_image(element, dim))
+        return images[-1]
+
+    with mock.patch.object(ion_sim, "_spin_image", recording):
+        run(seq, 0, noise, config, candidate_angles=(signal,))
+        time_series(seq, 0, 5, config, noise, candidate_angles=(signal,))
+        run_qubit_reduction(seq, signal)
+    assert images
+    for u in images:
+        np.testing.assert_allclose(u.conj().swapaxes(-1, -2) @ u,
+                                   np.broadcast_to(np.eye(u.shape[-1]), u.shape),
+                                   rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.lists(angles, min_size=1, max_size=6), st.sampled_from((2, 6)),
+       st.builds(NoiseModel, laser_pi_error=_real(0.0, 1.0), spam_error=_real(0.0, 1.0),
+                 leakage_rate=_real(0.0, 1e3)),
+       timings)
+def test_psk_angle_scans_have_period_pi(grid, dim, noise, config):
+    """Turning a phase-keyed pi pulse's axis by pi flips the sign of its
+    SU(2) element. psk3 queries the oracle twice between its two lasers and
+    twice after them, so the signs cancel before a swap could turn them
+    into populations. This holds for resonant drives: a detuning or an
+    amplitude error makes the turned oracle a different rotation."""
+    seq = psk3_sequence()
+    grid = np.array(grid)
+    table = angle_scan(seq, grid, config, noise, dim)
+    shifted = angle_scan(seq, grid + math.pi, config, noise, dim)
+    np.testing.assert_allclose(table[:, 1:], shifted[:, 1:], rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(random_programs)
+def test_mirror_image_turns_minus_delta_into_plus_delta(program):
+    """Detuning -delta on any program equals +delta on its mirror image
+    (notes/decisions.md, 6b): every phi negated, metastable level i -> 5 - i,
+    and a phase-keyed signal negated."""
+    seq, signal, noise, config = program
+    mirror_seq, mirror_config = _mirror_image(seq, config)
+    mirror_signal = -signal if seq.encoding == PSK else signal
+    minus = run(seq, 0, replace(noise, detuning_hz=-noise.detuning_hz), config,
+                candidate_angles=(signal,))
+    plus = run(mirror_seq, 0, noise, mirror_config, candidate_angles=(mirror_signal,))
+    np.testing.assert_allclose(minus.probabilities, plus.probabilities, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(random_sequences((RF, ORACLE)), angles, timings, _real(-2e3, 2e3), _real(-0.05, 0.05),
+       st.sampled_from((0, 5)))
+def test_spin_coherent_branches_follow_the_p_to_the_2j_law(seq, signal, config, detuning_hz,
+                                                           amp_error, level):
+    """One laser loads an extreme level and no other swap follows, so the
+    spin stays coherent: if the drives keep the matching spin-1/2 state
+    with probability p, the loaded level keeps p^(2J) and its mirror level
+    receives (1 - p)^(2J) (notes/decisions.md, 1b). p comes from expm of
+    each drive's 2x2 generator."""
+    seq = replace(seq, pulses=(Pulse(0, "Laser", LASER, math.pi, 0.0),) + seq.pulses)
+    noise = NoiseModel(detuning_hz=detuning_hz, rf_amp_error=amp_error)
+    config = replace(config, couple_pair=(level, 6), readout_pairs=((level, 6), (5 - level, 7)))
+    u = np.eye(2)
+    for segment in ion_sim._compile(seq, config, signal):
+        angle = segment.angle * (1.0 + amp_error)
+        z = 2.0 * math.pi * detuning_hz * segment.duration
+        h = angle * (math.cos(segment.phi) * SX + math.sin(segment.phi) * SY) + z * SZ
+        u = expm(-0.5j * h) @ u
+    p = abs(u[level // 5, level // 5]) ** 2
+    probs = run(seq, 0, noise, config, candidate_angles=(signal,)).probabilities
+    spin_j = (ion_sim.D_DIM - 1) / 2
+    np.testing.assert_allclose(probs[:3], [0.0, p ** (2 * spin_j), (1.0 - p) ** (2 * spin_j)],
                                rtol=0, atol=1e-12)

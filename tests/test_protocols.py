@@ -269,7 +269,7 @@ def test_bisection_closed_form_matches_product(n):
 
 @pytest.mark.parametrize("field, value", [
     ("channel", "microwave"), ("theta", "nan"), ("phi", float("inf")),
-    ("oracle_phase_offset", None),
+    ("oracle_phase_offset", None), ("theta", True),
 ])
 def test_pulse_rejects_bad_fields(field, value):
     fields = {**asdict(psk3_sequence().pulses[2]), field: value}

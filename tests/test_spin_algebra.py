@@ -3,15 +3,25 @@ import pytest
 
 from conftest import trotter_propagator
 from spinkey.spin_algebra import (
-    commutator,
     hermitian_propagator,
-    is_unitary,
     rotation,
     rotation_z,
     spin_operators,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def is_unitary(u, atol=1e-12):
+    """Whether u is square with u^dag u = identity to the given tolerance."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
 
 
 def test_spin_half_is_pauli_over_two():
