@@ -1,6 +1,6 @@
 """spinkey: single-ion simulation of keyed-rotation channel discrimination.
 
-A numpy/scipy library that simulates single-shot discrimination of
+A numpy library that simulates single-shot discrimination of
 phase-keyed (PSK) and amplitude-keyed (ASK) rotation channels on a
 spin-5/2 processing manifold with two ground shelving levels, together
 with the supporting machinery: spin algebra, signal-processing phase
@@ -9,8 +9,8 @@ incoherent measurement baselines.
 
 The package namespace re-exports the spin algebra and the protocols. The
 signal-processing names (find_phases, PolynomialSpec, qsp_unitary, ...)
-are imported from spinkey.qsp, the only module that loads scipy, so
-importing spinkey or its CLI does not.
+are imported from spinkey.qsp. No module imports scipy; the tests use it
+as an independent reference.
 """
 
 __version__ = "0.1.0"

@@ -41,11 +41,11 @@ ENCODINGS = (PSK, ASK)
 class Pulse:
     """One rotation instruction.
 
-    index is the 1-based position in the program; theta/phi are the table
-    values in radians. Oracle pulses leave one parameter open: phase-keyed
-    oracles always rotate by theta=pi about the encoded axis plus
-    oracle_phase_offset, amplitude-keyed oracles rotate by the encoded
-    angle about the fixed axis phi.
+    index is the 1-based position in the program and label a free-text
+    name; theta/phi are the table values in radians. Oracle pulses leave
+    one parameter open: phase-keyed oracles always rotate by theta=pi
+    about the encoded axis plus oracle_phase_offset, amplitude-keyed
+    oracles rotate by the encoded angle about the fixed axis phi.
     """
 
     index: int
@@ -56,6 +56,9 @@ class Pulse:
     oracle_phase_offset: float = 0.0
 
     def __post_init__(self):
+        check_int("pulse index", self.index)
+        if not isinstance(self.label, str):
+            raise ValueError(f"pulse label must be a string, got {self.label!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"pulse channel must be one of {CHANNELS}, got {self.channel!r}")
         for name in ("theta", "phi", "oracle_phase_offset"):
@@ -66,9 +69,9 @@ class Pulse:
 class PulseSequence:
     """Ordered pulse program with its encoding and readout assignment.
 
-    readout_map sends each oracle index to the readout state (0, 1, 2) where
-    an ideal run deterministically ends; the built-in maps were frozen from
-    noiseless simulation of the tables.
+    readout_map sends each oracle index 0, 1 and 2 to the readout state
+    (0, 1, 2) where an ideal run deterministically ends; the built-in maps
+    were frozen from noiseless simulation of the tables.
     """
 
     name: str
@@ -84,6 +87,9 @@ class PulseSequence:
                     or not 0 <= state <= 2):
                 raise ValueError(
                     f"readout_map[{index}] must be a readout state 0, 1 or 2, got {state!r}")
+        if set(self.readout_map) != {0, 1, 2}:
+            raise ValueError("readout_map must have one entry for each oracle index 0, 1 "
+                             f"and 2, got indices {list(self.readout_map)}")
 
     def to_json(self):
         payload = {

@@ -17,8 +17,9 @@ phase-finder residual is one call. This module provides:
 - signal_w, qsp_unitary, polynomial_entries: the product and its P, Q entries
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
   candidate to 1 and the other two symmetric candidates to 0
-- PolynomialSpec / find_phases: an optimization-based phase finder matching
-  |P|^2 to squared targets at sample points
+- PolynomialSpec / find_phases: a multi-start phase finder matching |P| to
+  the target magnitudes at sample points, solved by minimize, a damped
+  Gauss-Newton (Levenberg-Marquardt) least-squares loop in numpy
 - response_curve: |P(cos(angle/2))|^2 over a grid of signal angles
 """
 
@@ -27,12 +28,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._checks import check_int, check_real, finite_array
 from .spin_algebra import su2_matrix, su2_product
 
 _log = logging.getLogger(__name__)
+_solver_log = _log.getChild("minimize")
+
+# Singular values of J at or below _RCOND * s_max are structural zeros (see
+# minimize); a start is near-singular when its smallest kept one is below
+# _NEAR_SINGULAR * s_max.
+_RCOND = 1e-10
+_NEAR_SINGULAR = 1e-2
+# A near-singular start is abandoned when its cost has not halved over the
+# last _STALL_WINDOW steps; any start stops after _MAX_STEPS steps, or when
+# the damping passes _MAX_DAMPING.
+_STALL_WINDOW = 10
+_MAX_STEPS = 100
+_MAX_DAMPING = 1e10
 
 
 class PhaseFindingError(RuntimeError):
@@ -262,17 +275,96 @@ def _residuals_and_jacobian(phases, w, t):
     return _abs_squared(p) - t * t, jac.T
 
 
-def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
-    """Find phases whose product matches the spec's squared magnitudes.
+def minimize(fun, x0, tol=0.0):
+    """Least squares from x0 by damped Gauss-Newton (Levenberg-Marquardt).
 
-    Multi-start local optimization of sum((|P(a_i)|^2 - |t_i|^2)^2) over the
-    (degree+1)-dimensional phase vector. Deterministic for a fixed seed.
+    fun(x) returns the residual vector r and its Jacobian J. Each step
+    solves (J^T J + lam I) dx = -J^T r through the SVD J = U S V^T, keeping
+    only singular values above _RCOND * s_max, so it is the minimum-norm
+    step when J is rank deficient; lam = mu s_max^2, with mu divided by 10
+    after a step that lowers sum(r^2) and multiplied by 10 after one that
+    does not. When the smallest kept singular value is below _NEAR_SINGULAR
+    * s_max, the step gets a geodesic-acceleration correction from one more
+    evaluation of fun. The loop stops when |r_i| <= tol for every i (tol
+    is a scalar or one value per residual). It gives up when J is zero,
+    when no damping lowers the cost, after _MAX_STEPS steps, or when J is
+    near-singular and the cost has not halved over the last _STALL_WINDOW
+    steps (notes/decisions.md). Every stop but convergence is logged at
+    DEBUG level on the "spinkey.qsp.minimize" logger.
+
+    Returns (x, iterations), where iterations counts the steps tried.
+    """
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x)
+    cost = r @ r
+    costs = [cost]
+    mu, steps = 1e-3, 0
+    while np.any(np.abs(r) > tol):
+        if steps == _MAX_STEPS:
+            reason = f"no convergence in {_MAX_STEPS} steps"
+            break
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        if s[0] == 0.0:
+            reason = "the Jacobian is zero"
+            break
+        keep = s > _RCOND * s[0]
+        s, u, vt = s[keep], u[:, keep], vt[keep]
+        near_singular = s[-1] < _NEAR_SINGULAR * s[0]
+        steps += 1
+        gain = s / (s * s + mu * s[0] ** 2)
+        step = -vt.T @ (gain * (u.T @ r))
+        if near_singular:
+            # Geodesic acceleration: r's second derivative along the step, by
+            # a finite difference over a tenth of it, bends the step along a
+            # curved valley (Transtrum and Sethna, 2012). It is dropped when it
+            # is not small next to the step.
+            h = 0.1
+            r_h, _ = fun(x + h * step)
+            curvature = 2.0 / h * ((r_h - r) / h - jac @ step)
+            accel = -vt.T @ (gain * (u.T @ curvature))
+            if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(step):
+                step = step + 0.5 * accel
+        r_new, jac_new = fun(x + step)
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            x, r, jac, cost = x + step, r_new, jac_new, cost_new
+            mu /= 10.0
+        elif mu < _MAX_DAMPING:
+            mu *= 10.0
+        else:
+            reason = "no damped step lowers the cost"
+            break
+        costs.append(cost)
+        if (near_singular and steps >= _STALL_WINDOW
+                and cost > 0.5 * costs[-1 - _STALL_WINDOW]):
+            reason = (f"stalled: cost {cost:.3e} not halved in {_STALL_WINDOW} steps, "
+                      f"s_min/s_max {s[-1] / s[0]:.1e}")
+            break
+    else:
+        return x, steps
+    _solver_log.debug("abandoned after %d steps: %s", steps, reason)
+    return x, steps
+
+
+def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
+    """Find phases whose product matches the spec's target magnitudes.
+
+    Multi-start least squares on the magnitude residuals |P(a_i)| - |t_i|
+    over the (degree+1)-dimensional phase vector, each start solved by
+    minimize with the Jacobian of _residuals_and_jacobian. At a zero
+    target |P|^2 has a double zero, where each Gauss-Newton step only
+    halves |P|; |P| does not (notes/decisions.md). Deterministic for a
+    fixed seed.
+
     The first start is the all-zero vector. It is checked, not optimized:
     P is then the Chebyshev T_d, which solves any Chebyshev spec exactly,
-    and the objective is stationary there (notes/decisions.md), so no
+    and the residuals are stationary there (notes/decisions.md), so no
     gradient step can leave it. The other n_starts - 1 starts are drawn
-    from a seeded generator and each runs BFGS with the analytic gradient.
-    Each start is logged at DEBUG level on the "spinkey.qsp" logger.
+    from a seeded generator, and each is one minimize call, looked up by
+    name at call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol
+    at every sample point. Each start is logged at DEBUG level on the
+    "spinkey.qsp" logger with its residual sum, worst point and
+    iterations.
 
     Parameters
     ----------
@@ -301,21 +393,25 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     samples = spec.samples
     n_phases = spec.degree + 1
     a, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    t = np.abs(t)
     w = _signal_pair(a)
 
-    def objective(phases):
+    def magnitude_residuals(phases):
         r, jac = _residuals_and_jacobian(phases, w, t)
-        return float(np.sum(r ** 2)), 2.0 * (r @ jac)
+        size = np.sqrt(np.maximum(r + t * t, 0.0))
+        # d|P| = d|P|^2 / (2 |P|); where |P| = 0 the row of d|P|^2 is 0 too.
+        return size - t, jac / np.maximum(2.0 * size, np.finfo(float).tiny)[:, None]
 
+    # | |P|^2 - t^2 | = |m| (|m| + 2 t) for m = |P| - t, so |m| <= tol, the root
+    # of tol (tol + 2 t) = point_tol / 2, leaves half of point_tol as margin.
+    tol = 0.5 * point_tol / (np.sqrt(t * t + 0.5 * point_tol) + t)
     rng = np.random.default_rng(seed)
     candidate, iterations = np.zeros(n_phases), 0
     best = np.inf
     for start in range(n_starts):
         if start:
             x0 = rng.uniform(-np.pi, np.pi, n_phases)
-            res = minimize(objective, x0, jac=True, method="BFGS",
-                           options={"gtol": 1e-14, "maxiter": 800})
-            candidate, iterations = res.x, res.nit
+            candidate, iterations = minimize(magnitude_residuals, x0, tol=tol)
         residuals = _residual_terms(candidate, samples)
         total = float(np.sum(residuals ** 2))
         worst = np.max(np.abs(residuals))

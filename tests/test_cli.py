@@ -85,7 +85,14 @@ def _edit_sequence(edit):
     (lambda d: d["readout_map"].update({"2": 5}), "readout_map"),
     (lambda d: d["pulses"][2].update(theta=True), "theta"),
     (lambda d: d["readout_map"].update({"1": True}), "readout_map"),
-], ids=["encoding", "theta", "channel", "readout_map", "theta-bool", "readout_map-bool"])
+    (lambda d: d["pulses"][1].update(index="abc"), "index"),
+    (lambda d: d["pulses"][1].update(index=0), "index"),
+    (lambda d: d["pulses"][1].update(label=7), "label"),
+    (lambda d: d.update(readout_map={"0": 0}), "readout_map"),
+    (lambda d: d["readout_map"].update({"3": 2}), "readout_map"),
+], ids=["encoding", "theta", "channel", "readout_map", "theta-bool", "readout_map-bool",
+        "index-string", "index-0", "label-int", "readout_map-one-index",
+        "readout_map-extra-index"])
 def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     seq_path = tmp_path / "bad.json"
     seq_path.write_text(_edit_sequence(edit))
@@ -94,6 +101,16 @@ def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, capsys):
+    seq_path = tmp_path / "cut.json"
+    seq_path.write_text(_edit_sequence(lambda d: d.update(readout_map={"0": 0})))
+    assert main(["scan", "detuning", "--seq-file", str(seq_path), "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "readout_map" in lines[0]
 
 
 @pytest.mark.parametrize("argv, field", [

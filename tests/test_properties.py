@@ -168,7 +168,7 @@ def _sequence(encoding, rows):
     # A pulse reads phi or oracle_phase_offset, never both, so one draw serves both.
     pulses = tuple(Pulse(n + 1, channel, channel, theta, phi, oracle_phase_offset=phi)
                    for n, (channel, theta, phi) in enumerate(rows))
-    return PulseSequence("random", encoding, pulses, {0: 0})
+    return PulseSequence("random", encoding, pulses, {0: 0, 1: 1, 2: 2})
 
 
 def random_sequences(channels=CHANNELS):
@@ -257,7 +257,7 @@ def test_spin_coherent_branches_follow_the_p_to_the_2j_law(seq, signal, config, 
     with probability p, the loaded level keeps p^(2J) and its mirror level
     receives (1 - p)^(2J) (notes/decisions.md, 1b). p comes from expm of
     each drive's 2x2 generator."""
-    seq = replace(seq, pulses=(Pulse(0, "Laser", LASER, math.pi, 0.0),) + seq.pulses)
+    seq = replace(seq, pulses=(Pulse(1, "Laser", LASER, math.pi, 0.0),) + seq.pulses)
     noise = NoiseModel(detuning_hz=detuning_hz, rf_amp_error=amp_error)
     config = replace(config, couple_pair=(level, 6), readout_pairs=((level, 6), (5 - level, 7)))
     u = np.eye(2)

@@ -270,6 +270,8 @@ def test_bisection_closed_form_matches_product(n):
 @pytest.mark.parametrize("field, value", [
     ("channel", "microwave"), ("theta", "nan"), ("phi", float("inf")),
     ("oracle_phase_offset", None), ("theta", True),
+    ("index", "abc"), ("index", 0), ("index", 1.5), ("index", True), ("label", 7),
+    ("label", None),
 ])
 def test_pulse_rejects_bad_fields(field, value):
     fields = {**asdict(psk3_sequence().pulses[2]), field: value}

@@ -25,20 +25,26 @@ from spinkey.spin_algebra import rotation
 
 
 def test_package_and_cli_import_without_scipy():
-    """Only spinkey.qsp loads scipy; the package and its CLI do not."""
+    """spinkey, its CLI and spinkey.qsp import and solve with scipy blocked."""
     code = (
-        "import sys, spinkey, spinkey.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from spinkey.qsp import find_phases\n"
-        "import spinkey.qsp\n"
-        "print(callable(find_phases), callable(spinkey.qsp.minimize))\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "import spinkey, spinkey.cli, spinkey.qsp\n"
+        "from spinkey.qsp import PolynomialSpec, find_phases, qsp_unitary\n"
+        "pairs = [(a, abs(qsp_unitary([0.1, 0.7, -0.4], a)[0, 0])) for a in (0.2, 0.6, 0.9)]\n"
+        "for spec in (PolynomialSpec.bisecting(), PolynomialSpec.sampled(pairs, 2)):\n"
+        "    phases = find_phases(spec)\n"
+        "    print(max(abs(abs(qsp_unitary(phases, a)[0, 0]) ** 2 - t * t)\n"
+        "              for a, t in spec.samples) <= 1e-9)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.')),\n"
+        "      callable(spinkey.qsp.minimize))\n"
     )
     src = str(Path(spinkey.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["True", "True", "[] True"]
 
 
 def test_signal_endpoints():
@@ -293,13 +299,19 @@ def test_each_start_is_logged_at_debug_level(caplog):
     assert err.value.best_residual == min(args[1] for args in failed)
 
 
+def _sampled_spec(seed, degree, count):
+    """perfbench's sampled-spec recipe: |P| of a random product at sorted
+    points in [0.05, 0.95], and a finder seed drawn after the pairs."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, degree + 1)
+    points = np.sort(rng.uniform(0.05, 0.95, count))
+    pairs = [(float(a), abs(_plain_p(phases, float(a)))) for a in points]
+    return PolynomialSpec.sampled(pairs, degree), int(rng.integers(2**31))
+
+
 def _degree3_sampled_spec(seed):
     """Three |P| samples of a random degree-3 product and a finder seed."""
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(-math.pi, math.pi, 4)
-    points = np.sort(rng.uniform(0.05, 0.95, 3))
-    pairs = [(float(a), abs(_plain_p(phases, float(a)))) for a in points]
-    return PolynomialSpec.sampled(pairs, 3), int(rng.integers(2**31))
+    return _sampled_spec(seed, 3, 3)
 
 
 def test_every_spec_kind_is_solved_under_an_independent_product():
@@ -387,3 +399,75 @@ def test_find_phases_rejects_bad_arguments_before_any_start(monkeypatch, kwargs,
     monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
     with pytest.raises(ValueError, match=field):
         find_phases(PolynomialSpec.bisecting(), **kwargs)
+
+
+def _worst_plain_residual(phases, spec):
+    return max(abs(abs(_plain_p(phases.tolist(), a)) ** 2 - t * t) for a, t in spec.samples)
+
+
+def test_solver_meets_point_tol_on_every_spec_kind(monkeypatch):
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
+    for degree in range(1, 18):
+        spec = PolynomialSpec.chebyshev(degree)
+        assert _worst_plain_residual(find_phases(spec), spec) <= 1e-9 + 1e-12
+    monkeypatch.undo()
+    cases = [(PolynomialSpec.bisecting(), seed) for seed in range(32)]
+    cases += [_sampled_spec(seed, 2, 2 + seed % 2) for seed in range(2000, 2032)]
+    cases += [_sampled_spec(seed, 3, 3) for seed in range(1000, 1200)]
+    for spec, seed in cases:
+        worst = _worst_plain_residual(find_phases(spec, seed=seed), spec)
+        assert worst <= 1e-9 + 1e-12, (spec.kind, spec.degree, seed, worst)
+
+
+@pytest.mark.parametrize("seed", [1100, 1012, 1117, 1097])
+def test_slow_tail_specs_are_solved_within_an_iteration_cap(monkeypatch, seed):
+    # Each of these has starts that stall or creep where J is nearly
+    # singular. The cap counts every step minimize tries over all starts.
+    steps = []
+    minimize = qsp.minimize
+
+    def counted(*args, **kwargs):
+        x, iterations = minimize(*args, **kwargs)
+        steps.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(qsp, "minimize", counted)
+    spec, finder_seed = _sampled_spec(seed, 3, 3)
+    assert _worst_plain_residual(find_phases(spec, seed=finder_seed), spec) <= 1e-9 + 1e-12
+    assert sum(steps) <= 200, steps
+
+
+def test_stalled_start_is_abandoned_and_logged(caplog):
+    spec, finder_seed = _sampled_spec(1097, 3, 3)
+    with caplog.at_level(logging.DEBUG, logger="spinkey.qsp"):
+        find_phases(spec, seed=finder_seed)
+    reasons = [rec.getMessage() for rec in caplog.records if rec.name == "spinkey.qsp.minimize"]
+    assert reasons and all("stalled" in reason for reason in reasons)
+    starts = [rec.args for rec in caplog.records if rec.name == "spinkey.qsp"]
+    assert len(starts) == len(reasons) + 2  # the zero start and the solving one log no reason
+
+
+def test_same_seed_gives_bitwise_equal_phases():
+    for spec, seed in [(PolynomialSpec.bisecting(), 7), _sampled_spec(1100, 3, 3),
+                       _sampled_spec(2001, 2, 3)]:
+        np.testing.assert_array_equal(find_phases(spec, seed=seed), find_phases(spec, seed=seed))
+
+
+def test_infeasible_spec_raises_with_a_finite_best_residual():
+    # Degree 1 forces |P(a)| = |a|: both columns of J vanish, so every start
+    # stops at once and the best residual is that of |a| against the targets.
+    spec = PolynomialSpec.sampled([(0.9, 1.0), (0.3, 0.0)], degree=1)
+    with pytest.raises(PhaseFindingError) as err:
+        find_phases(spec, n_starts=5)
+    assert math.isfinite(err.value.best_residual)
+    assert err.value.best_residual == pytest.approx((0.81 - 1.0) ** 2 + 0.09 ** 2, abs=1e-12)
+
+
+def test_minimize_solves_a_rank_deficient_linear_problem():
+    # r = A x - b with a duplicated row, a zero row and a null column, as the
+    # phase finder's J has: the minimum-norm step reaches r = 0.
+    a = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
+    b = a @ np.array([0.3, -0.2, 0.0])
+    x, iterations = qsp.minimize(lambda x: (a @ x - b, a), np.ones(3), tol=1e-14)
+    np.testing.assert_allclose(a @ x, b, atol=1e-14)
+    assert x[2] == 1.0 and iterations <= 10
