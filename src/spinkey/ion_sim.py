@@ -511,6 +511,9 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
     config = config or default_config(seq)
     candidates = np.asarray(OracleSpec(seq.encoding, tuple(candidate_angles), 0)
                             .candidate_angles, dtype=float)
+    if candidates.size > len(seq.readout_map):
+        raise ValueError(f"candidate_angles has {candidates.size} angles, but the "
+                         f"readout_map covers {len(seq.readout_map)}")
     detunings_hz = finite_array("detunings_hz", detunings_hz)
     probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
                       np.repeat(detunings_hz, candidates.size))

@@ -100,26 +100,39 @@ def qsp_unitary(phases, a):
         as a 1-element one, so a batch equals the per-value calls exactly.
     """
     a = np.asarray(a, dtype=float)
-    for u in _prefix_products(phases, _signal_pair(a.reshape(-1))):
-        pass
+    w = _signal_pair(a.reshape(-1))
+    first, steps = _step_pairs(phases, w)
+    u = (np.broadcast_to(first, w[1].shape), np.zeros_like(w[1]))
+    for step in zip(*steps):
+        u = su2_product(u, step)
     return su2_matrix(*u).reshape(a.shape + (2, 2))
 
 
-def _prefix_products(phases, w):
-    """Yield A_k = e^{i th0 Z} W e^{i th1 Z} ... W e^{i th_k Z} for k = 0..d.
+def _step_pairs(phases, w):
+    """e^{i th0} and the d pairs of W e^{i th_k Z} = e^{i th_k} (a, b), k = 1..d.
 
-    w is W's SU(2) pair (a, b) over a flat array of signal values, and each
-    A_k is such a pair. W e^{i th_k Z} is the pair e^{i th_k} (a, b), so all
-    d steps are formed at once and each A_k is one su2_product. The last
-    A_k is the qsp_unitary product; both run this one loop, so the phase
-    finder's residuals equal those of qsp_unitary bit for bit.
+    w is W's SU(2) pair (a, b) over a flat array of signal values; the
+    step pairs come as two (d, N) arrays, formed at once.
     """
     phase = np.exp(1j * _phase_vector(phases))[:, None]
-    u = (np.broadcast_to(phase[0], w[1].shape), np.zeros_like(w[1]))
-    yield u
-    for step in zip(w[0] * phase[1:], w[1] * phase[1:]):
-        u = su2_product(u, step)
-        yield u
+    return phase[0], (w[0] * phase[1:], w[1] * phase[1:])
+
+
+def _prefix_pairs(phases, w):
+    """A_k = e^{i th0 Z} W e^{i th1 Z} ... W e^{i th_k Z} for k = 0..d.
+
+    Returns the pairs of all d + 1 prefixes as two (d + 1, N) arrays; row d
+    is the qsp_unitary product. Both start from (e^{i th0}, 0) and take the
+    same su2_product per step, so the phase finder's P equals that of
+    qsp_unitary bit for bit.
+    """
+    first, (step_a, step_b) = _step_pairs(phases, w)
+    alpha = np.empty((len(step_a) + 1, w[1].size), dtype=complex)
+    beta = np.empty_like(alpha)
+    alpha[0], beta[0] = first, 0.0
+    for k in range(len(step_a)):
+        alpha[k + 1], beta[k + 1] = su2_product((alpha[k], beta[k]), (step_a[k], step_b[k]))
+    return alpha, beta
 
 
 def _phase_vector(phases):
@@ -128,11 +141,6 @@ def _phase_vector(phases):
     if phases.ndim != 1 or phases.size < 1:
         raise ValueError("phases must be a 1-d sequence of length >= 1")
     return phases
-
-
-def _p_squared(phases, a):
-    """|P(a)|^2 over an array of signal values."""
-    return _abs_squared(qsp_unitary(phases, a)[..., 0, 0])
 
 
 def _abs_squared(p):
@@ -202,10 +210,12 @@ class PolynomialSpec:
             if abs(a) > 1.0:
                 raise ValueError(f"sample point |{a}| > 1")
         # Definite parity forces |P(-a)| = |P(a)|; reject inconsistent pairs.
+        # Both tests are np.isclose's |x - y| <= atol + rtol |y|, rtol 1e-5,
+        # written out: a_i is close to -a_j, and |t_i| is not close to |t_j|.
         a, t = np.array(pairs).T
         t = np.abs(t)
-        clash = (np.isclose(a[:, None], -a[None, :])
-                 & ~np.isclose(t[:, None], t[None, :], atol=1e-12))
+        clash = ((np.abs(a[:, None] + a) <= 1e-8 + 1e-5 * np.abs(a))
+                 & (np.abs(t[:, None] - t) > 1e-12 + 1e-5 * t))
         if clash.any():
             first = np.argwhere(clash)[0][0]
             raise ValueError(
@@ -247,11 +257,6 @@ class PolynomialSpec:
         return cls("sampled", degree, tuple(pairs))
 
 
-def _residual_terms(phases, samples):
-    a, t = np.array(samples, dtype=float).reshape(-1, 2).T
-    return _p_squared(phases, a) - t * t
-
-
 def _residuals_and_jacobian(phases, w, t):
     """Residuals r_i = |P(a_i)|^2 - t_i^2 and the Jacobian dr_i/dtheta_k.
 
@@ -262,12 +267,11 @@ def _residuals_and_jacobian(phases, w, t):
     A_k (i sigma_z) B_k = A_k (i sigma_z) A_k^dag U. For A_k = (alpha, beta)
     and U = (P, beta_U) that reads dP/dtheta_k = i ((|alpha|^2 - |beta|^2) P
     + 2 alpha conj(beta) beta_U), and dr/dtheta_k = 2 Re(conj(P) dP/dtheta_k),
-    so the prefixes alone give the Jacobian (notes/decisions.md). r equals
-    _residual_terms bit for bit. Returns r of shape (N,) and the Jacobian
+    so the prefixes alone give the Jacobian (notes/decisions.md). Its P is
+    qsp_unitary's bit for bit. Returns r of shape (N,) and the Jacobian
     of shape (N, d + 1).
     """
-    prefixes = _prefix_products(phases, w)
-    alpha, beta = (np.stack(entries) for entries in zip(*prefixes))
+    alpha, beta = _prefix_pairs(phases, w)
     p, beta_u = alpha[-1], beta[-1]
     weight = np.abs(alpha) ** 2 - np.abs(beta) ** 2
     dp = 1j * (weight * p + 2.0 * alpha * np.conj(beta) * beta_u)
@@ -283,8 +287,9 @@ def minimize(fun, x0, tol=0.0):
     only singular values above _RCOND * s_max, so it is the minimum-norm
     step when J is rank deficient; lam = mu s_max^2, with mu divided by 10
     after a step that lowers sum(r^2) and multiplied by 10 after one that
-    does not. When the smallest kept singular value is below _NEAR_SINGULAR
-    * s_max, the step gets a geodesic-acceleration correction from one more
+    does not; a rejected step leaves J as it was, so its SVD is reused.
+    When the smallest kept singular value is below _NEAR_SINGULAR * s_max,
+    the step gets a geodesic-acceleration correction from one more
     evaluation of fun. The loop stops when |r_i| <= tol for every i (tol
     is a scalar or one value per residual). It gives up when J is zero,
     when no damping lowers the cost, after _MAX_STEPS steps, or when J is
@@ -298,17 +303,19 @@ def minimize(fun, x0, tol=0.0):
     r, jac = fun(x)
     cost = r @ r
     costs = [cost]
-    mu, steps = 1e-3, 0
+    mu, steps, svd = 1e-3, 0, None
     while np.any(np.abs(r) > tol):
         if steps == _MAX_STEPS:
             reason = f"no convergence in {_MAX_STEPS} steps"
             break
-        u, s, vt = np.linalg.svd(jac, full_matrices=False)
-        if s[0] == 0.0:
-            reason = "the Jacobian is zero"
-            break
-        keep = s > _RCOND * s[0]
-        s, u, vt = s[keep], u[:, keep], vt[keep]
+        if svd is None:
+            u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            if s[0] == 0.0:
+                reason = "the Jacobian is zero"
+                break
+            keep = s > _RCOND * s[0]
+            svd = s[keep], u[:, keep], vt[keep]
+        s, u, vt = svd
         near_singular = s[-1] < _NEAR_SINGULAR * s[0]
         steps += 1
         gain = s / (s * s + mu * s[0] ** 2)
@@ -328,7 +335,7 @@ def minimize(fun, x0, tol=0.0):
         cost_new = r_new @ r_new
         if cost_new < cost:
             x, r, jac, cost = x + step, r_new, jac_new, cost_new
-            mu /= 10.0
+            mu, svd = mu / 10.0, None
         elif mu < _MAX_DAMPING:
             mu *= 10.0
         else:
@@ -370,7 +377,8 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     ----------
     spec : PolynomialSpec
     seed : int
-        Seed for the multi-start generator.
+        Seed for the multi-start generator, >= 0; the generator is built
+        only when a seeded start runs.
     n_starts : int
         Number of starts, >= 1, the zero start included, before giving up.
     point_tol : float
@@ -384,15 +392,15 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     Raises
     ------
     ValueError
-        If n_starts or point_tol is out of range, before any start.
+        If seed, n_starts or point_tol is out of range, before any start.
     PhaseFindingError
         If no start reaches point_tol; carries the best residual sum.
     """
+    seed = check_int("seed", seed, minimum=0)
     n_starts = check_int("n_starts", n_starts)
     check_real("point_tol", point_tol, 0.0, strict=True)
-    samples = spec.samples
     n_phases = spec.degree + 1
-    a, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    a, t = np.array(spec.samples, dtype=float).reshape(-1, 2).T
     t = np.abs(t)
     w = _signal_pair(a)
 
@@ -405,14 +413,15 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     # | |P|^2 - t^2 | = |m| (|m| + 2 t) for m = |P| - t, so |m| <= tol, the root
     # of tol (tol + 2 t) = point_tol / 2, leaves half of point_tol as margin.
     tol = 0.5 * point_tol / (np.sqrt(t * t + 0.5 * point_tol) + t)
-    rng = np.random.default_rng(seed)
     candidate, iterations = np.zeros(n_phases), 0
     best = np.inf
     for start in range(n_starts):
+        if start == 1:  # the zero start needs no generator
+            rng = np.random.default_rng(seed)
         if start:
             x0 = rng.uniform(-np.pi, np.pi, n_phases)
             candidate, iterations = minimize(magnitude_residuals, x0, tol=tol)
-        residuals = _residual_terms(candidate, samples)
+        residuals = _abs_squared(_prefix_pairs(candidate, w)[0][-1]) - t * t
         total = float(np.sum(residuals ** 2))
         worst = np.max(np.abs(residuals))
         _log.debug("start %d: residual sum %.3e, worst point %.3e, %d iterations",
@@ -430,4 +439,4 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
 def response_curve(phases, angles):
     """|P(cos(angle/2))|^2 for each signal angle in the grid."""
     angles = finite_array("angles", angles)
-    return _p_squared(phases, np.cos(angles / 2.0))
+    return _abs_squared(qsp_unitary(phases, np.cos(angles / 2.0))[..., 0, 0])

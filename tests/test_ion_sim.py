@@ -215,6 +215,8 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: run(psk3_sequence(), 0, candidate_angles=(math.nan, 1.0, 2.0)), "candidate_angles"),
     (lambda: detuning_scan(psk3_sequence(), [0.0, 5.0], candidate_angles=(0.0, math.inf, 2.0)),
      "candidate_angles"),
+    (lambda: detuning_scan(psk3_sequence(), [0.0], candidate_angles=(0.0, 1.0, 2.0, 3.0)),
+     "candidate_angles"),
     (lambda: time_series(psk3_sequence(), 0, 8, candidate_angles=(0.0, 1.0, math.nan)),
      "candidate_angles"),
     (lambda: run(psk3_sequence(), 1.5), "hidden_index"),
@@ -223,7 +225,8 @@ def test_detuning_scan_rejects_non_finite_detunings():
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
         "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
-        "run-nan-angle", "detuning-scan-inf-angle", "time-series-nan-angle",
+        "run-nan-angle", "detuning-scan-inf-angle", "detuning-scan-four-angles",
+        "time-series-nan-angle",
         "run-fraction-index", "run-bool-index", "start_level-bool"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):

@@ -21,7 +21,7 @@ from spinkey.qsp import (
     response_curve,
     signal_w,
 )
-from spinkey.spin_algebra import rotation
+from spinkey.spin_algebra import rotation, su2_product
 
 
 def test_package_and_cli_import_without_scipy():
@@ -238,6 +238,32 @@ def _plain_p(phases, a):
     return u00
 
 
+def _residual_terms(phases, samples):
+    """|P(a)|^2 - t^2 of (a, t) samples through qsp_unitary: the reference
+    for the residuals the phase finder fits and checks."""
+    a, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    return qsp._abs_squared(qsp_unitary(phases, a)[..., 0, 0]) - t * t
+
+
+def _stacked_residuals_and_jacobian(phases, w, t):
+    """The evaluation as a generator of prefix pairs stacked with np.stack:
+    the reference that _residuals_and_jacobian must equal bit for bit."""
+    def prefixes():
+        phase = np.exp(1j * np.asarray(phases, dtype=float))[:, None]
+        u = (np.broadcast_to(phase[0], w[1].shape), np.zeros_like(w[1]))
+        yield u
+        for step in zip(w[0] * phase[1:], w[1] * phase[1:]):
+            u = su2_product(u, step)
+            yield u
+
+    alpha, beta = (np.stack(entries) for entries in zip(*prefixes()))
+    p, beta_u = alpha[-1], beta[-1]
+    weight = np.abs(alpha) ** 2 - np.abs(beta) ** 2
+    dp = 1j * (weight * p + 2.0 * alpha * np.conj(beta) * beta_u)
+    jac = 2.0 * (p.real * dp.real + p.imag * dp.imag)
+    return qsp._abs_squared(p) - t * t, jac.T
+
+
 def _random_signals(rng, count):
     a = rng.uniform(-1.0, 1.0, count)
     return a, rng.uniform(0.0, 1.0, count)
@@ -251,14 +277,53 @@ def test_jacobian_matches_central_differences(degree):
         phases = rng.uniform(-np.pi, np.pi, degree + 1)
         a, t = _random_signals(rng, 6)
         r, jac = qsp._residuals_and_jacobian(phases, qsp._signal_pair(a), t)
-        np.testing.assert_array_equal(r, qsp._residual_terms(phases, list(zip(a, t))))
+        np.testing.assert_array_equal(r, _residual_terms(phases, list(zip(a, t))))
         assert jac.shape == (a.size, degree + 1)
         for k in range(degree + 1):
             step = np.zeros(degree + 1)
             step[k] = h
-            central = (qsp._residual_terms(phases + step, list(zip(a, t)))
-                       - qsp._residual_terms(phases - step, list(zip(a, t)))) / (2 * h)
+            central = (_residual_terms(phases + step, list(zip(a, t)))
+                       - _residual_terms(phases - step, list(zip(a, t)))) / (2 * h)
             np.testing.assert_allclose(jac[:, k], central, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("count", [1, 3, 25])
+def test_evaluation_is_bitwise_the_stacked_prefix_reference(count):
+    rng = np.random.default_rng(300 + count)
+    for degree in range(1, 18):
+        phases = rng.uniform(-np.pi, np.pi, degree + 1)
+        a, t = _random_signals(rng, count)
+        a[0] = 1.0  # the edge of the domain, where W's off-diagonal is 0
+        w = qsp._signal_pair(a)
+        r, jac = qsp._residuals_and_jacobian(phases, w, t)
+        r_ref, jac_ref = _stacked_residuals_and_jacobian(phases, w, t)
+        assert r.tobytes() == r_ref.tobytes() and jac.tobytes() == jac_ref.tobytes()
+        assert r.tobytes() == _residual_terms(phases, list(zip(a, t))).tobytes()
+
+
+def test_minimize_takes_one_svd_per_distinct_jacobian(monkeypatch):
+    # Seed 1100's solve rejects steps; a rejected step keeps J, and so its SVD.
+    jacobians, svd_inputs, steps = [], [], []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *a, **k: svd_inputs.append(m) or svd(m, *a, **k))
+    minimize = qsp.minimize
+
+    def counted(fun, x0, **kwargs):
+        def recorded(x):
+            r, jac = fun(x)
+            jacobians.append(jac)
+            return r, jac
+        x, iterations = minimize(recorded, x0, **kwargs)
+        steps.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(qsp, "minimize", counted)
+    spec, seed = _sampled_spec(1100, 3, 3)
+    find_phases(spec, seed=seed)
+    assert len(svd_inputs) < sum(steps)
+    assert all(any(m is jac for jac in jacobians) for m in svd_inputs)
+    assert len({id(m) for m in svd_inputs}) == len(svd_inputs)
 
 
 def test_zero_phases_are_stationary():
@@ -314,6 +379,36 @@ def _degree3_sampled_spec(seed):
     return _sampled_spec(seed, 3, 3)
 
 
+def test_find_phases_checks_the_reference_residuals(monkeypatch, caplog):
+    # Each start's logged residual sum and worst point are those of
+    # _residual_terms at the start's point, the zero start included.
+    points = []
+    minimize = qsp.minimize
+
+    def recorded(*args, **kwargs):
+        x, iterations = minimize(*args, **kwargs)
+        points.append(x)
+        return x, iterations
+
+    monkeypatch.setattr(qsp, "minimize", recorded)
+    infeasible = PolynomialSpec.sampled([(0.9, 1.0), (0.3, 0.0)], degree=1)
+    cases = [(PolynomialSpec.bisecting(), 3), _sampled_spec(1097, 3, 3),
+             _sampled_spec(2001, 2, 3), (PolynomialSpec.chebyshev(5), 0), (infeasible, 0)]
+    for spec, seed in cases:
+        caplog.clear()
+        points.clear()
+        with caplog.at_level(logging.DEBUG, logger="spinkey.qsp"):
+            try:
+                find_phases(spec, seed=seed, n_starts=4)
+            except PhaseFindingError:
+                assert spec is infeasible
+        records = [rec.args for rec in caplog.records if rec.name == "spinkey.qsp"]
+        assert len(records) == len(points) + 1
+        for (_, total, worst, _), point in zip(records, [np.zeros(spec.degree + 1)] + points):
+            residuals = _residual_terms(point, spec.samples)
+            assert (total, worst) == (float(np.sum(residuals ** 2)), np.max(np.abs(residuals)))
+
+
 def test_every_spec_kind_is_solved_under_an_independent_product():
     cases = [(PolynomialSpec.chebyshev(d), 0) for d in range(1, 18)]
     cases += [(PolynomialSpec.bisecting(), seed) for seed in (0, 1, 123)]
@@ -346,6 +441,28 @@ def test_sampled_parity_check_matches_the_pairwise_loop():
                 PolynomialSpec.sampled(pairs, 2)
         else:
             assert PolynomialSpec.sampled(pairs, 2).samples == tuple(pairs)
+
+
+def test_parity_check_agrees_with_np_isclose_at_its_tolerance_edges():
+    # Offsets straddle atol + rtol |y| for both tests, where rtol decides.
+    for a0, t0 in ((0.5, 0.3), (0.9, 0.0), (0.05, 1.0), (0.0, 0.7)):
+        edge_a, edge_t = 1e-8 + 1e-5 * a0, 1e-12 + 1e-5 * t0
+        offsets_a = [0.0, 0.5 * edge_a, 2.0 * edge_a, 1e-8, 1.5e-8, 1e-5 * a0]
+        offsets_t = [0.0, 0.5 * edge_t, 2.0 * edge_t, 1e-12, 1e-5 * t0]
+        offsets_a += [np.nextafter(edge_a, side) for side in (0.0, 1.0)]
+        fixed = edge_a  # at a0 = 0, |x - y| then equals atol + rtol |y| exactly
+        for _ in range(4):
+            fixed = 1e-8 + 1e-5 * fixed
+        offsets_a.append(fixed)
+        offsets_t += [np.nextafter(edge_t, side) for side in (0.0, 1.0)]
+        for da in offsets_a:
+            for dt in offsets_t:
+                pairs = [(a0, t0), (-(a0 + da), min(t0 + dt, 1.0))]
+                if _parity_clash_by_loop(pairs):
+                    with pytest.raises(ValueError, match="definite-parity"):
+                        PolynomialSpec.sampled(pairs, 2)
+                else:
+                    assert PolynomialSpec.sampled(pairs, 2).samples == tuple(pairs)
 
 
 @pytest.mark.parametrize("build, field", [
@@ -393,8 +510,14 @@ def test_spec_degree_accepts_numpy_integers():
     ({"point_tol": math.inf}, "point_tol"),
     ({"point_tol": -1.0}, "point_tol"),
     ({"point_tol": 0.0}, "point_tol"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "a"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": None}, "seed"),
 ], ids=["n_starts-0", "n_starts-negative", "n_starts-fraction", "point_tol-nan",
-        "point_tol-inf", "point_tol-negative", "point_tol-0"])
+        "point_tol-inf", "point_tol-negative", "point_tol-0", "seed-negative",
+        "seed-fraction", "seed-string", "seed-bool", "seed-none"])
 def test_find_phases_rejects_bad_arguments_before_any_start(monkeypatch, kwargs, field):
     monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
     with pytest.raises(ValueError, match=field):
