@@ -1,8 +1,9 @@
 """Command-line surface: seeded, reproducible runs emitting CSV or JSON.
 
-Every command writes a metadata header (command, version, seed, config
-hash) followed by tabular data; identical invocations produce byte-identical
-output. Subcommands: run, scan, bisect, baselines, servo, rabi.
+Every command writes a metadata header (command, version, seed, and a
+config hash of every parsed argument that is not about output) followed by
+tabular data; identical invocations produce byte-identical output, whatever
+the output path. Subcommands: run, scan, bisect, baselines, servo, rabi.
 """
 
 import argparse
@@ -18,6 +19,10 @@ from . import __version__, baselines, field_servo, ion_sim, protocols
 # The noise channels, in order: each is one --flag with the field's default.
 _NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
 
+# Parsed names that say only where or how a table is written (func is the
+# dispatch target), so they stay out of the config hash.
+_OUTPUT_ARGS = frozenset(("format", "out", "gnuplot", "allan_out", "func"))
+
 
 def _fmt(x):
     if isinstance(x, float):
@@ -25,8 +30,10 @@ def _fmt(x):
     return str(x)
 
 
-def _config_hash(params):
-    payload = json.dumps(params, sort_keys=True, default=str)
+def _config_hash(args):
+    """Hash of every parsed argument except those in _OUTPUT_ARGS."""
+    params = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
+    payload = json.dumps(params, sort_keys=True)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
@@ -47,19 +54,8 @@ def _strip_io_flags(argv):
     return kept
 
 
-def _meta(args, params):
-    return {
-        "command": "spinkey " + " ".join(_strip_io_flags(args._raw_argv)),
-        "version": __version__,
-        "seed": params.get("seed"),
-        "config": _config_hash(params),
-    }
-
-
-def _emit(args, params, columns, rows, extra_meta=None):
-    meta = _meta(args, params)
-    meta.update(extra_meta or {})
-    if args.format == "json":
+def _emit(fmt, meta, columns, rows, out, gnuplot=False):
+    if fmt == "json":
         payload = {"meta": meta, "columns": list(columns),
                    "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=2, default=float) + "\n"
@@ -68,11 +64,11 @@ def _emit(args, params, columns, rows, extra_meta=None):
         lines.append(",".join(columns))
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
-        if getattr(args, "gnuplot", False):
-            _write_gnuplot(args.out, columns)
+        if gnuplot:
+            _write_gnuplot(out, columns)
     else:
         sys.stdout.write(text)
 
@@ -130,38 +126,30 @@ def _add_seq(p):
     p.add_argument("--seq-file", help="JSON pulse sequence file")
 
 
-def _cmd_run(args):
+def _cmd_run(args, meta):
     seq = _load_sequence(args)
-    noise = _noise_from(args)
-    params = {"cmd": "run", "seq": seq.name, "oracle": args.oracle,
-              "noise": dataclasses.asdict(noise),
-              "seed": args.seed}
-    result = ion_sim.run(seq, args.oracle, noise,
+    result = ion_sim.run(seq, args.oracle, _noise_from(args),
                          seed=args.seed if args.sample else None)
     rows = [(label, float(p)) for label, p in
             zip(("state0", "state1", "state2", "leakage"), result.probabilities)]
-    extra = {}
     if args.sample:
-        extra["sampled_outcome"] = result.outcome
-    _emit(args, params, ("state", "probability"), rows, extra)
+        meta["sampled_outcome"] = result.outcome
+    _emit(args.format, meta, ("state", "probability"), rows, args.out, args.gnuplot)
     return 0
 
 
-def _cmd_scan(args):
+def _cmd_scan(args, meta):
     seq = _load_sequence(args)
     noise = _noise_from(args)
-    params = {"cmd": f"scan-{args.kind}", "seq": seq.name, "seed": args.seed,
-              "points": args.points, "start": args.start, "stop": args.stop}
     if args.points < 1:
         raise RuntimeError("scan needs at least one grid point")
-    extra = {}
     if args.kind == "angle":
         grid = np.linspace(args.start, args.stop, args.points)
         table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
         columns = ("angle_rad", "p_state0", "p_state1", "p_state2")
         if args.check_period and seq.encoding == protocols.PSK:
             shifted = ion_sim.angle_scan(seq, grid + np.pi, noise=noise, dim=args.dim)
-            extra["pi_period_max_dev"] = float(np.max(np.abs(table[:, 1:] - shifted[:, 1:])))
+            meta["pi_period_max_dev"] = float(np.max(np.abs(table[:, 1:] - shifted[:, 1:])))
     elif args.kind == "detuning":
         grid = np.linspace(args.start, args.stop, args.points)
         table = ion_sim.detuning_scan(seq, grid, noise=noise)
@@ -169,40 +157,39 @@ def _cmd_scan(args):
     else:
         table = ion_sim.time_series(seq, args.oracle, args.points, noise=noise)
         columns = ("time_s", "p_state0", "p_state1", "p_state2")
-    _emit(args, params, columns, [tuple(map(float, row)) for row in table], extra)
+    rows = [tuple(map(float, row)) for row in table]
+    _emit(args.format, meta, columns, rows, args.out, args.gnuplot)
     return 0
 
 
-def _cmd_bisect(args):
+def _cmd_bisect(args, meta):
     proto = protocols.bisection_protocol(args.n)
-    params = {"cmd": "bisect", "n": args.n, "seed": args.seed}
     rows = [(s.stage, s.subset_size, s.qsp_degree, float(s.offset)) for s in proto.stages]
-    extra = {"total_queries": proto.total_queries}
-    summary = None
+    meta["total_queries"] = proto.total_queries
     if args.verify:
         perfect = True
         for hidden in range(args.n):
             identified, _, worst = protocols.run_bisection(proto, hidden)
             perfect = perfect and identified == hidden and worst < 1e-8
-        extra["perfect"] = "true" if perfect else "false"
-        summary = f"queries={proto.total_queries}, perfect={extra['perfect']}"
-    _emit(args, params, ("stage", "subset_size", "qsp_degree", "offset_rad"), rows, extra)
-    if summary is not None:
-        print(summary)
+        meta["perfect"] = "true" if perfect else "false"
+    _emit(args.format, meta, ("stage", "subset_size", "qsp_degree", "offset_rad"), rows,
+          args.out, args.gnuplot)
+    if args.verify:
+        print(f"queries={proto.total_queries}, perfect={meta['perfect']}")
     return 0
 
 
-def _cmd_baselines(args):
-    params = {"cmd": "baselines", "accuracy": args.accuracy, "seed": args.seed}
+def _cmd_baselines(args, meta):
     report = baselines.advantage_report(args.accuracy)
     rows = [(r["strategy"], float(r["success_probability"]),
              "" if r["beaten"] is None else str(r["beaten"]).lower())
             for r in report]
-    _emit(args, params, ("strategy", "success_probability", "beaten"), rows)
+    _emit(args.format, meta, ("strategy", "success_probability", "beaten"), rows,
+          args.out, args.gnuplot)
     return 0
 
 
-def _cmd_servo(args):
+def _cmd_servo(args, meta):
     if args.preset == "lab":
         drift = field_servo.DriftModel.lab()
         servo = field_servo.ServoConfig.lab()
@@ -211,33 +198,29 @@ def _cmd_servo(args):
                                        rw_sigma10=args.rw_sigma10)
         servo = field_servo.ServoConfig(miscalibration_hz=args.miscal_hz,
                                         shots=args.shots)
-    params = {"cmd": "servo", "preset": args.preset, "duration": args.duration,
-              "seed": args.seed}
     trace = field_servo.simulate_servo(drift, servo, args.duration, seed=args.seed)
     rows = list(zip(map(float, trace.t), map(float, trace.true_freq_hz),
                     map(float, trace.applied_freq_hz), map(float, trace.residual_hz)))
-    _emit(args, params, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows)
+    _emit(args.format, meta, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows,
+          args.out, args.gnuplot)
     if args.allan_out:
         y = trace.true_freq_hz / drift.carrier_hz
         n = len(y)
         taus = [float(m) for m in (1, 2, 5, 10, 20, 50, 100, 200) if 2 * m <= n]
         sigma = field_servo.allan_deviation(y, taus, dt=servo.period_s)
-        allan_args = argparse.Namespace(**{**vars(args), "out": args.allan_out, "gnuplot": False})
-        _emit(allan_args, {**params, "cmd": "servo-allan"}, ("tau_s", "sigma_y"),
-              list(zip(taus, map(float, sigma))))
+        _emit(args.format, meta, ("tau_s", "sigma_y"), list(zip(taus, map(float, sigma))),
+              args.allan_out)
     return 0
 
 
-def _cmd_rabi(args):
-    params = {"cmd": "rabi", "start_level": args.start_level,
-              "t_max": args.t_max, "points": args.points, "seed": args.seed}
+def _cmd_rabi(args, meta):
     if args.points < 1:
         raise ValueError(f"rabi --points must be >= 1, got {args.points}")
     times = np.linspace(0.0, args.t_max, args.points)
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))
     rows = [tuple([float(ti)] + [float(x) for x in row]) for ti, row in zip(t, pops)]
-    _emit(args, params, columns, rows)
+    _emit(args.format, meta, columns, rows, args.out, args.gnuplot)
     return 0
 
 
@@ -245,11 +228,12 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinkey",
         description="Simulate keyed-rotation channel discrimination on a single ion.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one discrimination sequence")
+    p = sub.add_parser("run", help="run one discrimination sequence", allow_abbrev=False)
     _add_seq(p)
     p.add_argument("--oracle", type=int, required=True, help="hidden candidate index")
     p.add_argument("--sample", action="store_true", help="also draw one readout outcome")
@@ -257,7 +241,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("scan", help="sweep an angle, detuning, or time grid")
+    p = sub.add_parser("scan", help="sweep an angle, detuning, or time grid", allow_abbrev=False)
     p.add_argument("kind", choices=("angle", "detuning", "time"))
     _add_seq(p)
     p.add_argument("--points", type=int, default=101)
@@ -271,20 +255,20 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("bisect", help="build and verify a halving protocol")
+    p = sub.add_parser("bisect", help="build and verify a halving protocol", allow_abbrev=False)
     p.add_argument("--n", type=int, required=True, help="candidate count (power of two)")
     p.add_argument("--verify", action="store_true",
                    help="simulate every hidden index and print a summary line")
     _add_common(p)
     p.set_defaults(func=_cmd_bisect)
 
-    p = sub.add_parser("baselines", help="tabulate incoherent strategies")
+    p = sub.add_parser("baselines", help="tabulate incoherent strategies", allow_abbrev=False)
     p.add_argument("--accuracy", type=float, required=True,
                    help="measured accuracy to compare against")
     _add_common(p)
     p.set_defaults(func=_cmd_baselines)
 
-    p = sub.add_parser("servo", help="simulate the frequency feed-forward loop")
+    p = sub.add_parser("servo", help="simulate the frequency feed-forward loop", allow_abbrev=False)
     p.add_argument("--preset", choices=("lab", "custom"), default="lab")
     p.add_argument("--duration", type=float, default=600.0)
     p.add_argument("--white-sigma1", type=float, default=0.0)
@@ -295,7 +279,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_servo)
 
-    p = sub.add_parser("rabi", help="six-level Rabi oscillation curve")
+    p = sub.add_parser("rabi", help="six-level Rabi oscillation curve", allow_abbrev=False)
     p.add_argument("--start-level", type=int, default=4,
                    help="initial sublevel index, 0 (m=+5/2) to 5 (m=-5/2)")
     p.add_argument("--t-max", type=float, default=220e-6)
@@ -307,11 +291,11 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._raw_argv = argv
+    args = build_parser().parse_args(argv)
+    meta = {"command": "spinkey " + " ".join(_strip_io_flags(argv)),
+            "version": __version__, "seed": args.seed, "config": _config_hash(args)}
     try:
-        return args.func(args)
+        return args.func(args, meta)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -57,10 +57,13 @@ class DriftModel:
         component has per-sample deviation sigma1/sqrt(dt); the random-walk
         step size reproduces rw_sigma10 at tau = 10 s through the exact
         discrete Allan variance of a random walk. duration_s must be
-        finite and >= 0, dt finite and > 0.
+        finite and >= 0, dt finite and > 0, seed None (fresh entropy) or
+        an integer >= 0.
         """
         check_real("duration_s", duration_s, 0.0)
         check_real("dt", dt, 0.0, strict=True)
+        if seed is not None:
+            check_int("seed", seed, minimum=0)
         n = int(round(duration_s / dt))
         rng = np.random.default_rng(seed)
         y = np.zeros(n)
@@ -149,7 +152,8 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
     Each period evaluates the two fringe sides of ramsey_probability,
     0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
     without clipping. With shots, each side is one binomial draw, plus side
-    first. duration_s must be finite and >= 0, initial_offset_hz finite.
+    first. duration_s must be finite and >= 0, initial_offset_hz finite;
+    seed is checked by DriftModel.generate.
     """
     check_real("initial_offset_hz", initial_offset_hz)
     t, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)

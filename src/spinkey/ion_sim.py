@@ -353,7 +353,7 @@ def _readout_matrix(s, laser_angle, readout_pairs):
 def _sample(probs, seed):
     if seed is None:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, minimum=0))
     return int(rng.choice(4, p=probs / probs.sum()))
 
 

@@ -80,6 +80,8 @@ class PulseSequence:
     readout_map: dict
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"sequence name must be a string, got {self.name!r}")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
         for index, state in self.readout_map.items():
@@ -105,7 +107,10 @@ class PulseSequence:
         data = json.loads(text)
         try:
             pulses = tuple(Pulse(**record) for record in data["pulses"])
-            readout_map = {int(k): v for k, v in data["readout_map"].items()}
+            # A key that is not a decimal integer stays a string, which
+            # __post_init__ rejects as an index other than 0, 1 or 2.
+            readout_map = {int(k) if k.isdecimal() else k: v
+                           for k, v in data["readout_map"].items()}
             return cls(name=data["name"], encoding=data["encoding"],
                        pulses=pulses, readout_map=readout_map)
         except KeyError as err:

@@ -90,9 +90,11 @@ def _edit_sequence(edit):
     (lambda d: d["pulses"][1].update(label=7), "label"),
     (lambda d: d.update(readout_map={"0": 0}), "readout_map"),
     (lambda d: d["readout_map"].update({"3": 2}), "readout_map"),
+    (lambda d: d.update(readout_map={"a": 0, "1": 1, "2": 2}), "readout_map"),
+    (lambda d: d.update(name=None), "name"),
 ], ids=["encoding", "theta", "channel", "readout_map", "theta-bool", "readout_map-bool",
         "index-string", "index-0", "label-int", "readout_map-one-index",
-        "readout_map-extra-index"])
+        "readout_map-extra-index", "readout_map-key-not-integer", "name-null"])
 def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     seq_path = tmp_path / "bad.json"
     seq_path.write_text(_edit_sequence(edit))
@@ -130,10 +132,12 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["scan", "time", "--points=1"], "n_points"),
     (["baselines", "--accuracy=nan"], "accuracy"),
     (["baselines", "--accuracy=1.7"], "accuracy"),
+    (["run", "--oracle", "0", "--sample", "--seed=-1"], "seed"),
+    (["servo", "--seed=-1"], "seed"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
-        "accuracy-1.7"])
+        "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -251,6 +255,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["scan", "sideways"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--oracle", "1", "--ou", "x.csv"])  # flags must be spelled in full
+    assert exc.value.code == 2
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -260,3 +267,48 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert _read(out1) == _read(out2)
+
+
+def _meta(tmp_path, argv, name="out.csv"):
+    """The metadata main writes for argv: the JSON meta, or the CSV '# key: value' lines."""
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    if name.endswith(".json"):
+        return json.loads(_read(out))["meta"]
+    lines = [l[2:].split(": ", 1) for l in _read(out).decode().splitlines() if l.startswith("# ")]
+    return dict(lines)
+
+
+@pytest.mark.parametrize("first, second", [
+    (["scan", "angle", "--points", "3"], ["scan", "angle", "--points", "3", "--spam-error=0.2"]),
+    (["scan", "angle", "--points", "3", "--dim", "2"],
+     ["scan", "angle", "--points", "3", "--dim", "6"]),
+    (["scan", "time", "--points", "3", "--oracle", "1"],
+     ["scan", "time", "--points", "3", "--oracle", "2"]),
+    (["servo", "--preset", "custom", "--duration", "10", "--white-sigma1", "1e-7"],
+     ["servo", "--preset", "custom", "--duration", "10", "--white-sigma1", "2e-7"]),
+    (["run", "--oracle", "1"], ["run", "--oracle", "1", "--sample"]),
+    (["bisect", "--n", "4"], ["bisect", "--n", "4", "--verify"]),
+], ids=["spam-error", "dim", "oracle", "white-sigma1", "sample", "verify"])
+def test_config_changes_with_every_computation_flag(tmp_path, first, second):
+    assert _meta(tmp_path, first)["config"] != _meta(tmp_path, second)["config"]
+
+
+@pytest.mark.parametrize("argv, output_flags, name", [
+    (["scan", "angle", "--points", "3"], ["--gnuplot"], "b.csv"),
+    (["scan", "angle", "--points", "3", "--spam-error=0.2"], ["--format", "json"], "b.json"),
+    (["servo", "--duration", "20"], ["--allan-out", "allan.csv"], "b.csv"),
+], ids=["gnuplot", "format", "allan-out"])
+def test_config_ignores_output_flags(tmp_path, monkeypatch, argv, output_flags, name):
+    monkeypatch.chdir(tmp_path)
+    plain = _meta(tmp_path, argv, "a.csv")
+    assert _meta(tmp_path, argv + output_flags, name)["config"] == plain["config"]
+
+
+def test_allan_table_carries_the_servo_metadata(tmp_path):
+    allan = tmp_path / "allan.csv"
+    servo = _meta(tmp_path, ["servo", "--duration", "20", "--seed", "3",
+                             "--allan-out", str(allan)])
+    allan_lines = [l for l in _read(allan).decode().splitlines() if l.startswith("# ")]
+    assert allan_lines == [f"# {k}: {v}" for k, v in servo.items()]
+    assert servo["seed"] == "3" and "--allan-out" not in servo["command"]

@@ -174,6 +174,9 @@ def test_drift_model_rejects_bad_fields(field, bad):
     ({"duration_s": -1.0}, "duration_s"),
     ({"initial_offset_hz": math.inf}, "initial_offset_hz"),
     ({"initial_offset_hz": math.nan}, "initial_offset_hz"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_simulate_servo_rejects_bad_arguments(kwargs, field):
     args = {"duration_s": 20.0, **kwargs}
@@ -189,6 +192,9 @@ def test_simulate_servo_rejects_bad_arguments(kwargs, field):
     ({"duration_s": 10.0, "dt": -1.0}, "dt"),
     ({"duration_s": 10.0, "dt": math.nan}, "dt"),
     ({"duration_s": 10.0, "dt": math.inf}, "dt"),
+    ({"duration_s": 10.0, "seed": -1}, "seed"),
+    ({"duration_s": 10.0, "seed": 1.5}, "seed"),
+    ({"duration_s": 10.0, "seed": True}, "seed"),
 ])
 def test_drift_generate_rejects_bad_arguments(kwargs, field):
     with pytest.raises(ValueError, match=field):
