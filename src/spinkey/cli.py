@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -190,6 +191,10 @@ def _cmd_baselines(args, meta):
 
 
 def _cmd_servo(args, meta):
+    if (args.out and args.allan_out
+            and os.path.realpath(args.out) == os.path.realpath(args.allan_out)):
+        raise ValueError(f"--out and --allan-out name the same file ({args.out!r}, "
+                         f"{args.allan_out!r}); the Allan table would overwrite the servo table")
     if args.preset == "lab":
         drift = field_servo.DriftModel.lab()
         servo = field_servo.ServoConfig.lab()

@@ -370,8 +370,11 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     the noise and config, applied to |psi|^2. state may also be a batch of
     shape (..., 8), giving probabilities of shape (..., 4). Returns exact
     outcome probabilities, plus one sampled outcome when a seed is given
-    for a single state.
+    for a single state; a seed with a batch raises ValueError.
     """
+    if seed is not None and np.ndim(state) != 1:
+        raise ValueError("seed samples one outcome, so it needs a single state of shape "
+                         f"(8,), got shape {np.shape(state)}")
     config = config or ExperimentConfig()
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
     probs = np.abs(np.asarray(state)) ** 2 @ matrix.T

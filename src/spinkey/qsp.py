@@ -18,11 +18,17 @@ phase-finder residual is one call. This module provides:
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
   candidate to 1 and the other two symmetric candidates to 0
 - PolynomialSpec / find_phases: a multi-start phase finder matching |P| to
-  the target magnitudes at sample points, solved by minimize, a damped
-  Gauss-Newton (Levenberg-Marquardt) least-squares loop in numpy
+  the target magnitudes at sample points. After the zero vector it starts
+  from closed-form phases: |P|^2 fitted by linear least squares as a
+  polynomial in a^2, factored on its roots (Fejer-Riesz) and stripped one
+  layer at a time; seeded draws follow when that construction declines or
+  falls short. Each start is polished by minimize, a damped Gauss-Newton
+  (Levenberg-Marquardt) least-squares loop in numpy
 - response_curve: |P(cos(angle/2))|^2 over a grid of signal angles
 """
 
+import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -46,6 +52,9 @@ _NEAR_SINGULAR = 1e-2
 _STALL_WINDOW = 10
 _MAX_STEPS = 100
 _MAX_DAMPING = 1e10
+# Two real roots of a factor of |P|^2 closer than this are one double root,
+# split by rounding (np.roots splits a double root by about 1e-8).
+_DOUBLE_ROOT = 1e-6
 
 
 class PhaseFindingError(RuntimeError):
@@ -279,6 +288,18 @@ def _residuals_and_jacobian(phases, w, t):
     return _abs_squared(p) - t * t, jac.T
 
 
+def _magnitude_residuals(phases, w, t):
+    """Residuals |P(a_i)| - t_i and their Jacobian, the phase finder's fit.
+
+    At a zero target |P|^2 has a double zero, where each Gauss-Newton step
+    only halves |P|; |P| does not (notes/decisions.md).
+    """
+    r, jac = _residuals_and_jacobian(phases, w, t)
+    size = np.sqrt(np.maximum(r + t * t, 0.0))
+    # d|P| = d|P|^2 / (2 |P|); where |P| = 0 the row of d|P|^2 is 0 too.
+    return size - t, jac / np.maximum(2.0 * size, np.finfo(float).tiny)[:, None]
+
+
 def minimize(fun, x0, tol=0.0):
     """Least squares from x0 by damped Gauss-Newton (Levenberg-Marquardt).
 
@@ -353,23 +374,109 @@ def minimize(fun, x0, tol=0.0):
     return x, steps
 
 
+def _closed_form_start(degree, a, t):
+    """Phases whose |P| fits the magnitudes t at the points a, or None.
+
+    |P(a)|^2 is a degree-d polynomial A(y) in y = a^2 with A(1) = 1 and
+    A(0) = 1 for even d, 0 for odd d. Writing A = y + y (1 - y) g for odd d
+    and A = 1 - y (1 - y) g for even d meets both, so the samples
+    A(a_i^2) = t_i^2 fix g's d - 1 coefficients by linear least squares.
+    With P(a) = a^(d mod 2) p(a^2) and Q(a) = a^(1 - d mod 2) q(a^2), |p|^2
+    and |q|^2 follow from A in closed form; each is factored on its roots
+    (_half_factor), and the layers W e^{i th_k Z} are stripped off P and Q
+    from the right, th_k chosen to cancel P's top coefficient
+    (notes/decisions.md). Returns None, so that the caller draws a seeded
+    start instead, when the fit is rank-deficient (fewer than d - 1
+    distinct y_i strictly between 0 and 1) or |p|^2 or |q|^2 is negative
+    somewhere on the real line. The phases are exact up to rounding when
+    the samples come from some product of this degree; otherwise they are
+    only a start.
+    """
+    odd = degree % 2
+    y = a * a
+    rows = (y * (1.0 - y))[:, None] * np.vander(y, degree - 1, increasing=True)
+    g, _, rank, _ = np.linalg.lstsq(rows, t * t - y if odd else 1.0 - t * t)
+    if rank < degree - 1:
+        return None
+    # Ascending coefficients of |p|^2 = A / y^odd and of
+    # |q|^2 = (1 - A) / ((1 - y) y^(1 - odd)).
+    p_squared = np.zeros(degree + 1 - odd)
+    p_squared[0] = 1.0
+    if odd:  # 1 + (1 - y) g and 1 - y g
+        p_squared[:-1] += g
+        p_squared[1:] -= g
+        q_squared = np.concatenate(([1.0], -g))
+    else:  # 1 - y (1 - y) g and g
+        p_squared[1:-1] -= g
+        p_squared[2:] += g
+        q_squared = g
+    p, q = _half_factor(p_squared), _half_factor(q_squared)
+    if p is None or q is None:
+        return None
+    # P and Q as ascending coefficients in a, on Python complex numbers.
+    big_p, big_q = [0j] * (degree + 1), [0j] * degree
+    big_p[odd::2], big_q[1 - odd::2] = p, q
+    phases = [0.0] * (degree + 1)
+    for k in range(degree, 0, -1):
+        # U W^-1 e^{-i th Z} has P-entry a P e^{-i th} + (1 - a^2) Q e^{i th}
+        # and Q-entry a Q e^{i th} - P e^{-i th}; th_k cancels both top terms,
+        # which the new P and Q drop.
+        phases[k] = theta = 0.5 * (cmath.phase(big_p[k]) - cmath.phase(big_q[k - 1]))
+        e = cmath.exp(-1j * theta)
+        a_p, a_q, a2_q = [0j] + big_p, [0j] + big_q, [0j, 0j] + big_q
+        big_p, big_q = ([a_p[j] * e + (big_q[j] - a2_q[j]) * e.conjugate() for j in range(k)],
+                        [a_q[j] * e.conjugate() - big_p[j] * e for j in range(k - 1)])
+    phases[0] = cmath.phase(big_p[0])
+    return np.array(phases)
+
+
+def _half_factor(coeffs):
+    """h with |h(y)|^2 = c(y) for real y, or None when c < 0 somewhere.
+
+    c, of even degree, is given by its ascending coefficients, and h is
+    returned as a list of them. c is non-negative on the real line exactly
+    when its top coefficient is positive and its real roots pair into
+    double roots (two closer than _DOUBLE_ROOT count as one); h then keeps
+    one root of each conjugate pair and one of each double root
+    (Fejer-Riesz), scaled by the root of the top coefficient. A zero top
+    coefficient is declined too.
+    """
+    if not coeffs[-1] > 0.0:
+        return None
+    roots = np.roots(coeffs[::-1]).tolist()
+    real = sorted(root.real for root in roots if root.imag == 0.0)
+    pairs = list(zip(real[::2], real[1::2]))
+    if any(high - low > _DOUBLE_ROOT for low, high in pairs):
+        return None
+    kept = [root for root in roots if root.imag > 0.0] + [0.5 * (low + high) for low, high in pairs]
+    h = [complex(math.sqrt(coeffs[-1]))]
+    for root in kept:  # h <- (y - root) h
+        h = [before - root * here for before, here in zip([0j] + h, h + [0j])]
+    return h
+
+
 def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     """Find phases whose product matches the spec's target magnitudes.
 
     Multi-start least squares on the magnitude residuals |P(a_i)| - |t_i|
     over the (degree+1)-dimensional phase vector, each start solved by
-    minimize with the Jacobian of _residuals_and_jacobian. At a zero
-    target |P|^2 has a double zero, where each Gauss-Newton step only
-    halves |P|; |P| does not (notes/decisions.md). Deterministic for a
-    fixed seed.
+    minimize with the Jacobian of _residuals_and_jacobian (see
+    _magnitude_residuals). Deterministic for a fixed seed.
 
     The first start is the all-zero vector. It is checked, not optimized:
     P is then the Chebyshev T_d, which solves any Chebyshev spec exactly,
     and the residuals are stationary there (notes/decisions.md), so no
-    gradient step can leave it. The other n_starts - 1 starts are drawn
-    from a seeded generator, and each is one minimize call, looked up by
-    name at call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol
-    at every sample point. Each start is logged at DEBUG level on the
+    gradient step can leave it. The second starts from the closed-form
+    phases of _closed_form_start: |P|^2 fitted as a polynomial in a^2,
+    factored and stripped layer by layer (notes/decisions.md). On a spec
+    sampled from a product of its degree they already meet the tolerance
+    and minimize returns after 0 steps; near one, it polishes them. Where
+    that construction declines (too few distinct sample points, as in the
+    bisecting spec, or a fit no product can have), the start is the first
+    seeded draw instead. The remaining starts are drawn from a seeded
+    generator. Each non-zero start is one minimize call, looked up by name
+    at call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol at
+    every sample point. Each start is logged at DEBUG level on the
     "spinkey.qsp" logger with its residual sum, worst point and
     iterations.
 
@@ -378,7 +485,7 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     spec : PolynomialSpec
     seed : int
         Seed for the multi-start generator, >= 0; the generator is built
-        only when a seeded start runs.
+        only when a seeded draw is needed.
     n_starts : int
         Number of starts, >= 1, the zero start included, before giving up.
     point_tol : float
@@ -404,23 +511,25 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     t = np.abs(t)
     w = _signal_pair(a)
 
-    def magnitude_residuals(phases):
-        r, jac = _residuals_and_jacobian(phases, w, t)
-        size = np.sqrt(np.maximum(r + t * t, 0.0))
-        # d|P| = d|P|^2 / (2 |P|); where |P| = 0 the row of d|P|^2 is 0 too.
-        return size - t, jac / np.maximum(2.0 * size, np.finfo(float).tiny)[:, None]
+    def starts():
+        """x0 of starts 1, 2, ...: the closed form when it exists, then draws."""
+        x0 = _closed_form_start(spec.degree, a, t)
+        if x0 is not None:
+            yield x0
+        rng = np.random.default_rng(seed)
+        while True:
+            yield rng.uniform(-np.pi, np.pi, n_phases)
 
     # | |P|^2 - t^2 | = |m| (|m| + 2 t) for m = |P| - t, so |m| <= tol, the root
     # of tol (tol + 2 t) = point_tol / 2, leaves half of point_tol as margin.
     tol = 0.5 * point_tol / (np.sqrt(t * t + 0.5 * point_tol) + t)
+    fun = functools.partial(_magnitude_residuals, w=w, t=t)
+    x0s = starts()
     candidate, iterations = np.zeros(n_phases), 0
     best = np.inf
     for start in range(n_starts):
-        if start == 1:  # the zero start needs no generator
-            rng = np.random.default_rng(seed)
-        if start:
-            x0 = rng.uniform(-np.pi, np.pi, n_phases)
-            candidate, iterations = minimize(magnitude_residuals, x0, tol=tol)
+        if start:  # the zero start needs neither the closed form nor a draw
+            candidate, iterations = minimize(fun, next(x0s), tol=tol)
         residuals = _abs_squared(_prefix_pairs(candidate, w)[0][-1]) - t * t
         total = float(np.sum(residuals ** 2))
         worst = np.max(np.abs(residuals))

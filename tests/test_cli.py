@@ -218,6 +218,34 @@ def test_servo_reproducible_and_allan(tmp_path):
     assert len(a_rows) >= 3
 
 
+@pytest.mark.parametrize("out, allan_out", [
+    ("s.csv", "s.csv"),
+    ("./s.csv", "s.csv"),
+    ("s.csv", "sub/../s.csv"),
+    ("{tmp}/s.csv", "s.csv"),
+    ("s.csv", "link.csv"),
+], ids=["same-name", "dot-slash", "parent-hop", "absolute", "symlink"])
+def test_servo_rejects_one_file_for_both_tables(tmp_path, monkeypatch, capsys, out, allan_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to("s.csv")
+    out = out.format(tmp=tmp_path)
+    assert main(["servo", "--duration", "20", "--out", out, "--allan-out", allan_out]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "--out" in lines[0] and "--allan-out" in lines[0]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_servo_writes_distinct_out_and_allan_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["servo", "--duration", "20", "--out", "s.csv", "--allan-out", "./a.csv"]) == 0
+    assert _data_rows(tmp_path / "s.csv")[0] == ["t_s", "true_freq_hz", "applied_freq_hz",
+                                                 "residual_hz"]
+    assert _data_rows(tmp_path / "a.csv")[0] == ["tau_s", "sigma_y"]
+
+
 def test_json_format_envelope(tmp_path):
     out = tmp_path / "run.json"
     rc = main(["run", "--seq", "psk3", "--oracle", "2", "--format", "json",

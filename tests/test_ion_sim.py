@@ -226,13 +226,16 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: run(psk3_sequence(), 0, seed=1.5), "seed"),
     (lambda: run(psk3_sequence(), 0, seed=True), "seed"),
     (lambda: sequential_readout(init_state(ExperimentConfig()), seed=-1), "seed"),
+    (lambda: sequential_readout(np.tile(init_state(ExperimentConfig()), (2, 1)), seed=0), "seed"),
+    (lambda: sequential_readout(init_state(ExperimentConfig())[None], seed=0), "seed"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
         "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
         "run-nan-angle", "detuning-scan-inf-angle", "detuning-scan-four-angles",
         "time-series-nan-angle",
         "run-fraction-index", "run-bool-index", "start_level-bool",
-        "run-seed-negative", "run-seed-float", "run-seed-bool", "readout-seed-negative"])
+        "run-seed-negative", "run-seed-float", "run-seed-bool", "readout-seed-negative",
+        "readout-seed-batch", "readout-seed-one-row-batch"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):
         call()

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import logging
 import math
 import os
@@ -301,26 +302,33 @@ def test_evaluation_is_bitwise_the_stacked_prefix_reference(count):
         assert r.tobytes() == _residual_terms(phases, list(zip(a, t))).tobytes()
 
 
+def _seeded_problem(spec, finder_seed, count):
+    """find_phases' magnitude residuals and |P| tolerance (point_tol 1e-9)
+    for spec, and the first count x0 of its seeded generator: the starts the
+    finder ran from before it had a closed-form start."""
+    a, t = np.array(spec.samples).T
+    t = np.abs(t)
+    fun = functools.partial(qsp._magnitude_residuals, w=qsp._signal_pair(a), t=t)
+    tol = 0.5e-9 / (np.sqrt(t * t + 0.5e-9) + t)
+    rng = np.random.default_rng(finder_seed)
+    return fun, tol, [rng.uniform(-np.pi, np.pi, spec.degree + 1) for _ in range(count)]
+
+
 def test_minimize_takes_one_svd_per_distinct_jacobian(monkeypatch):
-    # Seed 1100's solve rejects steps; a rejected step keeps J, and so its SVD.
-    jacobians, svd_inputs, steps = [], [], []
+    # The three seeded starts on spec 1100 reject steps; a rejected step
+    # keeps J, and so its SVD.
+    jacobians, svd_inputs = [], []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda m, *a, **k: svd_inputs.append(m) or svd(m, *a, **k))
-    minimize = qsp.minimize
+    fun, tol, x0s = _seeded_problem(*_sampled_spec(1100, 3, 3), 3)
 
-    def counted(fun, x0, **kwargs):
-        def recorded(x):
-            r, jac = fun(x)
-            jacobians.append(jac)
-            return r, jac
-        x, iterations = minimize(recorded, x0, **kwargs)
-        steps.append(iterations)
-        return x, iterations
+    def recorded(x):
+        r, jac = fun(x)
+        jacobians.append(jac)
+        return r, jac
 
-    monkeypatch.setattr(qsp, "minimize", counted)
-    spec, seed = _sampled_spec(1100, 3, 3)
-    find_phases(spec, seed=seed)
+    steps = [qsp.minimize(recorded, x0, tol=tol)[1] for x0 in x0s]
     assert len(svd_inputs) < sum(steps)
     assert all(any(m is jac for jac in jacobians) for m in svd_inputs)
     assert len({id(m) for m in svd_inputs}) == len(svd_inputs)
@@ -537,15 +545,15 @@ def test_solver_meets_point_tol_on_every_spec_kind(monkeypatch):
     cases = [(PolynomialSpec.bisecting(), seed) for seed in range(32)]
     cases += [_sampled_spec(seed, 2, 2 + seed % 2) for seed in range(2000, 2032)]
     cases += [_sampled_spec(seed, 3, 3) for seed in range(1000, 1200)]
+    # Degree 4 includes the specs no seeded start solved (1012, 1061, 1096,
+    # 1097, 1100, 1117, 1156, 1162).
+    cases += [_sampled_spec(seed, 4, 4) for seed in range(1000, 1200)]
     for spec, seed in cases:
         worst = _worst_plain_residual(find_phases(spec, seed=seed), spec)
         assert worst <= 1e-9 + 1e-12, (spec.kind, spec.degree, seed, worst)
 
 
-@pytest.mark.parametrize("seed", [1100, 1012, 1117, 1097])
-def test_slow_tail_specs_are_solved_within_an_iteration_cap(monkeypatch, seed):
-    # Each of these has starts that stall or creep where J is nearly
-    # singular. The cap counts every step minimize tries over all starts.
+def test_closed_form_start_solves_sampled_specs_in_zero_steps(monkeypatch):
     steps = []
     minimize = qsp.minimize
 
@@ -555,19 +563,67 @@ def test_slow_tail_specs_are_solved_within_an_iteration_cap(monkeypatch, seed):
         return x, iterations
 
     monkeypatch.setattr(qsp, "minimize", counted)
+    cases = [_sampled_spec(seed, 2, 2 + seed % 2) for seed in range(2000, 2032)]
+    cases += [_sampled_spec(seed, degree, degree) for degree in (3, 4)
+              for seed in range(1000, 1200)]
+    for spec, seed in cases:
+        steps.clear()
+        find_phases(spec, seed=seed)
+        assert steps == [0], (spec.degree, spec.samples, steps)
+
+
+def test_closed_form_start_declines_and_the_draws_stay_put(monkeypatch):
+    # The bisecting spec has one distinct y = a^2 strictly inside (0, 1),
+    # too few for the two coefficients a degree-3 fit needs, so its first
+    # minimize call starts from the generator's first draw.
+    spec = PolynomialSpec.bisecting()
+    a, t = np.array(spec.samples).T
+    assert qsp._closed_form_start(3, a, t) is None
+    starts = []
+    minimize = qsp.minimize
+    monkeypatch.setattr(qsp, "minimize",
+                        lambda fun, x0, **k: starts.append(x0) or minimize(fun, x0, **k))
+    for seed in (0, 7):
+        starts.clear()
+        find_phases(spec, seed=seed)
+        np.testing.assert_array_equal(starts[0],
+                                      np.random.default_rng(seed).uniform(-np.pi, np.pi, 4))
+    # Fits no product can have. In degree 2, |P(0.3)|^2 = 0.04 forces
+    # g = 11.7, and then |P|^2 = 1 - g/4 < 0 at y = 1/2. In degree 3, a zero
+    # target that the fit crosses with nonzero slope is a simple real root
+    # of |p|^2.
+    for pairs, degree in [([(0.3, 0.2)], 2), ([(0.5, 0.0), (0.7, 0.5)], 3)]:
+        a, t = np.array(pairs).T
+        assert qsp._closed_form_start(degree, a, t) is None
+
+
+@pytest.mark.parametrize("seed", [1100, 1012, 1117, 1097])
+def test_slow_tail_specs_are_solved_within_an_iteration_cap(seed):
+    # The seeded starts on each of these stall or creep where J is nearly
+    # singular. Run one after another until one meets point_tol, as the
+    # finder ran them before it had a closed-form start, they stay within
+    # the cap, which counts every step minimize tries over all starts.
     spec, finder_seed = _sampled_spec(seed, 3, 3)
-    assert _worst_plain_residual(find_phases(spec, seed=finder_seed), spec) <= 1e-9 + 1e-12
+    fun, tol, x0s = _seeded_problem(spec, finder_seed, 31)
+    steps = []
+    for x0 in x0s:
+        x, iterations = qsp.minimize(fun, x0, tol=tol)
+        steps.append(iterations)
+        if _worst_plain_residual(x, spec) <= 1e-9:
+            break
+    assert _worst_plain_residual(x, spec) <= 1e-9 + 1e-12
     assert sum(steps) <= 200, steps
 
 
 def test_stalled_start_is_abandoned_and_logged(caplog):
-    spec, finder_seed = _sampled_spec(1097, 3, 3)
+    # On spec 1097 the first seeded start stalls and the second solves.
+    fun, tol, x0s = _seeded_problem(*_sampled_spec(1097, 3, 3), 2)
     with caplog.at_level(logging.DEBUG, logger="spinkey.qsp"):
-        find_phases(spec, seed=finder_seed)
+        runs = [qsp.minimize(fun, x0, tol=tol) for x0 in x0s]
     reasons = [rec.getMessage() for rec in caplog.records if rec.name == "spinkey.qsp.minimize"]
     assert reasons and all("stalled" in reason for reason in reasons)
-    starts = [rec.args for rec in caplog.records if rec.name == "spinkey.qsp"]
-    assert len(starts) == len(reasons) + 2  # the zero start and the solving one log no reason
+    assert len(runs) == len(reasons) + 1  # the solving one logs no reason
+    assert np.all(np.abs(fun(runs[-1][0])[0]) <= tol)
 
 
 def test_same_seed_gives_bitwise_equal_phases():
