@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, baselines, field_servo, ion_sim, protocols
+from ._checks import check_real
 
 # The noise channels, in order: each is one --flag with the field's default.
 _NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
@@ -144,6 +145,9 @@ def _cmd_scan(args, meta):
     noise = _noise_from(args)
     if args.points < 1:
         raise RuntimeError("scan needs at least one grid point")
+    if args.kind != "time":
+        check_real("--start", args.start)
+        check_real("--stop", args.stop)
     if args.kind == "angle":
         grid = np.linspace(args.start, args.stop, args.points)
         table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
@@ -191,10 +195,16 @@ def _cmd_baselines(args, meta):
 
 
 def _cmd_servo(args, meta):
-    if (args.out and args.allan_out
-            and os.path.realpath(args.out) == os.path.realpath(args.allan_out)):
-        raise ValueError(f"--out and --allan-out name the same file ({args.out!r}, "
-                         f"{args.allan_out!r}); the Allan table would overwrite the servo table")
+    if args.out and args.allan_out:
+        allan = os.path.realpath(args.allan_out)
+        if allan == os.path.realpath(args.out):
+            raise ValueError(f"--out and --allan-out name the same file ({args.out!r}, "
+                             f"{args.allan_out!r}); the Allan table would overwrite the "
+                             "servo table")
+        if args.gnuplot and allan == os.path.realpath(args.out + ".gp"):
+            raise ValueError(f"--allan-out {args.allan_out!r} names the script --gnuplot "
+                             f"writes next to --out ({args.out + '.gp'!r}); the Allan table "
+                             "would overwrite it")
     if args.preset == "lab":
         drift = field_servo.DriftModel.lab()
         servo = field_servo.ServoConfig.lab()
@@ -221,7 +231,7 @@ def _cmd_servo(args, meta):
 def _cmd_rabi(args, meta):
     if args.points < 1:
         raise ValueError(f"rabi --points must be >= 1, got {args.points}")
-    times = np.linspace(0.0, args.t_max, args.points)
+    times = np.linspace(0.0, check_real("--t-max", args.t_max), args.points)
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))
     rows = [tuple([float(ti)] + [float(x) for x in row]) for ti, row in zip(t, pops)]
@@ -300,6 +310,8 @@ def main(argv=None):
     meta = {"command": "spinkey " + " ".join(_strip_io_flags(argv)),
             "version": __version__, "seed": args.seed, "config": _config_hash(args)}
     try:
+        if args.gnuplot and not args.out:
+            raise ValueError("--gnuplot writes its script next to --out; give --out too")
         return args.func(args, meta)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,12 +18,14 @@ phase-finder residual is one call. This module provides:
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
   candidate to 1 and the other two symmetric candidates to 0
 - PolynomialSpec / find_phases: a multi-start phase finder matching |P| to
-  the target magnitudes at sample points. After the zero vector it starts
-  from closed-form phases: |P|^2 fitted by linear least squares as a
-  polynomial in a^2, factored on its roots (Fejer-Riesz) and stripped one
-  layer at a time; seeded draws follow when that construction declines or
-  falls short. Each start is polished by minimize, a damped Gauss-Newton
-  (Levenberg-Marquardt) least-squares loop in numpy
+  the target magnitudes at sample points. After the zero vector it checks
+  closed-form phases: |P|^2 fitted by linear least squares as a
+  polynomial in a^2 (a zero target also fixing the slope there), factored
+  on its roots (Fejer-Riesz) and stripped one layer at a time. Only when
+  they miss are they polished by minimize, a damped Gauss-Newton
+  (Levenberg-Marquardt) least-squares loop in numpy, and seeded draws
+  follow, each one minimize call, when the construction declines or the
+  polish falls short
 - response_curve: |P(cos(angle/2))|^2 over a grid of signal angles
 """
 
@@ -381,21 +383,33 @@ def _closed_form_start(degree, a, t):
     A(0) = 1 for even d, 0 for odd d. Writing A = y + y (1 - y) g for odd d
     and A = 1 - y (1 - y) g for even d meets both, so the samples
     A(a_i^2) = t_i^2 fix g's d - 1 coefficients by linear least squares.
+    A zero target strictly between y = 0 and 1 is a minimum of A >= 0, so
+    it adds the row A'(y_i) = 0 too: the double root a zero of |P|^2 needs.
     With P(a) = a^(d mod 2) p(a^2) and Q(a) = a^(1 - d mod 2) q(a^2), |p|^2
     and |q|^2 follow from A in closed form; each is factored on its roots
     (_half_factor), and the layers W e^{i th_k Z} are stripped off P and Q
     from the right, th_k chosen to cancel P's top coefficient
-    (notes/decisions.md). Returns None, so that the caller draws a seeded
-    start instead, when the fit is rank-deficient (fewer than d - 1
-    distinct y_i strictly between 0 and 1) or |p|^2 or |q|^2 is negative
-    somewhere on the real line. The phases are exact up to rounding when
-    the samples come from some product of this degree; otherwise they are
-    only a start.
+    (notes/decisions.md). Returns None, so that the caller goes on to the
+    seeded draws, when the fit is rank-deficient (fewer than d - 1 rows
+    from distinct y_i strictly between 0 and 1, a zero target counting
+    twice) or |p|^2 or |q|^2 is negative somewhere on the real line. The
+    phases are exact up to rounding when the samples come from some
+    product of this degree; otherwise they are only a start.
     """
     odd = degree % 2
     y = a * a
-    rows = (y * (1.0 - y))[:, None] * np.vander(y, degree - 1, increasing=True)
-    g, _, rank, _ = np.linalg.lstsq(rows, t * t - y if odd else 1.0 - t * t)
+    powers = np.vander(y, degree - 1, increasing=True)
+    rows = (y * (1.0 - y))[:, None] * powers
+    rhs = t * t - y if odd else 1.0 - t * t
+    # d/dy [y (1 - y) y^j] = ((1 - 2y) + j (1 - y)) y^j, and A' = 0 reads
+    # d/dy [y (1 - y) g] = -1 for odd d, 0 for even d.
+    zero = (t == 0.0) & (y > 0.0) & (y < 1.0)
+    if zero.any():
+        y0 = y[zero][:, None]
+        slopes = ((1.0 - 2.0 * y0) + np.arange(degree - 1) * (1.0 - y0)) * powers[zero]
+        rows = np.vstack((rows, slopes))
+        rhs = np.concatenate((rhs, np.full(len(slopes), -1.0 if odd else 0.0)))
+    g, _, rank, _ = np.linalg.lstsq(rows, rhs)
     if rank < degree - 1:
         return None
     # Ascending coefficients of |p|^2 = A / y^odd and of
@@ -439,11 +453,16 @@ def _half_factor(coeffs):
     double roots (two closer than _DOUBLE_ROOT count as one); h then keeps
     one root of each conjugate pair and one of each double root
     (Fejer-Riesz), scaled by the root of the top coefficient. A zero top
-    coefficient is declined too.
+    coefficient is declined too. The roots are the eigenvalues of c's
+    companion matrix, built as np.roots builds it, without np.roots'
+    per-call wrapping.
     """
     if not coeffs[-1] > 0.0:
         return None
-    roots = np.roots(coeffs[::-1]).tolist()
+    companion = np.eye(len(coeffs) - 1, k=-1)
+    if len(companion):
+        companion[0] = -coeffs[-2::-1] / coeffs[-1]
+    roots = np.linalg.eigvals(companion).tolist()
     real = sorted(root.real for root in roots if root.imag == 0.0)
     pairs = list(zip(real[::2], real[1::2]))
     if any(high - low > _DOUBLE_ROOT for low, high in pairs):
@@ -466,19 +485,20 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     The first start is the all-zero vector. It is checked, not optimized:
     P is then the Chebyshev T_d, which solves any Chebyshev spec exactly,
     and the residuals are stationary there (notes/decisions.md), so no
-    gradient step can leave it. The second starts from the closed-form
-    phases of _closed_form_start: |P|^2 fitted as a polynomial in a^2,
-    factored and stripped layer by layer (notes/decisions.md). On a spec
-    sampled from a product of its degree they already meet the tolerance
-    and minimize returns after 0 steps; near one, it polishes them. Where
-    that construction declines (too few distinct sample points, as in the
-    bisecting spec, or a fit no product can have), the start is the first
-    seeded draw instead. The remaining starts are drawn from a seeded
-    generator. Each non-zero start is one minimize call, looked up by name
-    at call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol at
-    every sample point. Each start is logged at DEBUG level on the
-    "spinkey.qsp" logger with its residual sum, worst point and
-    iterations.
+    gradient step can leave it. The second is the closed-form phases of
+    _closed_form_start: |P|^2 fitted as a polynomial in a^2, each zero
+    target fixing its slope too, then factored and stripped layer by layer
+    (notes/decisions.md). They are checked the same way, and on a spec
+    sampled from a product of its degree, the bisecting spec among them,
+    they meet point_tol with no minimize call. Only when they miss does the
+    third start polish them, with one minimize call. Where that
+    construction declines (too few distinct sample points, or a fit no
+    product can have), or its polish misses too, the remaining starts are
+    seeded draws, each one minimize call. minimize is looked up by name at
+    call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol at
+    every sample point; its residuals are computed once, for that check
+    and for its DEBUG record on the "spinkey.qsp" logger (residual sum,
+    worst point and iterations).
 
     Parameters
     ----------
@@ -487,7 +507,9 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
         Seed for the multi-start generator, >= 0; the generator is built
         only when a seeded draw is needed.
     n_starts : int
-        Number of starts, >= 1, the zero start included, before giving up.
+        Number of starts checked, >= 1, before giving up: the zero start,
+        the closed-form phases and their polish when the construction
+        gives them, then seeded draws.
     point_tol : float
         Maximum allowed | |P|^2 - |t|^2 | at any sample point; finite, > 0.
 
@@ -511,25 +533,25 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     t = np.abs(t)
     w = _signal_pair(a)
 
-    def starts():
-        """x0 of starts 1, 2, ...: the closed form when it exists, then draws."""
-        x0 = _closed_form_start(spec.degree, a, t)
-        if x0 is not None:
-            yield x0
-        rng = np.random.default_rng(seed)
-        while True:
-            yield rng.uniform(-np.pi, np.pi, n_phases)
-
     # | |P|^2 - t^2 | = |m| (|m| + 2 t) for m = |P| - t, so |m| <= tol, the root
     # of tol (tol + 2 t) = point_tol / 2, leaves half of point_tol as margin.
     tol = 0.5 * point_tol / (np.sqrt(t * t + 0.5 * point_tol) + t)
     fun = functools.partial(_magnitude_residuals, w=w, t=t)
-    x0s = starts()
-    candidate, iterations = np.zeros(n_phases), 0
+
+    def starts():
+        """(phases, iterations) of each start; the loop asks for the next
+        one only when the last missed, so nothing is computed ahead."""
+        yield np.zeros(n_phases), 0
+        x0 = _closed_form_start(spec.degree, a, t)
+        if x0 is not None:
+            yield x0, 0
+            yield minimize(fun, x0, tol=tol)
+        rng = np.random.default_rng(seed)
+        while True:
+            yield minimize(fun, rng.uniform(-np.pi, np.pi, n_phases), tol=tol)
+
     best = np.inf
-    for start in range(n_starts):
-        if start:  # the zero start needs neither the closed form nor a draw
-            candidate, iterations = minimize(fun, next(x0s), tol=tol)
+    for start, (candidate, iterations) in zip(range(n_starts), starts()):
         residuals = _abs_squared(_prefix_pairs(candidate, w)[0][-1]) - t * t
         total = float(np.sum(residuals ** 2))
         worst = np.max(np.abs(residuals))

@@ -116,14 +116,14 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["scan", "detuning", "--start=nan"], "detunings_hz"),
+    (["scan", "detuning", "--start=nan"], "--start"),
     (["run", "--oracle", "0", "--leakage-rate=-1"], "leakage_rate"),
     (["run", "--oracle", "0", "--detuning-hz=inf"], "detuning_hz"),
     (["run", "--oracle", "0", "--rf-amp-error=-1"], "rf_amp_error"),
     (["rabi", "--start-level=-1"], "start_level"),
     (["rabi", "--start-level", "9"], "start_level"),
-    (["rabi", "--t-max=nan"], "times"),
-    (["scan", "angle", "--start=nan"], "angles"),
+    (["rabi", "--t-max=nan"], "--t-max"),
+    (["scan", "angle", "--start=nan"], "--start"),
     (["servo", "--duration=inf"], "duration_s"),
     (["servo", "--preset", "custom", "--miscal-hz=nan"], "miscalibration_hz"),
     (["servo", "--preset", "custom", "--white-sigma1=nan"], "white_sigma1"),
@@ -134,10 +134,19 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["baselines", "--accuracy=1.7"], "accuracy"),
     (["run", "--oracle", "0", "--sample", "--seed=-1"], "seed"),
     (["servo", "--seed=-1"], "seed"),
+    # An infinite endpoint fails before np.linspace, which would warn on it.
+    (["scan", "angle", "--points", "3", "--stop=inf"], "--stop"),
+    (["scan", "angle", "--points", "3", "--start=-inf"], "--start"),
+    (["scan", "detuning", "--points", "3", "--stop=inf"], "--stop"),
+    (["scan", "detuning", "--points", "3", "--start=-inf"], "--start"),
+    (["rabi", "--points", "3", "--t-max=inf"], "--t-max"),
+    (["rabi", "--points", "3", "--t-max=-inf"], "--t-max"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
-        "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative"])
+        "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative", "angle-stop-inf",
+        "angle-start-minus-inf", "detuning-stop-inf", "detuning-start-minus-inf",
+        "t-max-inf", "t-max-minus-inf"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -274,6 +283,48 @@ def test_gnuplot_companion(tmp_path):
     assert rc == 0
     script = (tmp_path / "scan.csv.gp").read_text()
     assert "plot" in script and "p_state1" in script
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--oracle", "0"],
+    ["scan", "angle", "--points", "3"],
+    ["bisect", "--n", "4"],
+    ["baselines", "--accuracy", "0.9"],
+    ["servo", "--duration", "20"],
+    ["rabi", "--points", "3"],
+], ids=["run", "scan", "bisect", "baselines", "servo", "rabi"])
+def test_gnuplot_without_out_is_refused(capsys, argv):
+    assert main(argv + ["--gnuplot"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "--gnuplot" in lines[0] and "--out" in lines[0]
+
+
+@pytest.mark.parametrize("allan_out", ["g.csv.gp", "./g.csv.gp", "sub/../g.csv.gp",
+                                       "{tmp}/g.csv.gp"],
+                         ids=["same-name", "dot-slash", "parent-hop", "absolute"])
+def test_servo_rejects_allan_out_on_the_gnuplot_script(tmp_path, monkeypatch, capsys,
+                                                       allan_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["servo", "--duration", "20", "--out", "g.csv", "--gnuplot",
+            "--allan-out", allan_out.format(tmp=tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert all(flag in lines[0] for flag in ("--allan-out", "--gnuplot", "--out"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+def test_servo_writes_gnuplot_script_and_allan_table_side_by_side(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["servo", "--duration", "20", "--out", "g.csv", "--gnuplot", "--allan-out", "g.gp"]
+    assert main(argv) == 0
+    assert "plot" in (tmp_path / "g.csv.gp").read_text()
+    assert _data_rows(tmp_path / "g.gp")[0] == ["tau_s", "sigma_y"]
 
 
 def test_usage_errors_exit_2():

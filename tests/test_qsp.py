@@ -229,14 +229,20 @@ def test_polynomial_entries_over_arrays_equal_per_point_calls(degree):
         polynomial_entries(phases, np.array([0.2, -1.0]))
 
 
-def _plain_p(phases, a):
-    """P(a) by explicit 2x2 row-vector algebra on Python complex numbers."""
+def _plain_row(phases, a):
+    """The top row (P, i Q sqrt(1 - a^2)) of the product by explicit 2x2
+    row-vector algebra on Python complex numbers."""
     s = 1j * math.sqrt(max(0.0, 1.0 - a * a))
     u00, u01 = cmath.exp(1j * phases[0]), 0j
     for theta in phases[1:]:
         u00, u01 = u00 * a + u01 * s, u00 * s + u01 * a
         u00, u01 = u00 * cmath.exp(1j * theta), u01 * cmath.exp(-1j * theta)
-    return u00
+    return u00, u01
+
+
+def _plain_p(phases, a):
+    """P(a) of _plain_row."""
+    return _plain_row(phases, a)[0]
 
 
 def _residual_terms(phases, samples):
@@ -353,13 +359,15 @@ def test_chebyshev_spec_is_solved_by_the_zero_start_alone(monkeypatch):
         np.testing.assert_array_equal(find_phases(PolynomialSpec.chebyshev(degree)),
                                       np.zeros(degree + 1))
     assert calls == []
-    find_phases(PolynomialSpec.bisecting())
+    # One sample cannot fix the two coefficients of a degree-3 fit, so this
+    # spec reaches the solver: the patch above is live.
+    find_phases(_UNDETERMINED)
     assert calls
 
 
 def test_each_start_is_logged_at_debug_level(caplog):
     with caplog.at_level(logging.DEBUG, logger="spinkey.qsp"):
-        find_phases(PolynomialSpec.bisecting(), seed=3)
+        find_phases(_UNDETERMINED, seed=3)
         # Degree 1 forces |P(a)| = |a|, so this spec is infeasible.
         with pytest.raises(PhaseFindingError) as err:
             find_phases(PolynomialSpec.sampled([(0.9, 1.0), (0.3, 0.0)], degree=1), n_starts=3)
@@ -382,6 +390,11 @@ def _sampled_spec(seed, degree, count):
     return PolynomialSpec.sampled(pairs, degree), int(rng.integers(2**31))
 
 
+# One sample: the degree-3 fit has two coefficients and one row, so the
+# closed form declines and the finder runs its seeded draws.
+_UNDETERMINED = PolynomialSpec.sampled([(0.6, 0.4)], 3)
+
+
 def _degree3_sampled_spec(seed):
     """Three |P| samples of a random degree-3 product and a finder seed."""
     return _sampled_spec(seed, 3, 3)
@@ -389,19 +402,29 @@ def _degree3_sampled_spec(seed):
 
 def test_find_phases_checks_the_reference_residuals(monkeypatch, caplog):
     # Each start's logged residual sum and worst point are those of
-    # _residual_terms at the start's point, the zero start included.
+    # _residual_terms at the start's point: the zero start, the closed-form
+    # phases (checked before any minimize call) and every minimize result.
     points = []
-    minimize = qsp.minimize
+    minimize, closed_form_start = qsp.minimize, qsp._closed_form_start
 
     def recorded(*args, **kwargs):
         x, iterations = minimize(*args, **kwargs)
         points.append(x)
         return x, iterations
 
+    def recorded_start(*args):
+        x0 = closed_form_start(*args)
+        if x0 is not None:
+            points.append(x0)
+        return x0
+
     monkeypatch.setattr(qsp, "minimize", recorded)
+    monkeypatch.setattr(qsp, "_closed_form_start", recorded_start)
     infeasible = PolynomialSpec.sampled([(0.9, 1.0), (0.3, 0.0)], degree=1)
+    missing = PolynomialSpec.sampled([(0.5, 0.0), (0.7, 0.5)], degree=3)
     cases = [(PolynomialSpec.bisecting(), 3), _sampled_spec(1097, 3, 3),
-             _sampled_spec(2001, 2, 3), (PolynomialSpec.chebyshev(5), 0), (infeasible, 0)]
+             _sampled_spec(2001, 2, 3), (PolynomialSpec.chebyshev(5), 0), (infeasible, 0),
+             (_UNDETERMINED, 3), (missing, 0), _sampled_spec(38, 8, 8)]
     for spec, seed in cases:
         caplog.clear()
         points.clear()
@@ -409,7 +432,7 @@ def test_find_phases_checks_the_reference_residuals(monkeypatch, caplog):
             try:
                 find_phases(spec, seed=seed, n_starts=4)
             except PhaseFindingError:
-                assert spec is infeasible
+                assert spec in (infeasible, missing)
         records = [rec.args for rec in caplog.records if rec.name == "spinkey.qsp"]
         assert len(records) == len(points) + 1
         for (_, total, worst, _), point in zip(records, [np.zeros(spec.degree + 1)] + points):
@@ -554,30 +577,21 @@ def test_solver_meets_point_tol_on_every_spec_kind(monkeypatch):
 
 
 def test_closed_form_start_solves_sampled_specs_in_zero_steps(monkeypatch):
-    steps = []
-    minimize = qsp.minimize
-
-    def counted(*args, **kwargs):
-        x, iterations = minimize(*args, **kwargs)
-        steps.append(iterations)
-        return x, iterations
-
-    monkeypatch.setattr(qsp, "minimize", counted)
+    # The closed-form phases meet point_tol when they are checked, so no
+    # minimize call, of any number of steps, is made.
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
     cases = [_sampled_spec(seed, 2, 2 + seed % 2) for seed in range(2000, 2032)]
     cases += [_sampled_spec(seed, degree, degree) for degree in (3, 4)
               for seed in range(1000, 1200)]
     for spec, seed in cases:
-        steps.clear()
         find_phases(spec, seed=seed)
-        assert steps == [0], (spec.degree, spec.samples, steps)
 
 
 def test_closed_form_start_declines_and_the_draws_stay_put(monkeypatch):
-    # The bisecting spec has one distinct y = a^2 strictly inside (0, 1),
-    # too few for the two coefficients a degree-3 fit needs, so its first
-    # minimize call starts from the generator's first draw.
-    spec = PolynomialSpec.bisecting()
-    a, t = np.array(spec.samples).T
+    # One sample gives one distinct y = a^2 strictly inside (0, 1), too few
+    # for the two coefficients a degree-3 fit needs, so the first minimize
+    # call starts from the generator's first draw.
+    a, t = np.array(_UNDETERMINED.samples).T
     assert qsp._closed_form_start(3, a, t) is None
     starts = []
     minimize = qsp.minimize
@@ -585,16 +599,104 @@ def test_closed_form_start_declines_and_the_draws_stay_put(monkeypatch):
                         lambda fun, x0, **k: starts.append(x0) or minimize(fun, x0, **k))
     for seed in (0, 7):
         starts.clear()
-        find_phases(spec, seed=seed)
+        find_phases(_UNDETERMINED, seed=seed)
         np.testing.assert_array_equal(starts[0],
                                       np.random.default_rng(seed).uniform(-np.pi, np.pi, 4))
     # Fits no product can have. In degree 2, |P(0.3)|^2 = 0.04 forces
-    # g = 11.7, and then |P|^2 = 1 - g/4 < 0 at y = 1/2. In degree 3, a zero
-    # target that the fit crosses with nonzero slope is a simple real root
-    # of |p|^2.
-    for pairs, degree in [([(0.3, 0.2)], 2), ([(0.5, 0.0), (0.7, 0.5)], 3)]:
+    # g = 11.7, and then |P|^2 = 1 - g/4 < 0 at y = 1/2. In degree 3,
+    # |p|^2 = 1 + (1 - y) g has the top coefficient -g_1, and |P(0.6)| = 0.1,
+    # |P(0.8)| = 0.9 force the rising g = -4.42 + 8.06 y.
+    for pairs, degree in [([(0.3, 0.2)], 2), ([(0.6, 0.1), (0.8, 0.9)], 3)]:
         a, t = np.array(pairs).T
         assert qsp._closed_form_start(degree, a, t) is None
+
+
+def test_bisecting_spec_is_solved_in_closed_form_at_every_seed(monkeypatch):
+    # The zero targets at a = +/-1/2 add the row A'(1/4) = 0, which fixes
+    # the fit at |P|^2 = a^2 (4 a^2 - 1)^2 / 9 whatever the seed.
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
+    spec = PolynomialSpec.bisecting()
+    vectors = {find_phases(spec, seed=seed).tobytes() for seed in range(32)}
+    assert len(vectors) == 1
+    phases = np.frombuffer(vectors.pop())
+    assert _worst_plain_residual(phases, spec) <= 1e-14
+    grid = np.linspace(-1.0, 1.0, 41)
+    np.testing.assert_allclose(response_curve(phases, 2.0 * np.arccos(grid)),
+                               grid ** 2 * (4.0 * grid ** 2 - 1.0) ** 2 / 9.0, rtol=0.0, atol=1e-14)
+
+
+def _zero_target_spec(seed, degree):
+    """A spec whose first sample is a zero of a random degree-d product, at
+    a point in (0.05, 0.95), plus d - 2 samples of its |P|; None when the
+    seed's product gives no such zero.
+
+    With the degree d - 1 prefix (P', Q'), P = (a P' - (1 - a^2) Q') e^{i th_d},
+    and turning th_(d-1) by phi turns P' by e^{i phi} and Q' by e^{-i phi}.
+    Where |P'(a0)|^2 = 1 - a0^2, unitarity gives |a0 P'| = (1 - a0^2) |Q'|,
+    so e^{2 i phi} = (1 - a0^2) Q'(a0) / (a0 P'(a0)) makes P(a0) = 0.
+    """
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, degree + 1).tolist()
+
+    def excess(a):
+        return abs(_plain_p(phases[:-1], a)) ** 2 - (1.0 - a * a)
+
+    grid = np.linspace(0.05, 0.95, 19).tolist()
+    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if excess(lo) < 0.0 < excess(hi)]
+    if not brackets:
+        return None
+    lo, hi = brackets[0]
+    while lo < 0.5 * (lo + hi) < hi:
+        lo, hi = (0.5 * (lo + hi), hi) if excess(0.5 * (lo + hi)) < 0.0 else (lo, 0.5 * (lo + hi))
+    p, top_right = _plain_row(phases[:-1], lo)
+    q = top_right / (1j * math.sqrt(1.0 - lo * lo))
+    phases[-2] += 0.5 * cmath.phase((1.0 - lo * lo) * q / (lo * p))
+    assert abs(_plain_p(phases, lo)) < 1e-14
+    points = rng.uniform(0.05, 0.95, degree - 2).tolist()
+    pairs = [(lo, 0.0)] + [(a, abs(_plain_p(phases, a))) for a in points]
+    return PolynomialSpec.sampled(pairs, degree), int(rng.integers(2**31))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_interior_zero_targets_are_solved_in_closed_form(monkeypatch, degree):
+    # The zero's value and slope rows give the fit its d - 1 rank with only
+    # d - 3 further samples, and |p|^2 gets the double root a zero needs.
+    monkeypatch.setattr(qsp, "minimize", lambda *a, **k: pytest.fail("a start ran"))
+    cases = [case for case in map(functools.partial(_zero_target_spec, degree=degree),
+                                  range(40)) if case]
+    assert len(cases) >= 25
+    for spec, seed in cases:
+        worst = _worst_plain_residual(find_phases(spec, seed=seed), spec)
+        assert worst <= 1e-9 + 1e-12, (spec.samples, worst)
+
+
+def test_a_closed_form_start_that_misses_is_polished_before_any_draw(monkeypatch):
+    # At degree 8 the monomial fit of spec 38 misses point_tol (3.6e-5), and
+    # one minimize call from it solves the spec. The degree-3 spec has no
+    # product (its zero forces |P|^2 = a^2 (4 a^2 - 1)^2 / 9, 0.05 at
+    # a = 0.7), so the least-squares start misses, its polish misses, and
+    # the seeded draws follow.
+    polished, seed = _sampled_spec(38, 8, 8)
+    missing = PolynomialSpec.sampled([(0.5, 0.0), (0.7, 0.5)], degree=3)
+    starts = []
+    minimize = qsp.minimize
+    monkeypatch.setattr(qsp, "minimize",
+                        lambda fun, x0, **k: starts.append(x0) or minimize(fun, x0, **k))
+    for spec, n_starts in [(polished, 32), (missing, 4)]:
+        a, t = np.array(spec.samples).T
+        x0 = qsp._closed_form_start(spec.degree, a, np.abs(t))
+        assert _worst_plain_residual(x0, spec) > 1e-9
+        starts.clear()
+        try:
+            phases = find_phases(spec, seed=seed, n_starts=n_starts)
+        except PhaseFindingError:
+            assert spec is missing
+            draw = np.random.default_rng(seed).uniform(-np.pi, np.pi, 4)
+            assert len(starts) == 2 and np.array_equal(starts[1], draw)
+        else:
+            assert spec is polished and len(starts) == 1
+            assert _worst_plain_residual(phases, spec) <= 1e-9 + 1e-12
+        np.testing.assert_array_equal(starts[0], x0)
 
 
 @pytest.mark.parametrize("seed", [1100, 1012, 1117, 1097])
