@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, baselines, field_servo, ion_sim, protocols
-from ._checks import check_real
+from ._checks import check_int, check_real
 
 # The noise channels, in order: each is one --flag with the field's default.
 _NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
@@ -231,7 +231,7 @@ def _cmd_servo(args, meta):
 def _cmd_rabi(args, meta):
     if args.points < 1:
         raise ValueError(f"rabi --points must be >= 1, got {args.points}")
-    times = np.linspace(0.0, check_real("--t-max", args.t_max), args.points)
+    times = np.linspace(0.0, check_real("--t-max", args.t_max, 0.0), args.points)
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))
     rows = [tuple([float(ti)] + [float(x) for x in row]) for ti, row in zip(t, pops)]
@@ -239,24 +239,14 @@ def _cmd_rabi(args, meta):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="spinkey",
-        description="Simulate keyed-rotation channel discrimination on a single ion.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run one discrimination sequence", allow_abbrev=False)
+def _run_args(p):
     _add_seq(p)
     p.add_argument("--oracle", type=int, required=True, help="hidden candidate index")
     p.add_argument("--sample", action="store_true", help="also draw one readout outcome")
     _add_noise(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("scan", help="sweep an angle, detuning, or time grid", allow_abbrev=False)
+
+def _scan_args(p):
     p.add_argument("kind", choices=("angle", "detuning", "time"))
     _add_seq(p)
     p.add_argument("--points", type=int, default=101)
@@ -267,23 +257,20 @@ def build_parser():
     p.add_argument("--check-period", action="store_true",
                    help="report the pi-periodicity deviation of a phase-keyed scan")
     _add_noise(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("bisect", help="build and verify a halving protocol", allow_abbrev=False)
+
+def _bisect_args(p):
     p.add_argument("--n", type=int, required=True, help="candidate count (power of two)")
     p.add_argument("--verify", action="store_true",
                    help="simulate every hidden index and print a summary line")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bisect)
 
-    p = sub.add_parser("baselines", help="tabulate incoherent strategies", allow_abbrev=False)
+
+def _baselines_args(p):
     p.add_argument("--accuracy", type=float, required=True,
                    help="measured accuracy to compare against")
-    _add_common(p)
-    p.set_defaults(func=_cmd_baselines)
 
-    p = sub.add_parser("servo", help="simulate the frequency feed-forward loop", allow_abbrev=False)
+
+def _servo_args(p):
     p.add_argument("--preset", choices=("lab", "custom"), default="lab")
     p.add_argument("--duration", type=float, default=600.0)
     p.add_argument("--white-sigma1", type=float, default=0.0)
@@ -291,27 +278,62 @@ def build_parser():
     p.add_argument("--miscal-hz", type=float, default=0.0)
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--allan-out", help="also write an Allan-deviation table here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_servo)
 
-    p = sub.add_parser("rabi", help="six-level Rabi oscillation curve", allow_abbrev=False)
+
+def _rabi_args(p):
     p.add_argument("--start-level", type=int, default=4,
                    help="initial sublevel index, 0 (m=+5/2) to 5 (m=-5/2)")
     p.add_argument("--t-max", type=float, default=220e-6)
     p.add_argument("--points", type=int, default=221)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rabi)
+
+
+# Each command, in help order: its help line, the function that adds its own
+# arguments (_add_common follows them), and its handler.
+_COMMANDS = {
+    "run": ("run one discrimination sequence", _run_args, _cmd_run),
+    "scan": ("sweep an angle, detuning, or time grid", _scan_args, _cmd_scan),
+    "bisect": ("build and verify a halving protocol", _bisect_args, _cmd_bisect),
+    "baselines": ("tabulate incoherent strategies", _baselines_args, _cmd_baselines),
+    "servo": ("simulate the frequency feed-forward loop", _servo_args, _cmd_servo),
+    "rabi": ("six-level Rabi oscillation curve", _rabi_args, _cmd_rabi),
+}
+
+
+def build_parser(argv):
+    """The spinkey parser for argv, with arguments only on the command argv names.
+
+    The root parser and every subparser are always built, so the root help,
+    usage line and invalid-choice error list all commands. Only the command
+    named by argv's first token that does not start with "-" gets its
+    arguments and handler: the root takes only -h and --version, neither of
+    which takes a value, so that token is the command. Parse the same argv.
+    """
+    parser = argparse.ArgumentParser(
+        prog="spinkey",
+        description="Simulate keyed-rotation channel discrimination on a single ion.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((token for token in argv if not token.startswith("-")), None)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if name == command:
+            add_args(p)
+            _add_common(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     meta = {"command": "spinkey " + " ".join(_strip_io_flags(argv)),
             "version": __version__, "seed": args.seed, "config": _config_hash(args)}
     try:
         if args.gnuplot and not args.out:
             raise ValueError("--gnuplot writes its script next to --out; give --out too")
+        check_int("--seed", args.seed, minimum=0)
         return args.func(args, meta)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -141,12 +141,16 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["scan", "detuning", "--points", "3", "--start=-inf"], "--start"),
     (["rabi", "--points", "3", "--t-max=inf"], "--t-max"),
     (["rabi", "--points", "3", "--t-max=-inf"], "--t-max"),
+    (["rabi", "--points", "3", "--t-max=-1"], "--t-max"),
+    (["run", "--oracle", "1", "--seed", "-1"], "--seed"),
+    (["scan", "angle", "--points", "3", "--seed", "-1"], "--seed"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
         "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative", "angle-stop-inf",
         "angle-start-minus-inf", "detuning-stop-inf", "detuning-start-minus-inf",
-        "t-max-inf", "t-max-minus-inf"])
+        "t-max-inf", "t-max-minus-inf", "t-max-negative", "run-seed-negative",
+        "scan-seed-negative"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -337,6 +341,56 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--oracle", "1", "--ou", "x.csv"])  # flags must be spelled in full
     assert exc.value.code == 2
+
+
+_COMMAND_HELP = {
+    "run": "run one discrimination sequence",
+    "scan": "sweep an angle, detuning, or time grid",
+    "bisect": "build and verify a halving protocol",
+    "baselines": "tabulate incoherent strategies",
+    "servo": "simulate the frequency feed-forward loop",
+    "rabi": "six-level Rabi oscillation curve",
+}
+_COMMAND_FLAGS = {
+    "run": ["--seq", "--seq-file", "--oracle", "--sample", "--detuning-hz", "--leakage-rate"],
+    "scan": ["{angle,detuning,time}", "--points", "--start", "--stop", "--dim",
+             "--check-period", "--spam-error"],
+    "bisect": ["--n", "--verify"],
+    "baselines": ["--accuracy"],
+    "servo": ["--preset", "--duration", "--white-sigma1", "--rw-sigma10", "--miscal-hz",
+              "--shots", "--allan-out"],
+    "rabi": ["--start-level", "--t-max", "--points"],
+}
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_root_help_lists_every_command(capsys):
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: spinkey ")
+    for name, help_text in _COMMAND_HELP.items():
+        assert any(line.split() == [name] + help_text.split() for line in out.splitlines())
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_HELP))
+def test_command_help_lists_its_flags(capsys, command):
+    assert _exit_code([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: spinkey {command} ")
+    for flag in _COMMAND_FLAGS[command] + ["--format", "--out", "--gnuplot", "--seed"]:
+        assert flag in out
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "run", "--oracle", "1"], ["foo"]])
+def test_root_usage_errors_list_every_command(capsys, argv):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spinkey ") and "{run,scan,bisect,baselines,servo,rabi}" in err
 
 
 def test_byte_identical_reruns(tmp_path):
