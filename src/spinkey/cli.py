@@ -21,9 +21,14 @@ from ._checks import check_int, check_real
 # The noise channels, in order: each is one --flag with the field's default.
 _NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
 
+# The parsed names of the flags that name a file a table is written to. main
+# refuses two roles for one file; the header and config hash leave them out.
+_FILE_ARGS = ("out", "allan_out")
+_FILE_FLAGS = tuple("--" + name.replace("_", "-") for name in _FILE_ARGS)
+
 # Parsed names that say only where or how a table is written (func is the
 # dispatch target), so they stay out of the config hash.
-_OUTPUT_ARGS = frozenset(("format", "out", "gnuplot", "allan_out", "func"))
+_OUTPUT_ARGS = frozenset(_FILE_ARGS + ("format", "gnuplot", "func"))
 
 
 def _fmt(x):
@@ -41,23 +46,46 @@ def _config_hash(args):
 
 def _strip_io_flags(argv):
     """Drop output-destination flags so metadata describes the computation."""
-    skip_next = False
     kept = []
-    for token in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if token in ("--out", "--allan-out"):
-            skip_next = True
-            continue
-        if token.startswith(("--out=", "--allan-out=")) or token == "--gnuplot":
-            continue
-        kept.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _FILE_FLAGS:
+            next(tokens, None)  # the path
+        elif token != "--gnuplot" and token.split("=", 1)[0] not in _FILE_FLAGS:
+            kept.append(token)
     return kept
 
 
-def _emit(fmt, meta, columns, rows, out, gnuplot=False):
-    if fmt == "json":
+def _check_destinations(args):
+    """Refuse --gnuplot without --out, and one file named for two roles.
+
+    The roles are the --seq-file input, each file flag in _FILE_ARGS and
+    the <out>.gp script of --gnuplot. Paths are resolved only when at least
+    two are named.
+    """
+    if args.gnuplot and not args.out:
+        raise ValueError("--gnuplot writes its script next to --out; give --out too")
+    roles = [("--seq-file", getattr(args, "seq_file", None))]
+    roles += [(flag, getattr(args, name, None)) for name, flag in zip(_FILE_ARGS, _FILE_FLAGS)]
+    if args.gnuplot:
+        roles.append(("the --gnuplot script next to --out", args.out + ".gp"))
+    named = [(role, path) for role, path in roles if path]
+    if len(named) < 2:
+        return
+    seen = {}
+    for role, path in named:
+        first = seen.setdefault(os.path.realpath(path), role)
+        if first != role:
+            raise ValueError(f"{first} and {role} both name {path!r}; give each its own file")
+
+
+def _emit(args, meta, columns, rows, dest="out"):
+    """Write a table to the file args.<dest> names, or to stdout if it names none.
+
+    For dest "out" with --gnuplot, also write the script <out>.gp plotting
+    every column against the first.
+    """
+    if args.format == "json":
         payload = {"meta": meta, "columns": list(columns),
                    "rows": [list(row) for row in rows]}
         text = json.dumps(payload, indent=2, default=float) + "\n"
@@ -66,23 +94,19 @@ def _emit(fmt, meta, columns, rows, out, gnuplot=False):
         lines.append(",".join(columns))
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-        if gnuplot:
-            _write_gnuplot(out, columns)
-    else:
+    path = getattr(args, dest)
+    if not path:
         sys.stdout.write(text)
-
-
-def _write_gnuplot(out_path, columns):
-    gp_path = out_path + ".gp"
-    plots = ", ".join(
-        f"'{out_path}' using 1:{i + 2} with lines title '{c}'"
-        for i, c in enumerate(columns[1:])
-    )
-    with open(gp_path, "w", newline="") as fh:
-        fh.write(f"set datafile separator ','\nset xlabel '{columns[0]}'\nplot {plots}\n")
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    if dest == "out" and args.gnuplot:
+        # gnuplot writes a quote inside a single-quoted string as two quotes.
+        data = path.replace("'", "''")
+        plots = ", ".join(f"'{data}' using 1:{i + 2} with lines title '{c}'"
+                          for i, c in enumerate(columns[1:]))
+        with open(path + ".gp", "w", newline="") as fh:
+            fh.write(f"set datafile separator ','\nset xlabel '{columns[0]}'\nplot {plots}\n")
 
 
 def _load_sequence(args):
@@ -136,8 +160,7 @@ def _cmd_run(args, meta):
             zip(("state0", "state1", "state2", "leakage"), result.probabilities)]
     if args.sample:
         meta["sampled_outcome"] = result.outcome
-    _emit(args.format, meta, ("state", "probability"), rows, args.out, args.gnuplot)
-    return 0
+    _emit(args, meta, ("state", "probability"), rows)
 
 
 def _cmd_scan(args, meta):
@@ -150,6 +173,9 @@ def _cmd_scan(args, meta):
         check_real("--stop", args.stop)
     if args.kind == "angle":
         grid = np.linspace(args.start, args.stop, args.points)
+        if args.dim == 2 and noise != ion_sim.IDEAL:
+            raise ValueError("--dim 2 runs the noiseless two-level reduction; "
+                             "drop the noise flags or use --dim 6")
         table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
         columns = ("angle_rad", "p_state0", "p_state1", "p_state2")
         if args.check_period and seq.encoding == protocols.PSK:
@@ -163,8 +189,7 @@ def _cmd_scan(args, meta):
         table = ion_sim.time_series(seq, args.oracle, args.points, noise=noise)
         columns = ("time_s", "p_state0", "p_state1", "p_state2")
     rows = [tuple(map(float, row)) for row in table]
-    _emit(args.format, meta, columns, rows, args.out, args.gnuplot)
-    return 0
+    _emit(args, meta, columns, rows)
 
 
 def _cmd_bisect(args, meta):
@@ -177,11 +202,9 @@ def _cmd_bisect(args, meta):
             identified, _, worst = protocols.run_bisection(proto, hidden)
             perfect = perfect and identified == hidden and worst < 1e-8
         meta["perfect"] = "true" if perfect else "false"
-    _emit(args.format, meta, ("stage", "subset_size", "qsp_degree", "offset_rad"), rows,
-          args.out, args.gnuplot)
+    _emit(args, meta, ("stage", "subset_size", "qsp_degree", "offset_rad"), rows)
     if args.verify:
         print(f"queries={proto.total_queries}, perfect={meta['perfect']}")
-    return 0
 
 
 def _cmd_baselines(args, meta):
@@ -189,22 +212,10 @@ def _cmd_baselines(args, meta):
     rows = [(r["strategy"], float(r["success_probability"]),
              "" if r["beaten"] is None else str(r["beaten"]).lower())
             for r in report]
-    _emit(args.format, meta, ("strategy", "success_probability", "beaten"), rows,
-          args.out, args.gnuplot)
-    return 0
+    _emit(args, meta, ("strategy", "success_probability", "beaten"), rows)
 
 
 def _cmd_servo(args, meta):
-    if args.out and args.allan_out:
-        allan = os.path.realpath(args.allan_out)
-        if allan == os.path.realpath(args.out):
-            raise ValueError(f"--out and --allan-out name the same file ({args.out!r}, "
-                             f"{args.allan_out!r}); the Allan table would overwrite the "
-                             "servo table")
-        if args.gnuplot and allan == os.path.realpath(args.out + ".gp"):
-            raise ValueError(f"--allan-out {args.allan_out!r} names the script --gnuplot "
-                             f"writes next to --out ({args.out + '.gp'!r}); the Allan table "
-                             "would overwrite it")
     if args.preset == "lab":
         drift = field_servo.DriftModel.lab()
         servo = field_servo.ServoConfig.lab()
@@ -216,16 +227,14 @@ def _cmd_servo(args, meta):
     trace = field_servo.simulate_servo(drift, servo, args.duration, seed=args.seed)
     rows = list(zip(map(float, trace.t), map(float, trace.true_freq_hz),
                     map(float, trace.applied_freq_hz), map(float, trace.residual_hz)))
-    _emit(args.format, meta, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows,
-          args.out, args.gnuplot)
+    _emit(args, meta, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows)
     if args.allan_out:
         y = trace.true_freq_hz / drift.carrier_hz
         n = len(y)
         taus = [float(m) for m in (1, 2, 5, 10, 20, 50, 100, 200) if 2 * m <= n]
         sigma = field_servo.allan_deviation(y, taus, dt=servo.period_s)
-        _emit(args.format, meta, ("tau_s", "sigma_y"), list(zip(taus, map(float, sigma))),
-              args.allan_out)
-    return 0
+        _emit(args, meta, ("tau_s", "sigma_y"), list(zip(taus, map(float, sigma))),
+              dest="allan_out")
 
 
 def _cmd_rabi(args, meta):
@@ -235,8 +244,7 @@ def _cmd_rabi(args, meta):
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))
     rows = [tuple([float(ti)] + [float(x) for x in row]) for ti, row in zip(t, pops)]
-    _emit(args.format, meta, columns, rows, args.out, args.gnuplot)
-    return 0
+    _emit(args, meta, columns, rows)
 
 
 def _run_args(p):
@@ -331,10 +339,10 @@ def main(argv=None):
     meta = {"command": "spinkey " + " ".join(_strip_io_flags(argv)),
             "version": __version__, "seed": args.seed, "config": _config_hash(args)}
     try:
-        if args.gnuplot and not args.out:
-            raise ValueError("--gnuplot writes its script next to --out; give --out too")
+        _check_destinations(args)
         check_int("--seed", args.seed, minimum=0)
-        return args.func(args, meta)
+        args.func(args, meta)
+        return 0
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

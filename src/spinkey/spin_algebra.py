@@ -25,6 +25,7 @@ SU(2) is a group homomorphism, so the same three numbers give the
 six-level propagator of a whole product, sign included.
 """
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,18 +42,15 @@ class SpinOperators(NamedTuple):
     jz: np.ndarray
 
 
-_OPERATOR_CACHE = {}
-_JX_EIGEN_CACHE = {}
-
-
 def _m_values(dim):
     """Magnetic quantum numbers J, J-1, ..., -J (descending)."""
     j = (dim - 1) / 2.0
     return j - np.arange(dim)
 
 
+@cache
 def spin_operators(dim):
-    """Construct the standard angular momentum matrices Jx, Jy, Jz.
+    """Construct the standard angular momentum matrices Jx, Jy, Jz, once per dimension.
 
     Parameters
     ----------
@@ -67,8 +65,6 @@ def spin_operators(dim):
     """
     if dim not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported dimension {dim}; expected one of {SUPPORTED_DIMS}")
-    if dim in _OPERATOR_CACHE:
-        return _OPERATOR_CACHE[dim]
 
     j = (dim - 1) / 2.0
     m = _m_values(dim)
@@ -85,9 +81,7 @@ def spin_operators(dim):
     for a in (jx, jy, jz):
         a.flags.writeable = False
 
-    ops = SpinOperators(dim=dim, jx=jx, jy=jy, jz=jz)
-    _OPERATOR_CACHE[dim] = ops
-    return ops
+    return SpinOperators(dim=dim, jx=jx, jy=jy, jz=jz)
 
 
 def hermitian_propagator(h, t):
@@ -116,11 +110,10 @@ def hermitian_propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+@cache
 def _jx_eigenbasis(dim):
     """Eigenvalues and real eigenvectors of Jx, computed once per dimension."""
-    if dim not in _JX_EIGEN_CACHE:
-        _JX_EIGEN_CACHE[dim] = np.linalg.eigh(spin_operators(dim).jx.real)
-    return _JX_EIGEN_CACHE[dim]
+    return np.linalg.eigh(spin_operators(dim).jx.real)
 
 
 def rotation(dim, theta, phi):

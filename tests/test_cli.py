@@ -144,13 +144,15 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["rabi", "--points", "3", "--t-max=-1"], "--t-max"),
     (["run", "--oracle", "1", "--seed", "-1"], "--seed"),
     (["scan", "angle", "--points", "3", "--seed", "-1"], "--seed"),
+    # The two-level reduction is noiseless, so it refuses noise it would ignore.
+    (["scan", "angle", "--dim", "2", "--points", "3", "--spam-error=0.1"], "--dim"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
         "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative", "angle-stop-inf",
         "angle-start-minus-inf", "detuning-stop-inf", "detuning-start-minus-inf",
         "t-max-inf", "t-max-minus-inf", "t-max-negative", "run-seed-negative",
-        "scan-seed-negative"])
+        "scan-seed-negative", "dim-2-noise"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -445,3 +447,37 @@ def test_allan_table_carries_the_servo_metadata(tmp_path):
     allan_lines = [l for l in _read(allan).decode().splitlines() if l.startswith("# ")]
     assert allan_lines == [f"# {k}: {v}" for k, v in servo.items()]
     assert servo["seed"] == "3" and "--allan-out" not in servo["command"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seq-file", "s.json", "--oracle", "1", "--out", "./s.json"],
+    # The script the table would get lands on the input, and the table on s.json.
+    ["scan", "angle", "--points", "3", "--seq-file", "s.json.gp", "--out", "s.json",
+     "--gnuplot"],
+], ids=["out", "gnuplot-script"])
+def test_outputs_never_overwrite_the_sequence_file(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(psk3_sequence().to_json())
+    (tmp_path / "s.json.gp").write_text(psk3_sequence().to_json())
+    before = {p.name: _read(p) for p in tmp_path.iterdir()}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "--seq-file" in lines[0]
+    assert {p.name: _read(p) for p in tmp_path.iterdir()} == before
+
+
+def test_a_lone_out_resolves_no_path(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"realpath({path!r}) with one file named")
+
+    monkeypatch.setattr("os.path.realpath", refuse)
+    assert main(["run", "--oracle", "1", "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_gnuplot_script_quotes_the_data_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "angle", "--points", "3", "--out", "it's.csv", "--gnuplot"]) == 0
+    script = (tmp_path / "it's.csv.gp").read_text()
+    assert "plot 'it''s.csv' using 1:2 with lines title 'p_state0'" in script
