@@ -18,9 +18,6 @@ import numpy as np
 from . import __version__, baselines, field_servo, ion_sim, protocols
 from ._checks import check_int, check_real
 
-# The noise channels, in order: each is one --flag with the field's default.
-_NOISE_FIELDS = dataclasses.fields(ion_sim.NoiseModel)
-
 # The parsed names of the flags that name a file a table is written to. main
 # refuses two roles for one file; the header and config hash leave them out.
 _FILE_ARGS = ("out", "allan_out")
@@ -111,6 +108,8 @@ def _emit(args, meta, columns, rows, dest="out"):
 
 def _load_sequence(args):
     if args.seq_file:
+        if args.seq != "psk3":
+            raise ValueError("--seq and --seq-file both name a sequence; give one of them")
         try:
             with open(args.seq_file) as fh:
                 text = fh.read()
@@ -130,8 +129,14 @@ def _load_sequence(args):
     return builders[args.seq]()
 
 
-def _noise_from(args):
-    return ion_sim.NoiseModel(**{field.name: getattr(args, field.name) for field in _NOISE_FIELDS})
+def _from_flags(model, args):
+    """model with each field whose flag parsed to a value other than None set to it.
+
+    A field's flag is the parsed argument of the same name. A field with no
+    flag, or whose flag was not given and has no default, keeps its value.
+    """
+    given = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(model)}
+    return dataclasses.replace(model, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_common(p):
@@ -143,7 +148,8 @@ def _add_common(p):
 
 
 def _add_noise(p):
-    for field in _NOISE_FIELDS:
+    # The noise channels, in order: each is one --flag with the field's default.
+    for field in dataclasses.fields(ion_sim.NoiseModel):
         p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
 
 
@@ -154,7 +160,7 @@ def _add_seq(p):
 
 def _cmd_run(args, meta):
     seq = _load_sequence(args)
-    result = ion_sim.run(seq, args.oracle, _noise_from(args),
+    result = ion_sim.run(seq, args.oracle, _from_flags(ion_sim.IDEAL, args),
                          seed=args.seed if args.sample else None)
     rows = [(label, float(p)) for label, p in
             zip(("state0", "state1", "state2", "leakage"), result.probabilities)]
@@ -165,20 +171,27 @@ def _cmd_run(args, meta):
 
 def _cmd_scan(args, meta):
     seq = _load_sequence(args)
-    noise = _noise_from(args)
+    noise = _from_flags(ion_sim.IDEAL, args)
     if args.points < 1:
         raise RuntimeError("scan needs at least one grid point")
+    # A flag the chosen kind never reads is refused unless it keeps its default.
+    if args.dim == 2 and (args.kind != "angle" or noise != ion_sim.IDEAL):
+        raise ValueError("--dim 2 runs the noiseless two-level reduction of an angle scan; "
+                         "drop --dim or the noise flags")
+    if args.check_period and (args.kind != "angle" or seq.encoding != protocols.PSK):
+        raise ValueError("--check-period needs an angle scan of a phase-keyed sequence")
+    if args.oracle != 0 and args.kind != "time":
+        raise ValueError(f"scan {args.kind} reads no --oracle; only scan time does")
+    if args.kind == "time" and (args.start, args.stop) != (0.0, 2.0 * np.pi):
+        raise ValueError("scan time reads no --start or --stop; its grid spans the sequence")
     if args.kind != "time":
         check_real("--start", args.start)
         check_real("--stop", args.stop)
     if args.kind == "angle":
         grid = np.linspace(args.start, args.stop, args.points)
-        if args.dim == 2 and noise != ion_sim.IDEAL:
-            raise ValueError("--dim 2 runs the noiseless two-level reduction; "
-                             "drop the noise flags or use --dim 6")
         table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
         columns = ("angle_rad", "p_state0", "p_state1", "p_state2")
-        if args.check_period and seq.encoding == protocols.PSK:
+        if args.check_period:
             shifted = ion_sim.angle_scan(seq, grid + np.pi, noise=noise, dim=args.dim)
             meta["pi_period_max_dev"] = float(np.max(np.abs(table[:, 1:] - shifted[:, 1:])))
     elif args.kind == "detuning":
@@ -216,14 +229,8 @@ def _cmd_baselines(args, meta):
 
 
 def _cmd_servo(args, meta):
-    if args.preset == "lab":
-        drift = field_servo.DriftModel.lab()
-        servo = field_servo.ServoConfig.lab()
-    else:
-        drift = field_servo.DriftModel(white_sigma1=args.white_sigma1,
-                                       rw_sigma10=args.rw_sigma10)
-        servo = field_servo.ServoConfig(miscalibration_hz=args.miscal_hz,
-                                        shots=args.shots)
+    drift, servo = (_from_flags(cls.lab() if args.preset == "lab" else cls(), args)
+                    for cls in (field_servo.DriftModel, field_servo.ServoConfig))
     trace = field_servo.simulate_servo(drift, servo, args.duration, seed=args.seed)
     rows = list(zip(map(float, trace.t), map(float, trace.true_freq_hz),
                     map(float, trace.applied_freq_hz), map(float, trace.residual_hz)))
@@ -281,10 +288,11 @@ def _baselines_args(p):
 def _servo_args(p):
     p.add_argument("--preset", choices=("lab", "custom"), default="lab")
     p.add_argument("--duration", type=float, default=600.0)
-    p.add_argument("--white-sigma1", type=float, default=0.0)
-    p.add_argument("--rw-sigma10", type=float, default=0.0)
-    p.add_argument("--miscal-hz", type=float, default=0.0)
-    p.add_argument("--shots", type=int, default=50)
+    # Each flag given overrides one field of the --preset's drift or servo model.
+    p.add_argument("--white-sigma1", type=float)
+    p.add_argument("--rw-sigma10", type=float)
+    p.add_argument("--miscal-hz", type=float, dest="miscalibration_hz", metavar="MISCAL_HZ")
+    p.add_argument("--shots", type=int)
     p.add_argument("--allan-out", help="also write an Allan-deviation table here")
 
 

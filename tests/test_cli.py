@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -146,19 +147,52 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["scan", "angle", "--points", "3", "--seed", "-1"], "--seed"),
     # The two-level reduction is noiseless, so it refuses noise it would ignore.
     (["scan", "angle", "--dim", "2", "--points", "3", "--spam-error=0.1"], "--dim"),
+    # Under the default lab preset each servo flag given overrides its field.
+    (["servo", "--miscal-hz=nan"], "miscalibration_hz"),
+    (["servo", "--white-sigma1=-1"], "white_sigma1"),
+    (["servo", "--shots", "0"], "shots"),
+    # A scan flag the chosen kind never reads is refused at any non-default value.
+    (["scan", "time", "--points", "3", "--dim", "2"], "--dim"),
+    (["scan", "detuning", "--points", "4", "--check-period"], "--check-period"),
+    (["scan", "angle", "--points", "3", "--seq", "ask3", "--check-period"], "--check-period"),
+    (["scan", "angle", "--points", "3", "--oracle", "2"], "--oracle"),
+    (["scan", "detuning", "--points", "3", "--oracle", "1"], "--oracle"),
+    (["scan", "time", "--points", "3", "--start", "5"], "--start"),
+    (["scan", "time", "--points", "3", "--stop", "9"], "--stop"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
         "accuracy-1.7", "run-sample-seed-negative", "servo-seed-negative", "angle-stop-inf",
         "angle-start-minus-inf", "detuning-stop-inf", "detuning-start-minus-inf",
         "t-max-inf", "t-max-minus-inf", "t-max-negative", "run-seed-negative",
-        "scan-seed-negative", "dim-2-noise"])
+        "scan-seed-negative", "dim-2-noise", "lab-miscalibration_hz", "lab-white_sigma1",
+        "lab-shots", "time-dim", "detuning-check-period", "ask3-check-period",
+        "angle-oracle", "detuning-oracle", "time-start", "time-stop"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "time", "--points", "3", "--dim", "6", "--start", "0", "--stop", str(2 * math.pi)],
+    ["scan", "detuning", "--points", "3", "--oracle", "0"],
+], ids=["time", "detuning"])
+def test_scan_accepts_unread_flags_at_their_defaults(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_seq_with_seq_file_is_refused(tmp_path, capsys):
+    seq_path = tmp_path / "s.json"
+    seq_path.write_text(psk3_sequence().to_json())
+    assert main(["run", "--oracle", "1", "--seq-file", str(seq_path), "--seq", "ask3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:") and "--seq " in lines[0] and "--seq-file" in lines[0]
 
 
 def test_scan_angle_schema_and_period_check(tmp_path, capsys):
@@ -231,6 +265,18 @@ def test_servo_reproducible_and_allan(tmp_path):
     a_header, a_rows = _data_rows(allan)
     assert a_header == ["tau_s", "sigma_y"]
     assert len(a_rows) >= 3
+
+
+def test_servo_flags_override_the_lab_preset(tmp_path):
+    def rows(*flags):
+        out = tmp_path / "servo.csv"
+        assert main(["servo", "--duration", "20", *flags, "--out", str(out)]) == 0
+        return _data_rows(out)[1]
+
+    plain = rows()
+    assert rows("--white-sigma1", "1e-5") != plain
+    assert rows("--white-sigma1", "4e-7", "--rw-sigma10", "1.1e-7", "--miscal-hz", "15",
+                "--shots", "50") == plain
 
 
 @pytest.mark.parametrize("out, allan_out", [
