@@ -3,8 +3,10 @@
 A single channel query reduces discrimination to distinguishing the
 states the candidate rotations produce from a fixed probe. For the three
 symmetric candidates all pairwise overlaps have magnitude 1/2, and the
-square-root measurement attains the single-shot optimum of 2/3. This
-module builds those state sets and evaluates the incoherent strategies the
+square-root measurement attains the single-shot optimum of 2/3. Its
+outcome table is read off the square root of the prior-weighted Gram
+matrix of the states, with no measurement operators built. This module
+builds those state sets and evaluates the incoherent strategies the
 coherent protocol is compared against: repeated minimum-error measurement
 with a majority vote, the Bayesian confidence of unanimous outcomes, and
 optimal unambiguous discrimination over several trials.
@@ -16,18 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_real, finite_array
 from .protocols import ASK, PSK
 from .spin_algebra import rotation
 
 
 @dataclass(frozen=True)
 class SymmetricStateSet:
-    """Candidate states with their priors; overlaps must share one magnitude."""
+    """Candidate states with their priors; overlaps must share one magnitude.
+
+    n is an integer equal to the number of states and of priors. The
+    priors are finite, > 0 and sum to 1 within 1e-9; the states are finite
+    vectors of one length, each of unit norm within 1e-9.
+    """
 
     n: int
     states: tuple
     priors: tuple
+
+    def __post_init__(self):
+        if check_int("n", self.n) != len(self.states) or self.n != len(self.priors):
+            raise ValueError(f"n must equal len(states) and len(priors), got {self.n!r}")
+        priors = finite_array("priors", self.priors)
+        if priors.min() <= 0.0 or abs(priors.sum() - 1.0) > 1e-9:
+            raise ValueError(f"priors must be > 0 and sum to 1, got {self.priors!r}")
+        if len({np.shape(psi) for psi in self.states}) != 1 or np.ndim(self.states[0]) != 1:
+            raise ValueError("states must be vectors of one length")
+        norms = np.linalg.norm(abs(np.asarray(self.states, dtype=complex)), axis=1)
+        if not np.all(abs(norms - 1.0) <= 1e-9):
+            raise ValueError(f"states must be finite vectors of unit norm, got norms {norms}")
 
     def overlap_magnitudes(self):
         return [abs(np.vdot(self.states[i], self.states[k]))
@@ -61,35 +80,22 @@ def symmetric_states(n=3, encoding=ASK):
     return SymmetricStateSet(n=n, states=states, priors=tuple([1.0 / n] * n))
 
 
-def srm_povm(state_set):
-    """Square-root measurement elements E_i = rho^-1/2 eta_i |psi_i><psi_i| rho^-1/2.
-
-    rho is inverted on its support; for state sets spanning the space the
-    elements sum to the identity.
-    """
-    states = np.array(state_set.states)
-    rho = np.einsum("i,ia,ib->ab", state_set.priors, states, states.conj())
-    w, v = np.linalg.eigh(rho)
-    inv_sqrt = np.zeros(w.size)
-    inv_sqrt[w > 1e-12] = 1.0 / np.sqrt(w[w > 1e-12])
-    r = (v * inv_sqrt) @ v.conj().T
-    return [np.outer(r @ (eta * psi), (r @ psi).conj())
-            for eta, psi in zip(state_set.priors, state_set.states)]
-
-
-def _require_symmetric(state_set):
-    if not state_set.is_symmetric():
-        raise ValueError(
-            "minimum-error analysis is only provided for symmetric state sets"
-        )
-
-
 def outcome_probabilities(state_set):
-    """p[i, o]: probability of outcome o when state i was sent."""
-    _require_symmetric(state_set)
-    povm = np.array(srm_povm(state_set))
-    states = np.array(state_set.states)
-    return np.einsum("ia,oab,ib->io", states.conj(), povm, states).real
+    """p[i, o]: probability of square-root-measurement outcome o when state i was sent.
+
+    With G[i, k] = sqrt(eta_i eta_k) <psi_i|psi_k> the prior-weighted Gram
+    matrix, the measurement's amplitudes are the entries of G^1/2, so
+    p[i, o] = |G^1/2[i, o]|^2 / eta_i and each row sums to G_ii / eta_i = 1.
+    Eigenvalues of G at or below 1e-12 are set to 0, which restricts the
+    measurement to the support of the states.
+    """
+    if not state_set.is_symmetric():
+        raise ValueError("minimum-error analysis is only provided for symmetric state sets")
+    priors = np.asarray(state_set.priors, dtype=float)
+    amplitudes = np.sqrt(priors)[:, None] * np.array(state_set.states)
+    w, v = np.linalg.eigh(amplitudes.conj() @ amplitudes.T)
+    root = (v * np.sqrt(np.where(w > 1e-12, w, 0.0))) @ v.conj().T
+    return np.abs(root) ** 2 / priors[:, None]
 
 
 def me_single_shot(state_set):
@@ -182,15 +188,11 @@ def advantage_report(accuracy, state_set=None, k=4):
     """
     accuracy = float(check_real("accuracy", accuracy, 0.0, maximum=1.0))
     state_set = state_set or symmetric_states()
-    rows = [
-        ("coherent_protocol", accuracy, None),
-        ("minimum_error_single_shot", me_single_shot(state_set), None),
-        (f"minimum_error_majority_{k}", me_majority(state_set, k), None),
-        (f"posterior_all_agree_{k}", posterior_all_agree(state_set, k), None),
-        (f"unambiguous_{k}_trials", ud_multi(state_set, k), None),
-    ]
-    return [
-        {"strategy": name, "success_probability": value,
-         "beaten": None if name == "coherent_protocol" else bool(accuracy > value)}
-        for name, value, _ in rows
-    ]
+    rows = [("coherent_protocol", accuracy),
+            ("minimum_error_single_shot", me_single_shot(state_set)),
+            (f"minimum_error_majority_{k}", me_majority(state_set, k)),
+            (f"posterior_all_agree_{k}", posterior_all_agree(state_set, k)),
+            (f"unambiguous_{k}_trials", ud_multi(state_set, k))]
+    return [{"strategy": name, "success_probability": value,
+             "beaten": None if name == "coherent_protocol" else bool(accuracy > value)}
+            for name, value in rows]

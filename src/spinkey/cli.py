@@ -175,7 +175,9 @@ def _cmd_scan(args, meta):
     if args.points < 1:
         raise RuntimeError("scan needs at least one grid point")
     # A flag the chosen kind never reads is refused unless it keeps its default.
-    if args.dim == 2 and (args.kind != "angle" or noise != ion_sim.IDEAL):
+    if args.dim == 2 and args.kind != "angle":
+        raise ValueError(f"scan {args.kind} reads no --dim; only scan angle does")
+    if args.dim == 2 and noise != ion_sim.IDEAL:
         raise ValueError("--dim 2 runs the noiseless two-level reduction of an angle scan; "
                          "drop --dim or the noise flags")
     if args.check_period and (args.kind != "angle" or seq.encoding != protocols.PSK):
@@ -349,6 +351,9 @@ def main(argv=None):
     try:
         _check_destinations(args)
         check_int("--seed", args.seed, minimum=0)
+        if args.seed and args.command != "servo" and not getattr(args, "sample", False):
+            raise ValueError(f"{args.command} makes no random draw, so it reads no --seed; "
+                             "only servo and run --sample do")
         args.func(args, meta)
         return 0
     except (ValueError, RuntimeError, OSError) as err:

@@ -223,12 +223,14 @@ def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0)
     """Mean algorithm inaccuracy implied by a residual-detuning series.
 
     Maps each residual through the simulated accuracy-versus-detuning curve
-    of the discrimination sequence and averages the inaccuracy. By default
-    the curve is computed for the phase-keyed sequence with the composite
-    laser blocks given their physical duration (200 us per block); the
-    instantaneous-laser default would understate the dephasing a real trial
-    accumulates. residuals_hz must be non-empty and finite, grid_step_hz
-    finite and > 0.
+    of the discrimination sequence and averages the inaccuracy. The curve is
+    interpolated linearly between multiples of grid_step_hz and computed
+    only at the multiples that bracket a residual, at most two per residual.
+    By default the curve is computed for the phase-keyed sequence with the
+    composite laser blocks given their physical duration (200 us per
+    block); the instantaneous-laser default would understate the dephasing
+    a real trial accumulates. residuals_hz must be non-empty and finite,
+    grid_step_hz finite and > 0.
     """
     from .ion_sim import default_config, detuning_scan
     from .protocols import psk3_sequence
@@ -242,9 +244,8 @@ def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0)
     if config is None:
         config = replace(default_config(seq), laser_time_s=200e-6)
 
-    lim = max(40.0, float(np.max(np.abs(residuals_hz))) * 1.1)
-    n_side = int(math.ceil(lim / grid_step_hz))
-    grid = np.linspace(-n_side * grid_step_hz, n_side * grid_step_hz, 2 * n_side + 1)
+    nodes = np.unique(np.floor(residuals_hz / grid_step_hz))
+    grid = np.union1d(nodes, nodes + 1) * grid_step_hz
     curve = detuning_scan(seq, grid, config=config)
     acc = np.interp(residuals_hz, curve[:, 0], curve[:, 1])
     return float(np.mean(1.0 - acc))

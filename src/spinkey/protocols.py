@@ -322,6 +322,7 @@ def run_bisection(protocol, hidden_index):
     entry is the Chebyshev polynomial T_d(cos(x/2)) = cos(d x / 2), so the
     population is cos(d x / 2)^2 in closed form: exactly 1 for the even
     half of the surviving subset and exactly 0 for the odd half.
+    hidden_index is the candidate the oracle holds, an integer in [0, n).
 
     Returns
     -------
@@ -330,6 +331,8 @@ def run_bisection(protocol, hidden_index):
         its ideal 0/1 value.
     """
     n = protocol.n
+    if check_int("hidden_index", hidden_index, minimum=0) >= n:
+        raise ValueError(f"hidden_index must be < {n}, got {hidden_index!r}")
     theta = 2.0 * np.pi * hidden_index / n
     offset = 0.0
     queries = 0

@@ -7,7 +7,6 @@ from spinkey.baselines import (
     me_single_shot,
     outcome_probabilities,
     posterior_all_agree,
-    srm_povm,
     symmetric_states,
     ud_multi,
     ud_success,
@@ -28,13 +27,31 @@ def test_single_state_set_is_trivial():
     assert me_single_shot(s) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_povm_completeness_and_positivity():
-    s = symmetric_states(3)
-    povm = srm_povm(s)
-    np.testing.assert_allclose(sum(povm), np.eye(2), atol=1e-12)
-    for e in povm:
-        w = np.linalg.eigvalsh(e)
-        assert np.all(w > -1e-12)
+def _srm_reference(state_set):
+    """p[i, o] from the POVM elements E_o = rho^-1/2 eta_o |psi_o><psi_o| rho^-1/2,
+    with rho inverted on its support."""
+    states = np.array(state_set.states)
+    rho = sum(eta * np.outer(psi, psi.conj()) for eta, psi in zip(state_set.priors, states))
+    w, v = np.linalg.eigh(rho)
+    keep = w > 1e-12
+    inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    povm = [eta * np.outer(inv_sqrt @ psi, (inv_sqrt @ psi).conj())
+            for eta, psi in zip(state_set.priors, states)]
+    return np.array([[np.vdot(psi, e @ psi).real for e in povm] for psi in states])
+
+
+def test_outcome_probabilities_match_the_povm_reference():
+    triad = symmetric_states(3)
+    up = np.array([1.0, 0.0], dtype=complex)
+    tilted = np.array([np.cos(0.6), np.sin(0.6)], dtype=complex)
+    sets = [symmetric_states(n, encoding) for n in (1, 2, 3) for encoding in ("ask", "psk")]
+    sets += [SymmetricStateSet(3, triad.states, (0.5, 0.3, 0.2)),
+             SymmetricStateSet(2, (up, tilted), (0.7, 0.3))]
+    for state_set in sets:
+        p = outcome_probabilities(state_set)
+        np.testing.assert_allclose(p, _srm_reference(state_set), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(p >= 0.0)
 
 
 def test_single_shot_saturates_helstrom():
@@ -193,3 +210,27 @@ def test_baselines_reject_non_integer_counts(call, field):
 def test_advantage_report_rejects_accuracy_outside_the_unit_interval(accuracy):
     with pytest.raises(ValueError, match="accuracy"):
         advantage_report(accuracy)
+
+
+_TRIAD = symmetric_states(3)
+
+
+@pytest.mark.parametrize("n, states, priors, field", [
+    (3, _TRIAD.states, (1.0, 1.0, 1.0), "priors"),
+    (3, _TRIAD.states, (0.5, 0.3, 0.1), "priors"),
+    (3, _TRIAD.states, (0.0, 0.5, 0.5), "priors"),
+    (3, _TRIAD.states, (-0.5, 1.0, 0.5), "priors"),
+    (3, _TRIAD.states, (np.nan, 0.5, 0.5), "priors"),
+    (3, tuple(2 * psi for psi in _TRIAD.states), _TRIAD.priors, "states"),
+    (3, _TRIAD.states[:2] + (np.array([np.nan, 1.0]),), _TRIAD.priors, "states"),
+    (3, _TRIAD.states[:2] + (np.array([np.inf, 0.0]),), _TRIAD.priors, "states"),
+    (3, _TRIAD.states[:2] + (np.array([1.0, 0.0, 0.0]),), _TRIAD.priors, "states"),
+    (4, _TRIAD.states, _TRIAD.priors, "n"),
+    (3, _TRIAD.states, (0.5, 0.5), "n"),
+    (3.0, _TRIAD.states, _TRIAD.priors, "n"),
+], ids=["priors-unnormalised", "priors-sum-0.9", "priors-zero", "priors-negative",
+        "priors-nan", "states-doubled", "states-nan", "states-inf", "states-ragged",
+        "n-4", "two-priors", "n-float"])
+def test_state_set_rejects_invalid_fields(n, states, priors, field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        SymmetricStateSet(n, states, priors)

@@ -159,6 +159,13 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["scan", "detuning", "--points", "3", "--oracle", "1"], "--oracle"),
     (["scan", "time", "--points", "3", "--start", "5"], "--start"),
     (["scan", "time", "--points", "3", "--stop", "9"], "--stop"),
+    (["scan", "detuning", "--points", "3", "--dim", "2"], "scan detuning reads no --dim"),
+    # Only servo and run --sample draw at random, so only they read a seed.
+    (["scan", "angle", "--points", "3", "--seed", "1"], "--seed"),
+    (["run", "--oracle", "1", "--seed", "2"], "--seed"),
+    (["bisect", "--n", "4", "--seed", "1"], "--seed"),
+    (["baselines", "--accuracy", "0.9", "--seed", "5"], "--seed"),
+    (["rabi", "--points", "3", "--seed", "1"], "--seed"),
 ], ids=["detunings_hz", "leakage_rate", "detuning_hz", "rf_amp_error", "start_level-negative",
         "start_level-9", "times", "angles", "duration_s", "miscalibration_hz", "white_sigma1",
         "rabi-points-negative", "rabi-points-0", "scan-time-points-1", "accuracy-nan",
@@ -167,7 +174,8 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
         "t-max-inf", "t-max-minus-inf", "t-max-negative", "run-seed-negative",
         "scan-seed-negative", "dim-2-noise", "lab-miscalibration_hz", "lab-white_sigma1",
         "lab-shots", "time-dim", "detuning-check-period", "ask3-check-period",
-        "angle-oracle", "detuning-oracle", "time-start", "time-stop"])
+        "angle-oracle", "detuning-oracle", "time-start", "time-stop", "detuning-dim",
+        "scan-seed", "run-seed", "bisect-seed", "baselines-seed", "rabi-seed"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -444,7 +452,7 @@ def test_root_usage_errors_list_every_command(capsys, argv):
 def test_byte_identical_reruns(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["scan", "angle", "--seq", "ask3", "--points", "17", "--seed", "3"]
+    args = ["scan", "angle", "--seq", "ask3", "--points", "17", "--seed", "0"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert _read(out1) == _read(out2)

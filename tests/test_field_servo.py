@@ -141,6 +141,36 @@ def test_budget_paper_preset_band():
     assert 0.001 <= budget <= 0.006
 
 
+def _dense_budget(residuals_hz, grid_step_hz=5.0):
+    """detuning_error_budget interpolated on every multiple of the step out to
+    max(40 Hz, 1.1 max|residual|)."""
+    from dataclasses import replace
+
+    from spinkey.ion_sim import default_config, detuning_scan
+    from spinkey.protocols import psk3_sequence
+
+    seq = psk3_sequence()
+    config = replace(default_config(seq), laser_time_s=200e-6)
+    n_side = math.ceil(max(40.0, 1.1 * np.max(np.abs(residuals_hz))) / grid_step_hz)
+    curve = detuning_scan(seq, np.arange(-n_side, n_side + 1) * grid_step_hz, config=config)
+    return float(np.mean(1.0 - np.interp(residuals_hz, curve[:, 0], curve[:, 1])))
+
+
+@pytest.mark.parametrize("seed, duration_s", [(0, 300), (1, 900), (2, 1800), (3, 2700), (4, 3600)])
+def test_budget_matches_a_dense_grid(seed, duration_s):
+    trace = simulate_servo(DriftModel.lab(), ServoConfig.lab(), duration_s, seed=seed)
+    budget = detuning_error_budget(trace.residual_hz)
+    assert budget == pytest.approx(_dense_budget(trace.residual_hz), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kwargs", [{"residuals_hz": [1e9]},
+                                    {"residuals_hz": [1.0], "grid_step_hz": 1e-9}],
+                         ids=["far-residual", "fine-step"])
+def test_budget_grid_grows_with_the_residuals_not_their_range(kwargs):
+    budget = detuning_error_budget(**kwargs)
+    assert math.isfinite(budget) and 0.0 <= budget <= 1.0
+
+
 def test_servo_config_rejects_bad_shots():
     for bad in (0, -1, 2.5, "50", True):
         with pytest.raises(ValueError, match="shots"):

@@ -173,6 +173,12 @@ def test_bisection_identifies_with_certainty(n):
         assert worst < 1e-8
 
 
+@pytest.mark.parametrize("hidden_index", [7, 4, -1, 2.0, True])
+def test_run_bisection_rejects_hidden_index_outside_the_candidates(hidden_index):
+    with pytest.raises(ValueError, match="hidden_index"):
+        run_bisection(bisection_protocol(4), hidden_index)
+
+
 def test_bisection_rejects_other_counts():
     with pytest.raises(ValueError, match="power of two"):
         bisection_protocol(6)
