@@ -203,8 +203,7 @@ def _cmd_scan(args, meta):
     else:
         table = ion_sim.time_series(seq, args.oracle, args.points, noise=noise)
         columns = ("time_s", "p_state0", "p_state1", "p_state2")
-    rows = [tuple(map(float, row)) for row in table]
-    _emit(args, meta, columns, rows)
+    _emit(args, meta, columns, table.tolist())
 
 
 def _cmd_bisect(args, meta):
@@ -234,8 +233,8 @@ def _cmd_servo(args, meta):
     drift, servo = (_from_flags(cls.lab() if args.preset == "lab" else cls(), args)
                     for cls in (field_servo.DriftModel, field_servo.ServoConfig))
     trace = field_servo.simulate_servo(drift, servo, args.duration, seed=args.seed)
-    rows = list(zip(map(float, trace.t), map(float, trace.true_freq_hz),
-                    map(float, trace.applied_freq_hz), map(float, trace.residual_hz)))
+    rows = np.column_stack([trace.t, trace.true_freq_hz, trace.applied_freq_hz,
+                            trace.residual_hz]).tolist()
     _emit(args, meta, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows)
     if args.allan_out:
         y = trace.true_freq_hz / drift.carrier_hz
@@ -252,8 +251,7 @@ def _cmd_rabi(args, meta):
     times = np.linspace(0.0, check_real("--t-max", args.t_max, 0.0), args.points)
     t, pops = ion_sim.rabi_curve(times, args.start_level)
     columns = ("time_s",) + tuple(f"p_m{m}" for m in ("+5/2", "+3/2", "+1/2", "-1/2", "-3/2", "-5/2"))
-    rows = [tuple([float(ti)] + [float(x) for x in row]) for ti, row in zip(t, pops)]
-    _emit(args, meta, columns, rows)
+    _emit(args, meta, columns, np.column_stack([t, pops]).tolist())
 
 
 def _run_args(p):
@@ -356,8 +354,8 @@ def main(argv=None):
                              "only servo and run --sample do")
         args.func(args, meta)
         return 0
-    except (ValueError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

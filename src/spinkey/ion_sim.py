@@ -18,10 +18,14 @@ detuning_scan, time_series and run_qubit_reduction all pass a whole
 swaps every rf pulse and free precession is the spin-5/2 image of an
 SU(2) element, so the loop multiplies the 2x2 elements in closed form and
 applies each laser-free block once, as one resonant rotation followed by
-one precession about z (spin_algebra.su2_factors); in the two-level
-reduction the block is the 2x2 element itself. The readout cascade is
-linear in the level populations, so it is one (4, 8) matrix per (noise,
-config), built once and cached, applied to |psi|^2 of the batch.
+one precession about z (spin_algebra.su2_factors). That block acts on the
+batch's spin rows directly, as two real 6x6 matmuls in the cached
+eigenbasis of Jx and three diagonal phases, and a laser swap rewrites only
+its pair's two columns, so no per-row propagator is built; in the
+two-level reduction the block is the 2x2 element itself. The readout
+cascade is linear in the level populations, so it is one (4, 8) matrix
+per (noise, config), built once and cached, applied to |psi|^2 of the
+batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -49,6 +53,7 @@ from .protocols import (
     resolve_oracle_pulse,
 )
 from .spin_algebra import (
+    _jx_eigenbasis,
     hermitian_propagator,
     rotation,
     spin_operators,
@@ -64,6 +69,7 @@ DIM = 8
 S_LEVELS = (6, 7)
 
 _J6 = spin_operators(6)
+_M6 = np.diag(_J6.jz).real
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,10 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation().
     When any detuning is nonzero, each pulse is written in SU(2)
     (spin_algebra.su2_pulse) and factored as Rz(z) R(beta, phi'), so its
-    propagator is that resonant rotation followed by a precession about z,
-    the same image the interpreter takes of a whole laser-free block.
+    propagator is that resonant rotation followed by a precession about z:
+    the matrix of the update the interpreter applies to each row for a
+    whole laser-free block. run and the scans build no such matrix; this is
+    the single-pulse propagator for callers and tests.
     """
     if detuning_hz is None:
         detuning_hz = noise.detuning_hz
@@ -221,16 +229,18 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
 def _spin_image(element, dim=D_DIM):
     """Spin image of SU(2) elements (a, b), a (..., dim, dim) stack.
 
-    On the two-level reduction that is the 2x2 matrix itself. On the six
-    metastable levels it is Rz(z) R(beta, phi): the resonant rotation
-    through rf_unitary, then a precession about z.
+    On the two-level reduction that is the 2x2 matrix itself, and the
+    interpreter applies it so. On the six metastable levels it is
+    Rz(z) R(beta, phi): the resonant rotation through rf_unitary, then a
+    precession about z. The interpreter applies that six-level block to its
+    rows without building the matrix (_apply_block); this is the matrix
+    rf_unitary returns for a detuned pulse and the tests' reference.
     """
     if dim == 2:
         # A lone pulse whose axis alone varies per grid point has a scalar a.
         return su2_matrix(*np.broadcast_arrays(*element))
     beta, phi, z = su2_factors(*element)
-    m = np.diag(_J6.jz).real
-    return np.exp(-1j * np.multiply.outer(z, m))[..., None] * rf_unitary(beta, phi)
+    return np.exp(-1j * np.multiply.outer(z, _M6))[..., None] * rf_unitary(beta, phi)
 
 
 def _laser_angle(noise):
@@ -245,9 +255,16 @@ def apply_laser_pi(state, pair, noise=IDEAL):
     unitary: the transfer probability is 1 - p, so applying it twice is
     the identity on populations only in the ideal case. state may be one
     state or a batch of them along its leading axes; the last axis is the
-    level index.
+    level index. The swap is the two_level_rotation of the pair over that
+    axis, computed on the pair's two columns alone; a new array is
+    returned and state is left unchanged.
     """
-    return state @ two_level_rotation(np.shape(state)[-1], pair, _laser_angle(noise)).T
+    half = 0.5 * _laser_angle(noise)
+    c, s = math.cos(half), -1j * math.sin(half)
+    i, k = pair
+    out = np.array(state, dtype=complex)
+    out[..., i], out[..., k] = c * out[..., i] + s * out[..., k], s * out[..., i] + c * out[..., k]
+    return out
 
 
 class _Segment(NamedTuple):
@@ -300,9 +317,11 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
 
     The first dim entries of each row are the spin block; detuning_hz is a
     scalar or one value per row. The drives between two swaps multiply as
-    SU(2) elements, and each such block acts once through its spin image,
-    before the next swap and at the end. The six-level block takes the
-    noisy drives; the ideal two-level reduction (dim = 2) passes IDEAL.
+    SU(2) elements, and each such block acts once, before the next swap and
+    at the end: on six levels as a row update in the eigenbasis of Jx, with
+    no per-row propagator, on two as its 2x2 matrix. The six-level block
+    takes the noisy drives; the ideal two-level reduction (dim = 2) passes
+    IDEAL.
     """
     block = None
     for segment in segments:
@@ -318,8 +337,23 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
 
 
 def _apply_block(states, block, dim):
-    if block is not None:
-        states[:, :dim] = (_spin_image(block, dim) @ states[:, :dim, None])[..., 0]
+    """Overwrite the first dim entries of each row of states with the block's action.
+
+    block is an SU(2) element (a, b), scalar or one per row, or None for
+    no block. On six levels its image is D = Rz(z) Rz(phi) V e^(-i beta w)
+    V^T Rz(-phi), with (beta, phi, z) its su2_factors and (w, V) the cached
+    real eigenbasis of Jx. A row psi becomes psi D^T: two shared real 6x6
+    matmuls and three diagonal phases, with no (N, 6, 6) stack.
+    """
+    if block is None:
+        return
+    if dim == 2:
+        states[:, :2] = (_spin_image(block, 2) @ states[:, :2, None])[..., 0]
+        return
+    beta, phi, z = (np.asarray(x)[..., None] for x in su2_factors(*block))
+    w, v = _jx_eigenbasis(D_DIM)
+    psi = (states[:, :D_DIM] * np.exp(1j * phi * _M6)) @ v
+    states[:, :D_DIM] = (psi * np.exp(-1j * beta * w)) @ v.T * np.exp(-1j * (phi + z) * _M6)
 
 
 @functools.lru_cache(maxsize=64)

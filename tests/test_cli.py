@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spinkey import ion_sim
 from spinkey.cli import main
 from spinkey.protocols import psk3_sequence
 
@@ -46,6 +47,18 @@ def test_run_rejects_bad_oracle_index(capsys):
     rc = main(["run", "--seq", "psk3", "--oracle", "5"])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 5.96 GiB for an array", ""])
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ion_sim, "angle_scan", exhausted)
+    assert main(["scan", "angle", "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
 
 
 def test_run_unknown_sequence(capsys):

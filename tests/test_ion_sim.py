@@ -23,7 +23,7 @@ from spinkey.ion_sim import (
     time_series,
 )
 from spinkey.protocols import DESIGN_ANGLES, ask3_sequence, psk3_sequence
-from spinkey.spin_algebra import spin_operators
+from spinkey.spin_algebra import spin_operators, two_level_rotation
 
 DESIGN = np.array(DESIGN_ANGLES)
 
@@ -101,6 +101,20 @@ def test_laser_swap_and_error_channel():
     noisy = apply_laser_pi(state, config.couple_pair, NoiseModel(laser_pi_error=0.002))
     assert abs(noisy[6]) ** 2 == pytest.approx(0.002, abs=1e-12)
     assert abs(np.linalg.norm(noisy) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(8,), (5, 8), (2, 5, 8)])
+def test_laser_swap_is_the_two_level_rotation(shape):
+    """apply_laser_pi on one state or any batch equals the 8x8 two-level
+    rotation of its pair, and leaves its input unchanged."""
+    rng = np.random.default_rng(3)
+    state = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    before = state.copy()
+    for pair, noise in (((2, 6), NoiseModel()), ((0, 7), NoiseModel(laser_pi_error=0.3))):
+        u = two_level_rotation(8, pair, ion_sim._laser_angle(noise))
+        np.testing.assert_allclose(apply_laser_pi(state, pair, noise), state @ u.T,
+                                   rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(state, before)
 
 
 def test_ideal_runs_are_deterministic():

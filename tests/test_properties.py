@@ -9,7 +9,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinkey import ion_sim
@@ -102,6 +102,39 @@ def test_composed_block_is_the_product_of_rf_unitaries(drives, amp_error):
         block = pulse if block is None else su2_product(pulse, block)
         product = rf_unitary(theta, phi, noise, config, detuning_hz=detuning) @ product
     np.testing.assert_allclose(_spin_image(block), product, rtol=0, atol=1e-12)
+
+
+@st.composite
+def block_batches(draw):
+    """An (N, 8) batch of random rows and a block: one element per row, or
+    one scalar element for every row."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(_real(-1.0, 1.0), min_size=16 * n, max_size=16 * n))
+    states = np.array(values).view(complex).reshape(n, 8)
+    if draw(st.booleans()):
+        return states, draw(elements)
+    rows = draw(st.lists(elements, min_size=n, max_size=n))
+    return states, tuple(np.array(column) for column in zip(*rows))
+
+
+_ROWS = np.linspace(-1.0, 1.0, 48).view(complex).reshape(3, 8)
+
+
+@SETTINGS
+@given(block_batches())
+@example((_ROWS.copy(), (0j, 1j)))  # |a| = 0, one block for every row
+@example((_ROWS.copy(), (np.exp(1j * np.arange(3.0)), np.zeros(3, complex))))  # |b| = 0, per row
+def test_six_level_block_acts_on_rows_as_its_spin_image(batch):
+    """The interpreter's row-form update of a laser-free block equals the
+    6x6 spin image applied to each row, leaves the ground levels alone and
+    keeps each row's norm."""
+    states, block = batch
+    expected = states.copy()
+    expected[:, :6] = (_spin_image(block) @ states[:, :6, None])[..., 0]
+    norms = np.linalg.norm(states, axis=1)
+    ion_sim._apply_block(states, block, ion_sim.D_DIM)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(states, axis=1), norms, rtol=0, atol=1e-13)
 
 
 phase_vectors = st.integers(1, 40).flatmap(
