@@ -34,6 +34,11 @@ def check_int(name, value, minimum=1):
     return int(value)
 
 
+def is_index(value, indices):
+    """Whether value is an integer (not a bool) in the range indices."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value in indices
+
+
 def finite_array(name, values):
     """values as a float array if every entry is finite."""
     values = np.asarray(values, dtype=float)

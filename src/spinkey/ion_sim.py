@@ -17,15 +17,15 @@ detuning_scan, time_series and run_qubit_reduction all pass a whole
 (N, 8) batch of grid points through the same loop. Between two laser
 swaps every rf pulse and free precession is the spin-5/2 image of an
 SU(2) element, so the loop multiplies the 2x2 elements in closed form and
-applies each laser-free block once, as one resonant rotation followed by
-one precession about z (spin_algebra.su2_factors). That block acts on the
-batch's spin rows directly, as two real 6x6 matmuls in the cached
-eigenbasis of Jx and three diagonal phases, and a laser swap rewrites only
-its pair's two columns, so no per-row propagator is built; in the
-two-level reduction the block is the 2x2 element itself. The readout
-cascade is linear in the level populations, so it is one (4, 8) matrix
-per (noise, config), built once and cached, applied to |psi|^2 of the
-batch.
+applies each laser-free block once, through spin_algebra.su2_apply: on
+six levels one resonant rotation followed by one precession about z, as
+two real 6x6 matmuls in the cached eigenbasis of Jx and three diagonal
+phases, and in the two-level reduction the element itself as a
+two-column row update. A laser swap is spin_algebra.two_level_rotation,
+which rewrites only its pair's two columns, so no per-row propagator is
+built. The readout cascade is linear in the level populations, so it is
+one (4, 8) matrix per (noise, config), built once and cached, applied to
+|psi|^2 of the batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -36,13 +36,12 @@ m = -1/2 and m = +1/2), and the amplitude-keyed table wants m = +5/2
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array
+from ._checks import check_int, check_real, finite_array, is_index
 from .protocols import (
     ASK,
     DESIGN_ANGLES,
@@ -53,12 +52,11 @@ from .protocols import (
     resolve_oracle_pulse,
 )
 from .spin_algebra import (
-    _jx_eigenbasis,
     hermitian_propagator,
     rotation,
     spin_operators,
+    su2_apply,
     su2_factors,
-    su2_matrix,
     su2_product,
     su2_pulse,
     two_level_rotation,
@@ -140,7 +138,7 @@ class ExperimentConfig:
         check_real("rabi_freq", self.rabi_freq, 0.0, strict=True)
         check_real("pulse_gap_s", self.pulse_gap_s, 0.0)
         check_real("laser_time_s", self.laser_time_s, 0.0)
-        if not _is_level(self.init_level, S_LEVELS):
+        if not is_index(self.init_level, S_LEVELS):
             raise ValueError(f"init_level must be a ground level 6 or 7, got {self.init_level!r}")
         readout = self.readout_pairs
         if not (isinstance(readout, (tuple, list)) and len(readout) == 2):
@@ -148,7 +146,7 @@ class ExperimentConfig:
         for name, pair in (("couple_pair", self.couple_pair),
                            ("readout_pairs[0]", readout[0]), ("readout_pairs[1]", readout[1])):
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and _is_level(pair[0], range(D_DIM)) and _is_level(pair[1], S_LEVELS)):
+                    and is_index(pair[0], range(D_DIM)) and is_index(pair[1], S_LEVELS)):
                 raise ValueError(
                     f"{name} must be a (metastable 0-5, ground 6-7) level pair, got {pair!r}")
         object.__setattr__(self, "couple_pair", _level_pair(self.couple_pair))
@@ -157,10 +155,6 @@ class ExperimentConfig:
     @property
     def pi_time(self):
         return math.pi / self.rabi_freq
-
-
-def _is_level(index, levels):
-    return not isinstance(index, bool) and isinstance(index, numbers.Integral) and index in levels
 
 
 def _level_pair(pair):
@@ -189,10 +183,7 @@ class ReadoutResult:
 
 def init_state(config=None):
     """All amplitude on the configured ground sublevel."""
-    config = config or ExperimentConfig()
-    state = np.zeros(DIM, dtype=complex)
-    state[config.init_level] = 1.0
-    return state
+    return np.eye(DIM, dtype=complex)[(config or ExperimentConfig()).init_level]
 
 
 def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=None):
@@ -226,19 +217,14 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     return _spin_image(su2_pulse(angle, phi, 2.0 * math.pi * np.multiply(detuning_hz, duration)))
 
 
-def _spin_image(element, dim=D_DIM):
-    """Spin image of SU(2) elements (a, b), a (..., dim, dim) stack.
+def _spin_image(element):
+    """Six-level spin image of SU(2) elements (a, b), a (..., 6, 6) stack.
 
-    On the two-level reduction that is the 2x2 matrix itself, and the
-    interpreter applies it so. On the six metastable levels it is
-    Rz(z) R(beta, phi): the resonant rotation through rf_unitary, then a
-    precession about z. The interpreter applies that six-level block to its
-    rows without building the matrix (_apply_block); this is the matrix
-    rf_unitary returns for a detuned pulse and the tests' reference.
+    It is Rz(z) R(beta, phi): the resonant rotation through rf_unitary,
+    then a precession about z. The interpreter applies a block to its rows
+    without building this matrix (spin_algebra.su2_apply); this is the
+    matrix rf_unitary returns for a detuned pulse and the tests' reference.
     """
-    if dim == 2:
-        # A lone pulse whose axis alone varies per grid point has a scalar a.
-        return su2_matrix(*np.broadcast_arrays(*element))
     beta, phi, z = su2_factors(*element)
     return np.exp(-1j * np.multiply.outer(z, _M6))[..., None] * rf_unitary(beta, phi)
 
@@ -256,15 +242,9 @@ def apply_laser_pi(state, pair, noise=IDEAL):
     the identity on populations only in the ideal case. state may be one
     state or a batch of them along its leading axes; the last axis is the
     level index. The swap is the two_level_rotation of the pair over that
-    axis, computed on the pair's two columns alone; a new array is
-    returned and state is left unchanged.
+    axis; a new array is returned and state is left unchanged.
     """
-    half = 0.5 * _laser_angle(noise)
-    c, s = math.cos(half), -1j * math.sin(half)
-    i, k = pair
-    out = np.array(state, dtype=complex)
-    out[..., i], out[..., k] = c * out[..., i] + s * out[..., k], s * out[..., i] + c * out[..., k]
-    return out
+    return two_level_rotation(state, pair, _laser_angle(noise))
 
 
 class _Segment(NamedTuple):
@@ -318,10 +298,10 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
     The first dim entries of each row are the spin block; detuning_hz is a
     scalar or one value per row. The drives between two swaps multiply as
     SU(2) elements, and each such block acts once, before the next swap and
-    at the end: on six levels as a row update in the eigenbasis of Jx, with
-    no per-row propagator, on two as its 2x2 matrix. The six-level block
-    takes the noisy drives; the ideal two-level reduction (dim = 2) passes
-    IDEAL.
+    at the end, as the spin-J image that spin_algebra.su2_apply writes on
+    the rows for both dims. Each swap is apply_laser_pi. The six-level
+    block takes the noisy drives; the ideal two-level reduction (dim = 2)
+    passes IDEAL.
     """
     block = None
     for segment in segments:
@@ -340,20 +320,12 @@ def _apply_block(states, block, dim):
     """Overwrite the first dim entries of each row of states with the block's action.
 
     block is an SU(2) element (a, b), scalar or one per row, or None for
-    no block. On six levels its image is D = Rz(z) Rz(phi) V e^(-i beta w)
-    V^T Rz(-phi), with (beta, phi, z) its su2_factors and (w, V) the cached
-    real eigenbasis of Jx. A row psi becomes psi D^T: two shared real 6x6
-    matmuls and three diagonal phases, with no (N, 6, 6) stack.
+    no block. dim is 6 or 2, and spin_algebra.su2_apply writes the spin
+    image's action on the rows: a real 6x6 row update in the eigenbasis of
+    Jx, or the 2x2 element as a two-column update.
     """
-    if block is None:
-        return
-    if dim == 2:
-        states[:, :2] = (_spin_image(block, 2) @ states[:, :2, None])[..., 0]
-        return
-    beta, phi, z = (np.asarray(x)[..., None] for x in su2_factors(*block))
-    w, v = _jx_eigenbasis(D_DIM)
-    psi = (states[:, :D_DIM] * np.exp(1j * phi * _M6)) @ v
-    states[:, :D_DIM] = (psi * np.exp(-1j * beta * w)) @ v.T * np.exp(-1j * (phi + z) * _M6)
+    if block is not None:
+        states[:, :dim] = su2_apply(states[:, :dim], *block)
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,7 +345,8 @@ def _readout_matrix(s, laser_angle, readout_pairs):
     for stage in range(3):
         if stage:
             pair = readout_pairs[stage - 1]
-            pops = np.abs(two_level_rotation(DIM, pair, laser_angle)) ** 2 @ pops
+            # |U|^2 is symmetric, so the rotated identity's rows serve as its columns.
+            pops = np.abs(two_level_rotation(np.eye(DIM), pair, laser_angle)) ** 2 @ pops
         rows.append((1.0 - s) * pops[ground].sum(axis=0) + s * pops[~ground].sum(axis=0))
         # Only a branch reported dark goes on: the true-dark one, and the
         # true-bright one with probability spam_error.
@@ -404,14 +377,18 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     the noise and config, applied to |psi|^2. state may also be a batch of
     shape (..., 8), giving probabilities of shape (..., 4). Returns exact
     outcome probabilities, plus one sampled outcome when a seed is given
-    for a single state; a seed with a batch raises ValueError.
+    for a single state; a seed with a batch raises ValueError, and so does
+    a state that is not finite or whose last axis is not 8 levels.
     """
-    if seed is not None and np.ndim(state) != 1:
+    state = np.asarray(state)
+    if state.shape[-1:] != (DIM,) or not np.isfinite(state).all():
+        raise ValueError(f"state must be finite, with {DIM} levels last, got shape {state.shape}")
+    if seed is not None and state.ndim != 1:
         raise ValueError("seed samples one outcome, so it needs a single state of shape "
-                         f"(8,), got shape {np.shape(state)}")
+                         f"(8,), got shape {state.shape}")
     config = config or ExperimentConfig()
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
-    probs = np.abs(np.asarray(state)) ** 2 @ matrix.T
+    probs = np.abs(state) ** 2 @ matrix.T
     return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
 
 
@@ -468,7 +445,7 @@ def run_qubit_reduction(seq, signal_angle):
     six-level run scales by 2J = 5.
     """
     config = default_config(seq)
-    signal_angle = np.asarray(signal_angle, dtype=float)
+    signal_angle = finite_array("signal_angle", signal_angle)
     # In the reduced space the laser couples qubit level 0 to the ground slot 2.
     segments = [segment if segment.pair is None else segment._replace(pair=(0, 2))
                 for segment in _compile(seq, config, signal_angle.ravel())]
@@ -585,7 +562,7 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
     Returns (times, populations) with populations of shape (n, 6).
     """
     for name, level in (("start_level", start_level), ("shifted_level", shifted_level)):
-        if not _is_level(level, range(D_DIM)):
+        if not is_index(level, range(D_DIM)):
             raise ValueError(f"{name} must be a metastable level 0-5, got {level!r}")
     check_real("shift_hz", shift_hz)
     config = config or ExperimentConfig()

@@ -390,14 +390,13 @@ def run_disambiguation(step, which):
     phi_true = step.phi_low if which == 0 else step.phi_high
 
     d_level, s_level = step.block_levels
-    state = np.zeros(8, dtype=complex)
-    state[s_level] = 1.0
+    state = np.eye(8, dtype=complex)[s_level]
 
-    state = two_level_rotation(8, (d_level, s_level), _PI / 2.0) @ state
+    state = two_level_rotation(state, (d_level, s_level), _PI / 2.0)
     # The wrapped oracle and the known inverse act on the metastable block.
     undo = rotation(6, 2.0 * step.phi_low, 0.0).conj().T
     state[:6] = undo @ (psk_to_ask_wrap(phi_true, 6) @ state[:6])
-    state = two_level_rotation(8, (d_level, s_level), _PI / 2.0, phase=_PI) @ state
+    state = two_level_rotation(state, (d_level, s_level), _PI / 2.0, phase=_PI)
 
     p_ground = abs(state[s_level]) ** 2
     p_block = abs(state[d_level]) ** 2

@@ -23,12 +23,21 @@ writes an element as Rz(z) R(beta, phi), one equatorial rotation followed
 by one precession about z. For half-integer spin the spin-J image of
 SU(2) is a group homomorphism, so the same three numbers give the
 six-level propagator of a whole product, sign included.
+
+Two kernels act on state rows without building a matrix, for callers
+that hold many states at once. su2_apply applies the spin-J image of SU(2)
+elements to rows of dim 2 or 6; two_level_rotation rotates two entries
+of each row into each other.
 """
 
+import cmath
+import math
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
+
+from ._checks import is_index
 
 SUPPORTED_DIMS = (2, 6)
 
@@ -42,8 +51,9 @@ class SpinOperators(NamedTuple):
     jz: np.ndarray
 
 
+@cache
 def _m_values(dim):
-    """Magnetic quantum numbers J, J-1, ..., -J (descending)."""
+    """Magnetic quantum numbers J, J-1, ..., -J (descending), computed once per dimension."""
     j = (dim - 1) / 2.0
     return j - np.arange(dim)
 
@@ -180,22 +190,50 @@ def su2_factors(a, b):
     return 2.0 * np.arctan2(np.abs(b), np.abs(a)), arg_a + np.angle(b) + np.pi / 2.0, -2.0 * arg_a
 
 
-def two_level_rotation(dim, pair, theta, phase=0.0):
-    """Rotation by theta between the levels pair = (i, k), identity elsewhere.
+def su2_apply(states, a, b):
+    """Rows of states under the spin-J image of the SU(2) elements (a, b).
 
-    The (i, k) block is [[c, -1j s e^(1j phase)], [-1j s e^(-1j phase), c]]
-    with c = cos(theta/2) and s = sin(theta/2), so theta = pi swaps the two
-    populations.
+    states has the spin levels along its last axis, dim 2 or 6; a and b
+    are scalars or one value per leading index, and a new array is
+    returned. For J = 1/2 the image is the element itself, so a row
+    (psi0, psi1) becomes (a psi0 - conj(b) psi1, b psi0 + conj(a) psi1).
+    For J = 5/2 it is D = Rz(z) Rz(phi) V e^(-i beta w) V^T Rz(-phi), with
+    (beta, phi, z) the su2_factors and (w, V) the cached real eigenbasis
+    of Jx, so a row psi becomes psi D^T: two real 6x6 matmuls and three
+    diagonal phases, with no per-row matrix.
     """
-    u = np.eye(dim, dtype=complex)
+    if states.shape[-1] == 2:
+        psi0, psi1 = states[..., 0], states[..., 1]
+        return np.stack([a * psi0 - np.conj(b) * psi1, b * psi0 + np.conj(a) * psi1], -1)
+    beta, phi, z = (np.asarray(x)[..., None] for x in su2_factors(a, b))
+    w, v = _jx_eigenbasis(6)
+    m = _m_values(6)
+    psi = (states * np.exp(1j * phi * m)) @ v
+    return (psi * np.exp(-1j * beta * w)) @ v.T * np.exp(-1j * (phi + z) * m)
+
+
+def two_level_rotation(states, pair, theta, phase=0.0):
+    """Rows of states rotated by theta between the levels pair = (i, k).
+
+    The levels run along the last axis of states, one state or a batch;
+    a new array is returned. The pair's two entries of each row are
+    multiplied by the block [[c, -1j s e^(1j phase)], [-1j s e^(-1j phase), c]]
+    with c = cos(theta/2) and s = sin(theta/2), and every other entry is
+    left alone, so theta = pi swaps the two populations. pair must be two
+    distinct indices of the last axis.
+    """
+    out = np.array(states, dtype=complex)
+    levels = range(out.shape[-1] if out.ndim else 0)
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and pair[0] != pair[1]
+            and is_index(pair[0], levels) and is_index(pair[1], levels)):
+        raise ValueError(f"pair must be two distinct indices below {len(levels)}, got {pair!r}")
     i, k = pair
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    u[i, i] = c
-    u[k, k] = c
-    u[i, k] = -1j * s * np.exp(1j * phase)
-    u[k, i] = -1j * s * np.exp(-1j * phase)
-    return u
+    c = math.cos(theta / 2.0)
+    s = -1j * math.sin(theta / 2.0)
+    e = cmath.exp(1j * phase)
+    out[..., i], out[..., k] = (c * out[..., i] + s * e * out[..., k],
+                                s * e.conjugate() * out[..., i] + c * out[..., k])
+    return out
 
 
 def rotation_z(dim, angle):

@@ -103,16 +103,34 @@ def test_laser_swap_and_error_channel():
     assert abs(np.linalg.norm(noisy) - 1.0) < 1e-12
 
 
+def _two_level_matrix(pair, theta, phase=0.0):
+    """The 8x8 rotation of two_level_rotation's docstring: the block
+    [[c, -1j s e^(1j phase)], [-1j s e^(-1j phase), c]] on the pair, with
+    c = cos(theta/2) and s = sin(theta/2), and the identity elsewhere."""
+    i, k = pair
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    u = np.eye(8, dtype=complex)
+    u[i, i] = u[k, k] = c
+    u[i, k] = -1j * s * np.exp(1j * phase)
+    u[k, i] = -1j * s * np.exp(-1j * phase)
+    return u
+
+
 @pytest.mark.parametrize("shape", [(8,), (5, 8), (2, 5, 8)])
 def test_laser_swap_is_the_two_level_rotation(shape):
-    """apply_laser_pi on one state or any batch equals the 8x8 two-level
-    rotation of its pair, and leaves its input unchanged."""
+    """apply_laser_pi, and two_level_rotation with any phase, on one state
+    or any batch equal the 8x8 two-level rotation of the pair, and leave
+    their input unchanged."""
     rng = np.random.default_rng(3)
     state = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
     before = state.copy()
     for pair, noise in (((2, 6), NoiseModel()), ((0, 7), NoiseModel(laser_pi_error=0.3))):
-        u = two_level_rotation(8, pair, ion_sim._laser_angle(noise))
+        u = _two_level_matrix(pair, ion_sim._laser_angle(noise))
         np.testing.assert_allclose(apply_laser_pi(state, pair, noise), state @ u.T,
+                                   rtol=0, atol=1e-15)
+    for pair, theta, phase in (((4, 6), math.pi / 2.0, math.pi), ((7, 1), 2.3, -0.8)):
+        np.testing.assert_allclose(two_level_rotation(state, pair, theta, phase),
+                                   state @ _two_level_matrix(pair, theta, phase).T,
                                    rtol=0, atol=1e-15)
     np.testing.assert_array_equal(state, before)
 
@@ -242,6 +260,13 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: sequential_readout(init_state(ExperimentConfig()), seed=-1), "seed"),
     (lambda: sequential_readout(np.tile(init_state(ExperimentConfig()), (2, 1)), seed=0), "seed"),
     (lambda: sequential_readout(init_state(ExperimentConfig())[None], seed=0), "seed"),
+    (lambda: run_qubit_reduction(psk3_sequence(), math.nan), "signal_angle"),
+    (lambda: run_qubit_reduction(psk3_sequence(), [0.0, math.inf]), "signal_angle"),
+    (lambda: sequential_readout(np.ones(3)), "state"),
+    (lambda: sequential_readout(np.full((2, 8), math.nan)), "state"),
+    (lambda: apply_laser_pi(init_state(), (9, 6)), "pair"),
+    (lambda: apply_laser_pi(init_state(), (6, 6)), "pair"),
+    (lambda: apply_laser_pi(init_state(), (2.0, 6)), "pair"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
         "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
@@ -249,7 +274,9 @@ def test_detuning_scan_rejects_non_finite_detunings():
         "time-series-nan-angle",
         "run-fraction-index", "run-bool-index", "start_level-bool",
         "run-seed-negative", "run-seed-float", "run-seed-bool", "readout-seed-negative",
-        "readout-seed-batch", "readout-seed-one-row-batch"])
+        "readout-seed-batch", "readout-seed-one-row-batch", "reduction-nan-angle",
+        "reduction-inf-angle", "readout-three-levels", "readout-nan-state",
+        "laser-pair-out-of-range", "laser-pair-repeated", "laser-pair-float"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):
         call()

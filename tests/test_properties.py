@@ -38,7 +38,14 @@ from spinkey.protocols import (
     psk3_sequence,
 )
 from spinkey.qsp import qsp_unitary
-from spinkey.spin_algebra import rotation, su2_factors, su2_product, su2_pulse
+from spinkey.spin_algebra import (
+    rotation,
+    su2_apply,
+    su2_factors,
+    su2_matrix,
+    su2_product,
+    su2_pulse,
+)
 from test_acceptance import _mirror_image
 from test_qsp import _plain_p
 
@@ -127,14 +134,18 @@ _ROWS = np.linspace(-1.0, 1.0, 48).view(complex).reshape(3, 8)
 def test_six_level_block_acts_on_rows_as_its_spin_image(batch):
     """The interpreter's row-form update of a laser-free block equals the
     6x6 spin image applied to each row, leaves the ground levels alone and
-    keeps each row's norm."""
+    keeps each row's norm. On (N, 2) rows the same kernel is the 2x2
+    element applied to each row."""
     states, block = batch
+    pairs = states[:, 6:].copy()
     expected = states.copy()
     expected[:, :6] = (_spin_image(block) @ states[:, :6, None])[..., 0]
     norms = np.linalg.norm(states, axis=1)
     ion_sim._apply_block(states, block, ion_sim.D_DIM)
     np.testing.assert_allclose(states, expected, rtol=0, atol=1e-13)
     np.testing.assert_allclose(np.linalg.norm(states, axis=1), norms, rtol=0, atol=1e-13)
+    expected = (su2_matrix(*np.broadcast_arrays(*block)) @ pairs[..., None])[..., 0]
+    np.testing.assert_allclose(su2_apply(pairs, *block), expected, rtol=0, atol=1e-13)
 
 
 phase_vectors = st.integers(1, 40).flatmap(
@@ -228,23 +239,25 @@ random_programs = st.tuples(
 @given(random_programs)
 def test_every_block_image_is_unitary(program):
     """Each laser-free block the interpreter applies, in run, time_series
-    and the two-level reduction, is unitary to 1e-12."""
+    and the two-level reduction, is an SU(2) element, |a|^2 + |b|^2 = 1,
+    and keeps the norm of every spin row, both to 1e-12."""
     seq, signal, noise, config = program
-    images = []
+    calls = []
 
-    def recording(element, dim=ion_sim.D_DIM):
-        images.append(_spin_image(element, dim))
-        return images[-1]
+    def recording(states, a, b):
+        out = su2_apply(states, a, b)
+        calls.append((states.shape[-1], a, b, np.linalg.norm(states, axis=-1),
+                       np.linalg.norm(out, axis=-1)))
+        return out
 
-    with mock.patch.object(ion_sim, "_spin_image", recording):
+    with mock.patch.object(ion_sim, "su2_apply", recording):
         run(seq, 0, noise, config, candidate_angles=(signal,))
         time_series(seq, 0, 5, config, noise, candidate_angles=(signal,))
         run_qubit_reduction(seq, signal)
-    assert images
-    for u in images:
-        np.testing.assert_allclose(u.conj().swapaxes(-1, -2) @ u,
-                                   np.broadcast_to(np.eye(u.shape[-1]), u.shape),
-                                   rtol=0, atol=1e-12)
+    assert {dim for dim, *_ in calls} == {2, 6}
+    for _, a, b, before, after in calls:
+        np.testing.assert_allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
 
 
 @SETTINGS
