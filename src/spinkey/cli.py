@@ -9,6 +9,7 @@ the output path. Subcommands: run, scan, bisect, baselines, servo, rabi.
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -76,21 +77,57 @@ def _check_destinations(args):
             raise ValueError(f"{first} and {role} both name {path!r}; give each its own file")
 
 
+# json.dumps runs its pure-Python encoder whenever indent is set, so the rows
+# go through this C encoder instead. Its item separator is the newline and
+# indent json.dumps(..., indent=2) puts before each value of a row.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), default=float)
+
+
+def _json_text(meta, columns, rows):
+    """json.dumps({"meta", "columns", "rows"}, indent=2, default=float) + "\\n".
+
+    rows is a list of non-empty rows of scalars. The encoded rows are
+    re-indented at each row boundary "],\\n      [", which only a row boundary
+    can produce: a JSON string holds no raw newline.
+    """
+    head = json.dumps({"meta": meta, "columns": list(columns)}, indent=2, default=float)
+    body = "[]"
+    if rows:
+        inner = _ROWS_ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        body = "[\n    [\n      " + inner + "\n    ]\n  ]"
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
+
+
+def _csv_text(meta, columns, rows):
+    """The CSV table: "# key: value" lines, the column line, then the rows.
+
+    Each row is one line of its values as _fmt writes them, joined by
+    commas; rows all have the same length. One % format writes them all:
+    "%.17g" for a column of floats, which is format(x, ".17g") for every
+    float, and "%s" for any other column, whose values _fmt writes first.
+    """
+    lines = [f"# {k}: {v}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    width = len(rows[0]) if rows else 0
+    values = list(itertools.chain.from_iterable(rows))
+    specs = []
+    for i in range(width):
+        column = values[i::width]
+        if all(issubclass(kind, float) for kind in set(map(type, column))):
+            specs.append("%.17g")
+        else:
+            values[i::width] = map(_fmt, column)
+            specs.append("%s")
+    return "\n".join(lines) + "\n" + ((",".join(specs) + "\n") * len(rows)) % tuple(values)
+
+
 def _emit(args, meta, columns, rows, dest="out"):
     """Write a table to the file args.<dest> names, or to stdout if it names none.
 
     For dest "out" with --gnuplot, also write the script <out>.gp plotting
     every column against the first.
     """
-    if args.format == "json":
-        payload = {"meta": meta, "columns": list(columns),
-                   "rows": [list(row) for row in rows]}
-        text = json.dumps(payload, indent=2, default=float) + "\n"
-    else:
-        lines = [f"# {k}: {v}" for k, v in meta.items()]
-        lines.append(",".join(columns))
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+    text = (_json_text if args.format == "json" else _csv_text)(meta, columns, rows)
     path = getattr(args, dest)
     if not path:
         sys.stdout.write(text)

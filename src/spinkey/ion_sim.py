@@ -161,6 +161,9 @@ def _level_pair(pair):
     return tuple(int(index) for index in pair)
 
 
+# The config of every call that passes none; a frozen config is safe to share.
+_DEFAULT_CONFIG = ExperimentConfig()
+
 _SEQUENCE_CONFIGS = {
     PSK: ExperimentConfig(couple_pair=(2, 6), readout_pairs=((3, 6), (2, 6))),
     ASK: ExperimentConfig(couple_pair=(0, 6), readout_pairs=((0, 6), (5, 7))),
@@ -183,7 +186,7 @@ class ReadoutResult:
 
 def init_state(config=None):
     """All amplitude on the configured ground sublevel."""
-    return np.eye(DIM, dtype=complex)[(config or ExperimentConfig()).init_level]
+    return np.eye(DIM, dtype=complex)[(config or _DEFAULT_CONFIG).init_level]
 
 
 def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=None):
@@ -213,7 +216,7 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     if not np.any(detuning_hz):
         return rotation(D_DIM, angle, phi)
     if duration is None:
-        duration = np.abs(theta) / (config or ExperimentConfig()).rabi_freq
+        duration = np.abs(theta) / (config or _DEFAULT_CONFIG).rabi_freq
     return _spin_image(su2_pulse(angle, phi, 2.0 * math.pi * np.multiply(detuning_hz, duration)))
 
 
@@ -386,7 +389,7 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     if seed is not None and state.ndim != 1:
         raise ValueError("seed samples one outcome, so it needs a single state of shape "
                          f"(8,), got shape {state.shape}")
-    config = config or ExperimentConfig()
+    config = config or _DEFAULT_CONFIG
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
     probs = np.abs(state) ** 2 @ matrix.T
     return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
@@ -565,7 +568,7 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5,
         if not is_index(level, range(D_DIM)):
             raise ValueError(f"{name} must be a metastable level 0-5, got {level!r}")
     check_real("shift_hz", shift_hz)
-    config = config or ExperimentConfig()
+    config = config or _DEFAULT_CONFIG
     times = finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
     h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz

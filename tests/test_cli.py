@@ -1,10 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinkey import ion_sim
-from spinkey.cli import main
+from spinkey.cli import _emit, main
 from spinkey.protocols import psk3_sequence
 
 
@@ -548,3 +554,61 @@ def test_gnuplot_script_quotes_the_data_path(tmp_path, monkeypatch):
     assert main(["scan", "angle", "--points", "3", "--out", "it's.csv", "--gnuplot"]) == 0
     script = (tmp_path / "it's.csv.gp").read_text()
     assert "plot 'it''s.csv' using 1:2 with lines title 'p_state0'" in script
+
+
+def _reference_text(fmt, meta, columns, rows):
+    """The table as the writer's rule states it, value by value."""
+    if fmt == "json":
+        payload = {"meta": meta, "columns": list(columns), "rows": [list(row) for row in rows]}
+        return json.dumps(payload, indent=2, default=float) + "\n"
+    lines = [f"# {k}: {v}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+_EDGE_TEXT = ('"', "\\", "\n", "],", '"],\n      ["', "\u00b5s \u2192 \u221e", "")
+_CELLS = {"float": st.floats() | st.sampled_from(_EDGE_FLOATS),
+          "int": st.integers() | st.sampled_from((0, -1, 10 ** 20)),
+          "str": st.text() | st.sampled_from(_EDGE_TEXT)}
+# A mixed column draws each value's type anew, so its type changes between rows.
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=12))
+    return kinds, rows
+
+
+_MIXED_ROWS = [(1.0, "a", 1, -0.0), (2, '"],\n', 2.5, math.nan), ("x", math.inf, True, 10 ** 20),
+               (5e-324, -math.inf, "\u00e9", 1.7976931348623157e308)]
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_tables())
+@example((["float"], []))
+@example((["float", "str"], [(0.1, "one row")]))
+@example((["mixed"] * 4, _MIXED_ROWS))
+def test_emit_writes_each_table_as_the_reference_rule(fmt, to_file, table):
+    kinds, rows = table
+    meta = {"command": "spinkey scan angle", "version": "0.1.0", "seed": 0,
+            "config": "0123456789ab", "pi_period_max_dev": 2.5e-16}
+    with tempfile.TemporaryDirectory() as tmp:
+        args = argparse.Namespace(format=fmt, gnuplot=False,
+                                  out=os.path.join(tmp, "t." + fmt) if to_file else None)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _emit(args, meta, kinds, rows)
+        if to_file:
+            assert stdout.getvalue() == ""
+            with open(args.out, newline="") as fh:
+                text = fh.read()
+        else:
+            text = stdout.getvalue()
+    assert text == _reference_text(fmt, meta, kinds, rows)

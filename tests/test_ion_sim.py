@@ -36,6 +36,12 @@ def test_init_state_and_trivial_readout():
     np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
 
+def test_init_state_is_a_new_array_on_each_call():
+    # The default config is shared between calls; the state it gives is not.
+    init_state()[6] = 0.0
+    assert init_state()[6] == 1.0
+
+
 def test_pi_pulse_mirrors_population():
     state = np.zeros(8, dtype=complex)
     state[4] = 1.0  # m = -3/2

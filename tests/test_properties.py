@@ -240,7 +240,10 @@ random_programs = st.tuples(
 def test_every_block_image_is_unitary(program):
     """Each laser-free block the interpreter applies, in run, time_series
     and the two-level reduction, is an SU(2) element, |a|^2 + |b|^2 = 1,
-    and keeps the norm of every spin row, both to 1e-12."""
+    and keeps the norm of every spin row, both to 1e-12. Applied to a
+    seeded random full row, each element acts as its matrix, su2_matrix
+    for two levels and _spin_image for six, also to 1e-12: a row with one
+    level empty keeps its norm under a wrong sign too."""
     seq, signal, noise, config = program
     calls = []
 
@@ -255,9 +258,14 @@ def test_every_block_image_is_unitary(program):
         time_series(seq, 0, 5, config, noise, candidate_angles=(signal,))
         run_qubit_reduction(seq, signal)
     assert {dim for dim, *_ in calls} == {2, 6}
-    for _, a, b, before, after in calls:
+    rng = np.random.default_rng(0)
+    for dim, a, b, before, after in calls:
         np.testing.assert_allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
+        row = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        element = np.broadcast_arrays(a, b)
+        image = su2_matrix(*element) if dim == 2 else _spin_image(element)
+        np.testing.assert_allclose(su2_apply(row, a, b), image @ row, rtol=0, atol=1e-12)
 
 
 @SETTINGS
