@@ -46,3 +46,11 @@ def finite_array(name, values):
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0]}")
     return values
+
+
+def finite_grid(name, values):
+    """values as a 1-d float array if every entry is finite; a scalar is one point."""
+    values = finite_array(name, values)
+    if values.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-d grid, got shape {values.shape}")
+    return values.reshape(-1)

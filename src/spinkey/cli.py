@@ -228,11 +228,15 @@ def _cmd_scan(args, meta):
         check_real("--stop", args.stop)
     if args.kind == "angle":
         grid = np.linspace(args.start, args.stop, args.points)
-        table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
-        columns = ("angle_rad", "p_state0", "p_state1", "p_state2")
         if args.check_period:
-            shifted = ion_sim.angle_scan(seq, grid + np.pi, noise=noise, dim=args.dim)
+            # The grid and its shift by pi run as one batch.
+            both = ion_sim.angle_scan(seq, np.concatenate([grid, grid + np.pi]), noise=noise,
+                                      dim=args.dim)
+            table, shifted = both[:args.points], both[args.points:]
             meta["pi_period_max_dev"] = float(np.max(np.abs(table[:, 1:] - shifted[:, 1:])))
+        else:
+            table = ion_sim.angle_scan(seq, grid, noise=noise, dim=args.dim)
+        columns = ("angle_rad", "p_state0", "p_state1", "p_state2")
     elif args.kind == "detuning":
         grid = np.linspace(args.start, args.stop, args.points)
         table = ion_sim.detuning_scan(seq, grid, noise=noise)

@@ -13,19 +13,21 @@ One interpreter runs every pulse program. A (sequence, config, signal
 angles) tuple compiles once into a list of segments of one form: an
 optional laser swap on a (metastable, ground) pair, then a drive of some
 angle, axis and duration (angle 0 is free precession). run, angle_scan,
-detuning_scan, time_series and run_qubit_reduction all pass a whole
-(N, 8) batch of grid points through the same loop. Between two laser
-swaps every rf pulse and free precession is the spin-5/2 image of an
-SU(2) element, so the loop multiplies the 2x2 elements in closed form and
-applies each laser-free block once, through spin_algebra.su2_apply: on
-six levels one resonant rotation followed by one precession about z, as
-two real 6x6 matmuls in the cached eigenbasis of Jx and three diagonal
-phases, and in the two-level reduction the element itself as a
-two-column row update. A laser swap is spin_algebra.two_level_rotation,
-which rewrites only its pair's two columns, so no per-row propagator is
-built. The readout cascade is linear in the level populations, so it is
-one (4, 8) matrix per (noise, config), built once and cached, applied to
-|psi|^2 of the batch.
+detuning_scan and run_qubit_reduction all pass a whole (N, 8) batch of
+grid points through the same loop; time_series passes one row through
+it, recording where each segment starts, and finishes every time point
+from those records in one batch. Between two laser swaps every rf pulse
+and free precession is the spin-5/2 image of an SU(2) element, so the
+loop multiplies the 2x2 elements in closed form and applies each
+laser-free block once, through spin_algebra.su2_apply: on six levels one
+resonant rotation followed by one precession about z, as two real 6x6
+matmuls in the cached eigenbasis of Jx and three diagonal phases, and in
+the two-level reduction the element itself as a two-column row update. A
+laser swap is spin_algebra.two_level_rotation, which rewrites only its
+pair's two columns, so no per-row propagator is built. The readout
+cascade is linear in the level populations, so it is one (4, 8) matrix
+per (noise, config), built once and cached, applied to |psi|^2 of the
+batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array, is_index
+from ._checks import check_int, check_real, finite_array, finite_grid, is_index
 from .protocols import (
     ASK,
     DESIGN_ANGLES,
@@ -256,16 +258,13 @@ class _Segment(NamedTuple):
     pair is the (metastable, ground) pair a laser swaps at the segment's
     start, or None. The drive then rotates the spin block by the nominal
     angle about the equatorial axis phi over duration seconds; angle 0 is
-    free precession. rows is True, or an (N, 1) mask of the grid points
-    that have reached the swap. Each number is a scalar or one value per
-    grid point.
+    free precession. Each number is a scalar or one value per grid point.
     """
 
     duration: object
     angle: object = 0.0
     phi: object = 0.0
     pair: tuple = None
-    rows: object = True
 
 
 def _compile(seq, config, signal_angles):
@@ -295,7 +294,7 @@ def _compile(seq, config, signal_angles):
     return segments
 
 
-def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
+def _propagate(states, segments, noise, detuning_hz, dim=D_DIM, record=None):
     """Apply compiled segments to an (N, dim + grounds) batch, which it overwrites.
 
     The first dim entries of each row are the spin block; detuning_hz is a
@@ -304,19 +303,29 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM):
     at the end, as the spin-J image that spin_algebra.su2_apply writes on
     the rows for both dims. Each swap is apply_laser_pi. The six-level
     block takes the noisy drives; the ideal two-level reduction (dim = 2)
-    passes IDEAL.
+    passes IDEAL. Given a list as record, it appends one pair per segment,
+    before the segment's drive: a copy of the batch at the start of the
+    segment's block, after any swap, and the block's element so far, or
+    None.
     """
     block = None
     for segment in segments:
         if segment.pair is not None:
             _apply_block(states, block, dim)
-            states = np.where(segment.rows, apply_laser_pi(states, segment.pair, noise), states)
+            states = apply_laser_pi(states, segment.pair, noise)
             block = None
-        pulse = su2_pulse(segment.angle * (1.0 + noise.rf_amp_error), segment.phi,
-                          2.0 * math.pi * np.multiply(detuning_hz, segment.duration))
+        if record is not None:
+            record.append((states.copy(), block))
+        pulse = _drive(segment.angle, segment.phi, segment.duration, noise, detuning_hz)
         block = pulse if block is None else su2_product(pulse, block)
     _apply_block(states, block, dim)
     return states
+
+
+def _drive(angle, phi, duration, noise, detuning_hz):
+    """SU(2) element of a drive of the nominal angle about phi over duration seconds."""
+    return su2_pulse(angle * (1.0 + noise.rf_amp_error), phi,
+                     2.0 * math.pi * np.multiply(detuning_hz, duration))
 
 
 def _apply_block(states, block, dim):
@@ -463,38 +472,45 @@ def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
     """Readout-state populations versus evolution time.
 
     The compiled program is evaluated at n_points (an integer >= 2) evenly
-    spaced times, one row of the batch per time. Each row runs every
-    segment: whole once it has ended, scaled to the part it has reached
-    while it runs, and not at all before it starts; a laser swap acts only
-    on the rows that have reached it. Each row survives leakage with
-    exp(-leakage_rate * t). Laser pulses are instantaneous by default, so
-    the curves are piecewise smooth with steps at the shelving events; a
-    pulse starting at a time point takes effect just after it. The final
-    row is the whole program and equals run().
+    spaced times. Each time has run the segments it has started: whole
+    once they have ended, and the last one only as far as it has reached.
+    A laser swap acts at the start of its segment. The program is walked
+    once, on one row, recording each segment's block-start state and
+    block so far; each time then takes its last started segment's record,
+    and all times are finished in one batch. Each row survives leakage
+    with exp(-leakage_rate * t). Laser pulses are instantaneous by
+    default, so the curves are piecewise smooth with steps at the shelving
+    events; a pulse starting at a time point takes effect just after it.
+    The final row is the whole program and equals run(). An empty program
+    gives n_points rows at t = 0, each equal to run().
 
     Returns an (n_points, 4) array with columns (time, p0, p1, p2).
     """
     check_int("n_points", n_points, 2)
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
-    segments = _compile(seq, config, oracle.hidden_angle)
-    durations = np.array([segment.duration for segment in segments], dtype=float)
+    # A leading empty segment is the last started one of a time that has started none.
+    segments = [_Segment(0.0)] + _compile(seq, config, oracle.hidden_angle)
+    record = []
+    _propagate(init_state(config)[None], segments, noise, noise.detuning_hz, record=record)
+    durations, angles, phis = np.array([segment[:3] for segment in segments], dtype=float).T
     ends = np.cumsum(durations)
-    total = float(ends[-1]) if segments else 0.0
+    total = float(ends[-1])
     times = np.linspace(0.0, total, n_points)
     eps = 1e-15 * max(total, 1e-30)
 
-    # One row per segment and one column per time point.
-    starts = np.concatenate([[0.0], ends[:-1]])[:, None]
-    started = (times - starts > eps) | (times >= total - eps)
-    inside = started & (times < ends[:, None] - eps)
-    fractions = np.divide(times - starts, durations[:, None], out=started.astype(float),
-                          where=inside)
-    scaled = [segment._replace(duration=segment.duration * f, angle=segment.angle * f,
-                               rows=reached[:, None])
-              for segment, f, reached in zip(segments, fractions, started)]
-    states = _propagate(np.tile(init_state(config), (n_points, 1)), scaled, noise,
-                        noise.detuning_hz)
+    # The program's segments start where the previous one ends; at the end all have started.
+    starts = np.concatenate([[0.0], ends[:-1]])
+    started = (times - starts[1:, None] > eps) | (times >= total - eps)
+    # The started segments are a prefix, so their count indexes the last one here.
+    last = started.sum(axis=0)
+    fractions = np.divide(times - starts[last], durations[last], out=np.ones(n_points),
+                          where=times < ends[last] - eps)
+    pulse = _drive(angles[last] * fractions, phis[last], durations[last] * fractions, noise,
+                   noise.detuning_hz)
+    prefix = np.array([(1.0, 0.0) if block is None else block for _, block in record]).T
+    states = np.concatenate([state for state, _ in record])[last]
+    _apply_block(states, su2_product(pulse, prefix[:, last]), D_DIM)
     probs = _apply_leakage(sequential_readout(states, noise, config).probabilities,
                            noise, times)
     return np.column_stack([times, probs[:, :3]])
@@ -504,10 +520,11 @@ def angle_scan(seq, angles, config=None, noise=IDEAL, dim=6):
     """Readout populations as the oracle's signal angle sweeps a grid.
 
     dim=6 runs the full ion model; dim=2 runs the two-level reduction. All
-    grid points are evaluated together as one batch.
-    Returns an (n, 4) array with columns (angle, p0, p1, p2).
+    grid points are evaluated together as one batch. angles is a 1-d grid
+    or a scalar, which is one point; a grid of more dimensions raises
+    ValueError. Returns an (n, 4) array with columns (angle, p0, p1, p2).
     """
-    angles = finite_array("angles", angles)
+    angles = finite_grid("angles", angles)
     if dim == 2:
         probs = run_qubit_reduction(seq, angles)
     elif dim == 6:
@@ -521,7 +538,8 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
                   noise=IDEAL):
     """Minimum correct-identification probability over the candidate set.
 
-    Every (detuning, candidate) pair is evaluated in one batch. Returns an
+    Every (detuning, candidate) pair is evaluated in one batch.
+    detunings_hz is a 1-d grid or a scalar, which is one point. Returns an
     (n, 2) array with columns (detuning_hz, min_accuracy); other noise
     fields are taken from the supplied model.
     """
@@ -531,7 +549,7 @@ def detuning_scan(seq, detunings_hz, config=None, candidate_angles=DESIGN_ANGLES
     if candidates.size > len(seq.readout_map):
         raise ValueError(f"candidate_angles has {candidates.size} angles, but the "
                          f"readout_map covers {len(seq.readout_map)}")
-    detunings_hz = finite_array("detunings_hz", detunings_hz)
+    detunings_hz = finite_grid("detunings_hz", detunings_hz)
     probs = _evaluate(seq, config, noise, np.tile(candidates, detunings_hz.size),
                       np.repeat(detunings_hz, candidates.size))
     probs = probs.reshape(detunings_hz.size, candidates.size, 4)

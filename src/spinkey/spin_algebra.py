@@ -120,6 +120,10 @@ def hermitian_propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+# 2m for m = 5/2 ... -5/2, as integer phase powers.
+_TWICE_M6 = np.array([5, 3, 1, -1, -3, -5])
+
+
 @cache
 def _jx_eigenbasis(dim):
     """Eigenvalues and real eigenvectors of Jx, computed once per dimension."""
@@ -200,16 +204,19 @@ def su2_apply(states, a, b):
     For J = 5/2 it is D = Rz(z) Rz(phi) V e^(-i beta w) V^T Rz(-phi), with
     (beta, phi, z) the su2_factors and (w, V) the cached real eigenbasis
     of Jx, so a row psi becomes psi D^T: two real 6x6 matmuls and three
-    diagonal phases, with no per-row matrix.
+    diagonal phases, with no per-row matrix. Each phase vector e^(i x m)
+    over m = 5/2 ... -5/2 is one half-angle exponential per row raised to
+    the integer powers 2m; the eigenvalues w of Jx ascend, w = -m, so
+    e^(-i beta w) is e^(i beta m).
     """
     if states.shape[-1] == 2:
         psi0, psi1 = states[..., 0], states[..., 1]
         return np.stack([a * psi0 - np.conj(b) * psi1, b * psi0 + np.conj(a) * psi1], -1)
     beta, phi, z = (np.asarray(x)[..., None] for x in su2_factors(a, b))
-    w, v = _jx_eigenbasis(6)
-    m = _m_values(6)
-    psi = (states * np.exp(1j * phi * m)) @ v
-    return (psi * np.exp(-1j * beta * w)) @ v.T * np.exp(-1j * (phi + z) * m)
+    v = _jx_eigenbasis(6)[1]
+    psi = (states * np.exp(0.5j * phi) ** _TWICE_M6) @ v
+    psi = (psi * np.exp(0.5j * beta) ** _TWICE_M6) @ v.T
+    return psi * np.exp(-0.5j * (phi + z)) ** _TWICE_M6
 
 
 def two_level_rotation(states, pair, theta, phase=0.0):

@@ -6,12 +6,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinkey import ion_sim
 from spinkey.cli import _emit, main
-from spinkey.protocols import psk3_sequence
+from spinkey.protocols import PSK, PulseSequence, psk3_sequence
 
 
 def _read(path):
@@ -235,6 +236,36 @@ def test_scan_angle_schema_and_period_check(tmp_path, capsys):
     assert dev < 1e-8
 
 
+# The two-level reduction is noiseless; the six-level scan takes every noise field.
+_PERIOD_SCANS = st.one_of(st.just((2, {})), st.fixed_dictionaries({
+    "detuning_hz": st.floats(-100.0, 100.0), "rf_amp_error": st.floats(-0.05, 0.05),
+    "laser_pi_error": st.floats(0.0, 1.0), "spam_error": st.floats(0.0, 1.0),
+    "leakage_rate": st.floats(0.0, 1e3)}).map(lambda fields: (6, fields)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 60), st.floats(-7.0, 7.0), st.floats(-7.0, 7.0), _PERIOD_SCANS)
+def test_period_check_is_two_angle_scans(points, start, stop, scan):
+    """The period-checked table and its pi_period_max_dev are those of two
+    separate angle scans, of the grid and of the grid shifted by pi."""
+    dim, fields = scan
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in fields.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "scan.json")
+        assert main(["scan", "angle", "--points", str(points), f"--start={start!r}",
+                     f"--stop={stop!r}", "--dim", str(dim), "--check-period", "--format",
+                     "json", "--out", out] + flags) == 0
+        with open(out) as fh:
+            written = json.load(fh)
+    grid = np.linspace(start, stop, points)
+    noise = ion_sim.NoiseModel(**fields)
+    table = ion_sim.angle_scan(psk3_sequence(), grid, noise=noise, dim=dim)
+    shifted = ion_sim.angle_scan(psk3_sequence(), grid + np.pi, noise=noise, dim=dim)
+    np.testing.assert_allclose(written["rows"], table, rtol=0, atol=1e-13)
+    deviation = np.max(np.abs(table[:, 1:] - shifted[:, 1:]))
+    assert abs(written["meta"]["pi_period_max_dev"] - deviation) <= 1e-13
+
+
 def test_scan_detuning_at_zero(tmp_path):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "detuning", "--seq", "psk3", "--points", "3",
@@ -254,6 +285,15 @@ def test_scan_time_endpoint_matches_run(tmp_path):
     assert header == ["time_s", "p_state0", "p_state1", "p_state2"]
     assert float(rows[0][1]) == 1.0  # initialized state reads state0
     assert float(rows[-1][3]) >= 0.9999
+
+
+def test_scan_time_of_an_empty_sequence_file_repeats_run(tmp_path):
+    seq_path = tmp_path / "empty.json"
+    seq_path.write_text(PulseSequence("empty", PSK, (), {0: 0, 1: 1, 2: 2}).to_json())
+    out = tmp_path / "ts.csv"
+    assert main(["scan", "time", "--seq-file", str(seq_path), "--points", "3",
+                 "--out", str(out)]) == 0
+    assert _data_rows(out)[1] == [["0", "1", "0", "0"]] * 3
 
 
 def test_scan_empty_grid_rejected(capsys):

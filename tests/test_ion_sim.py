@@ -22,7 +22,7 @@ from spinkey.ion_sim import (
     sequential_readout,
     time_series,
 )
-from spinkey.protocols import DESIGN_ANGLES, ask3_sequence, psk3_sequence
+from spinkey.protocols import DESIGN_ANGLES, PSK, PulseSequence, ask3_sequence, psk3_sequence
 from spinkey.spin_algebra import spin_operators, two_level_rotation
 
 DESIGN = np.array(DESIGN_ANGLES)
@@ -313,6 +313,36 @@ def test_time_series_last_row_equals_run_with_leakage():
                 table = time_series(seq, index, 33, config=config, noise=model)
                 final = run(seq, index, model, config).probabilities[:3]
                 np.testing.assert_allclose(table[-1, 1:], final, rtol=0, atol=1e-12)
+
+
+def test_time_series_of_an_empty_program_is_run_at_time_zero():
+    seq = PulseSequence("empty", PSK, (), {0: 0, 1: 1, 2: 2})
+    noise = NoiseModel(leakage_rate=200.0, spam_error=4e-4, laser_pi_error=1e-3)
+    table = time_series(seq, 0, 3, noise=noise)
+    assert table.shape == (3, 4)
+    np.testing.assert_array_equal(table[:, 0], 0.0)
+    np.testing.assert_array_equal(table[:, 1:], np.tile(run(seq, 0, noise).probabilities[:3],
+                                                        (3, 1)))
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: angle_scan(psk3_sequence(), [[0.1, 0.2]]), "angles"),
+    (lambda: angle_scan(psk3_sequence(), [[0.1], [0.2]], dim=2), "angles"),
+    (lambda: detuning_scan(psk3_sequence(), [[0.0, 1.0]]), "detunings_hz"),
+], ids=["angles-2d", "angles-2d-dim2", "detunings-2d"])
+def test_scans_refuse_grids_of_more_than_one_dimension(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
+def test_a_scalar_grid_is_one_point():
+    seq = psk3_sequence()
+    for dim in (6, 2):
+        np.testing.assert_array_equal(angle_scan(seq, 0.3, dim=dim),
+                                      angle_scan(seq, [0.3], dim=dim))
+    np.testing.assert_array_equal(detuning_scan(seq, 5.0), detuning_scan(seq, [5.0]))
+    # The two-level reduction keeps its N-d grids.
+    assert run_qubit_reduction(seq, np.zeros((2, 3))).shape == (2, 3, 3)
 
 
 def test_angle_scan_identity_at_design_angles():

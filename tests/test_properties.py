@@ -9,6 +9,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -19,19 +20,24 @@ from spinkey.ion_sim import (
     NoiseModel,
     _spin_image,
     angle_scan,
+    apply_laser_pi,
     default_config,
+    init_state,
     rf_unitary,
     run,
     run_qubit_reduction,
+    sequential_readout,
     time_series,
 )
 from spinkey.protocols import (
     ASK,
     CHANNELS,
+    DESIGN_ANGLES,
     LASER,
     ORACLE,
     PSK,
     RF,
+    OracleSpec,
     Pulse,
     PulseSequence,
     ask3_sequence,
@@ -148,6 +154,19 @@ def test_six_level_block_acts_on_rows_as_its_spin_image(batch):
     np.testing.assert_allclose(su2_apply(pairs, *block), expected, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("a, b", [(1, 0), (-1, 0), (1j, 0), (-1j, 0), (0, 1), (0, -1j),
+                                  (0, np.exp(0.7j))],
+                         ids=["a=1", "a=-1", "a=i", "a=-i", "|a|=0", "|a|=0-b=-i",
+                              "|a|=0-b=phase"])
+def test_six_level_phases_at_axis_elements(a, b):
+    """su2_apply at the elements where its factors sit on a branch of arg:
+    a diagonal element (b = 0) and a pure flip (|a| = 0)."""
+    rows = _ROWS[:, :6].copy()
+    element = (np.complex128(a), np.complex128(b))
+    expected = (_spin_image(element) @ rows[..., None])[..., 0]
+    np.testing.assert_allclose(su2_apply(rows, *element), expected, rtol=0, atol=1e-13)
+
+
 phase_vectors = st.integers(1, 40).flatmap(
     lambda degree: st.lists(_real(-math.pi, math.pi), min_size=degree + 1, max_size=degree + 1))
 signals = st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), _real(-1.0, 1.0)),
@@ -233,6 +252,55 @@ random_programs = st.tuples(
               _real(0.0, 1.0), _real(0.0, 1e3)),
     st.builds(replace, timings, init_level=st.sampled_from(S_LEVELS), couple_pair=level_pairs,
               readout_pairs=st.tuples(level_pairs, level_pairs)))
+
+
+def _per_row_time_series(seq, index, n_points, config, noise, candidate_angles):
+    """time_series by the rule of running every segment on every row: each
+    segment scaled by the row's fraction of it (1 once it has ended, 0
+    before it starts), and its swap on the rows that have started it."""
+    oracle = OracleSpec(seq.encoding, tuple(candidate_angles), index)
+    segments = ion_sim._compile(seq, config, oracle.hidden_angle)
+    durations = np.array([segment.duration for segment in segments], dtype=float)
+    ends = np.cumsum(durations)
+    total = float(ends[-1])
+    times = np.linspace(0.0, total, n_points)
+    eps = 1e-15 * max(total, 1e-30)
+    starts = np.concatenate([[0.0], ends[:-1]])[:, None]
+    started = (times - starts > eps) | (times >= total - eps)
+    inside = started & (times < ends[:, None] - eps)
+    fractions = np.divide(times - starts, durations[:, None], out=started.astype(float),
+                          where=inside)
+    states = np.tile(init_state(config), (n_points, 1))
+    block = None
+    for segment, f, reached in zip(segments, fractions, started):
+        if segment.pair is not None:
+            if block is not None:
+                states[:, :6] = su2_apply(states[:, :6], *block)
+            states = np.where(reached[:, None], apply_laser_pi(states, segment.pair, noise),
+                              states)
+            block = None
+        pulse = su2_pulse(segment.angle * f * (1.0 + noise.rf_amp_error), segment.phi,
+                          2.0 * math.pi * noise.detuning_hz * segment.duration * f)
+        block = pulse if block is None else su2_product(pulse, block)
+    if block is not None:
+        states[:, :6] = su2_apply(states[:, :6], *block)
+    probs = ion_sim._apply_leakage(sequential_readout(states, noise, config).probabilities,
+                                   noise, times)
+    return np.column_stack([times, probs[:, :3]])
+
+
+@SETTINGS
+@given(st.one_of(programs().map(lambda p: p + (DESIGN_ANGLES,)),
+                 random_programs.map(lambda p: (p[0], 0, p[2], p[3], (p[1],)))),
+       st.integers(2, 241))
+def test_time_series_is_the_per_row_rule(program, n_points):
+    """Walking the program once and finishing each time point from its last
+    started segment gives every row what running every segment on it does."""
+    seq, index, noise, config, candidates = program
+    table = time_series(seq, index, n_points, config, noise, candidates)
+    expected = _per_row_time_series(seq, index, n_points, config, noise, candidates)
+    np.testing.assert_array_equal(table[:, 0], expected[:, 0])
+    np.testing.assert_allclose(table[:, 1:], expected[:, 1:], rtol=0, atol=1e-13)
 
 
 @SETTINGS
