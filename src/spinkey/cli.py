@@ -29,12 +29,6 @@ _FILE_FLAGS = tuple("--" + name.replace("_", "-") for name in _FILE_ARGS)
 _OUTPUT_ARGS = frozenset(_FILE_ARGS + ("format", "gnuplot", "func"))
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _config_hash(args):
     """Hash of every parsed argument except those in _OUTPUT_ARGS."""
     params = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
@@ -101,23 +95,18 @@ def _json_text(meta, columns, rows):
 def _csv_text(meta, columns, rows):
     """The CSV table: "# key: value" lines, the column line, then the rows.
 
-    Each row is one line of its values as _fmt writes them, joined by
-    commas; rows all have the same length. One % format writes them all:
-    "%.17g" for a column of floats, which is format(x, ".17g") for every
-    float, and "%s" for any other column, whose values _fmt writes first.
+    Each row is one line of its values, joined by commas; rows all have the
+    same length. One % format writes them all: "%.17g" for a column of
+    floats, which is format(x, ".17g") for every float, and "%s", which is
+    str, for any other column. No table has a column that mixes floats with
+    other values.
     """
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append(",".join(columns))
     width = len(rows[0]) if rows else 0
     values = list(itertools.chain.from_iterable(rows))
-    specs = []
-    for i in range(width):
-        column = values[i::width]
-        if all(issubclass(kind, float) for kind in set(map(type, column))):
-            specs.append("%.17g")
-        else:
-            values[i::width] = map(_fmt, column)
-            specs.append("%s")
+    specs = ["%.17g" if all(issubclass(kind, float) for kind in set(map(type, values[i::width])))
+             else "%s" for i in range(width)]
     return "\n".join(lines) + "\n" + ((",".join(specs) + "\n") * len(rows)) % tuple(values)
 
 
@@ -143,9 +132,13 @@ def _emit(args, meta, columns, rows, dest="out"):
             fh.write(f"set datafile separator ','\nset xlabel '{columns[0]}'\nplot {plots}\n")
 
 
+class _Default(str):
+    """A flag's default text, told apart from the same text given on the command line."""
+
+
 def _load_sequence(args):
     if args.seq_file:
-        if args.seq != "psk3":
+        if not isinstance(args.seq, _Default):
             raise ValueError("--seq and --seq-file both name a sequence; give one of them")
         try:
             with open(args.seq_file) as fh:
@@ -191,7 +184,8 @@ def _add_noise(p):
 
 
 def _add_seq(p):
-    p.add_argument("--seq", default="psk3", help="psk3, ask3, or ask3-exact")
+    # The default hashes as "psk3", but _load_sequence can tell it from a given --seq.
+    p.add_argument("--seq", default=_Default("psk3"), help="psk3, ask3, or ask3-exact")
     p.add_argument("--seq-file", help="JSON pulse sequence file")
 
 
@@ -221,6 +215,8 @@ def _cmd_scan(args, meta):
         raise ValueError("--check-period needs an angle scan of a phase-keyed sequence")
     if args.oracle != 0 and args.kind != "time":
         raise ValueError(f"scan {args.kind} reads no --oracle; only scan time does")
+    if args.kind == "detuning" and noise.detuning_hz != 0.0:
+        raise ValueError("scan detuning reads no --detuning-hz; its grid sets the detuning")
     if args.kind == "time" and (args.start, args.stop) != (0.0, 2.0 * np.pi):
         raise ValueError("scan time reads no --start or --stop; its grid spans the sequence")
     if args.kind != "time":

@@ -57,14 +57,18 @@ class DriftModel:
         component has per-sample deviation sigma1/sqrt(dt); the random-walk
         step size reproduces rw_sigma10 at tau = 10 s through the exact
         discrete Allan variance of a random walk. duration_s must be
-        finite and >= 0, dt finite and > 0, seed None (fresh entropy) or
+        finite and >= 0, with no more periods of dt than one float64 array
+        can hold (np.iinfo(np.intp).max bytes), dt finite and > 0, and seed
         an integer >= 0.
         """
         check_real("duration_s", duration_s, 0.0)
         check_real("dt", dt, 0.0, strict=True)
-        if seed is not None:
-            check_int("seed", seed, minimum=0)
+        check_int("seed", seed, minimum=0)
         n = int(round(duration_s / dt))
+        if n > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"duration_s = {duration_s!r} holds {duration_s / dt:.3g} periods "
+                             f"of dt, more than one float64 array can hold "
+                             f"({np.iinfo(np.intp).max // 8})")
         rng = np.random.default_rng(seed)
         y = np.zeros(n)
         if self.white_sigma1 > 0:
@@ -84,8 +88,9 @@ class ServoConfig:
 
     interrogation_s is the Ramsey free-evolution time per fringe side,
     step_hz the fixed frequency increment, period_s the repetition
-    interval, and shots the detections per fringe side, an integer >= 1
-    (None means noiseless probabilities). The atom is interrogated at its
+    interval, and shots the detections per fringe side, an integer from 1
+    to np.iinfo(np.int64).max, the most one binomial draw takes (None
+    means noiseless probabilities). The atom is interrogated at its
     light-shifted frequency and the calibrated light-shift offset is
     subtracted from every measurement again, so a correct calibration
     cancels exactly and needs no parameter. miscalibration_hz models an
@@ -104,8 +109,9 @@ class ServoConfig:
         for name in ("interrogation_s", "step_hz", "period_s"):
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("miscalibration_hz", self.miscalibration_hz)
-        if self.shots is not None:
-            check_int("shots", self.shots)
+        if self.shots is not None and check_int("shots", self.shots) > np.iinfo(np.int64).max:
+            raise ValueError(f"shots must be <= {np.iinfo(np.int64).max}, the most one binomial "
+                             f"draw takes, got {self.shots!r}")
 
     @classmethod
     def lab(cls):
@@ -153,13 +159,14 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
     0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
     without clipping. With shots, each side is one binomial draw, plus side
     first. duration_s must be finite and >= 0, initial_offset_hz finite;
-    seed is checked by DriftModel.generate.
+    duration_s and seed (an integer >= 0) are checked by
+    DriftModel.generate.
     """
     check_real("initial_offset_hz", initial_offset_hz)
     t, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
     resonance = y * drift.carrier_hz + initial_offset_hz
 
-    rng = np.random.default_rng(None if seed is None else seed + 0x5EED)
+    rng = np.random.default_rng(seed + 0x5EED)
     applied = []
     level = 0.0
     for freq in resonance.tolist():

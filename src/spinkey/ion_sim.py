@@ -179,8 +179,8 @@ def default_config(seq):
 
 @dataclass(frozen=True)
 class ReadoutResult:
-    """Probabilities over (state0, state1, state2, leakage), plus a sampled
-    outcome when a seed was supplied (3 denotes leakage)."""
+    """Probabilities over (state0, state1, state2, leakage), plus the outcome
+    run draws when given a seed (3 denotes leakage)."""
 
     probabilities: np.ndarray
     outcome: int = None
@@ -369,14 +369,7 @@ def _readout_matrix(s, laser_angle, readout_pairs):
     return matrix
 
 
-def _sample(probs, seed):
-    if seed is None:
-        return None
-    rng = np.random.default_rng(check_int("seed", seed, minimum=0))
-    return int(rng.choice(4, p=probs / probs.sum()))
-
-
-def sequential_readout(state, noise=IDEAL, config=None, seed=None):
+def sequential_readout(state, noise=IDEAL, config=None):
     """Three-stage fluorescence cascade.
 
     Stage 0 detects the ground manifold; stages 1 and 2 deshelve the
@@ -388,20 +381,16 @@ def sequential_readout(state, noise=IDEAL, config=None, seed=None):
     |psi|^2 and are linear in them: they are one (4, 8) matrix, fixed by
     the noise and config, applied to |psi|^2. state may also be a batch of
     shape (..., 8), giving probabilities of shape (..., 4). Returns exact
-    outcome probabilities, plus one sampled outcome when a seed is given
-    for a single state; a seed with a batch raises ValueError, and so does
-    a state that is not finite or whose last axis is not 8 levels.
+    outcome probabilities and draws no outcome (run does, given a seed); a
+    state that is not finite or whose last axis is not 8 levels raises
+    ValueError.
     """
     state = np.asarray(state)
     if state.shape[-1:] != (DIM,) or not np.isfinite(state).all():
         raise ValueError(f"state must be finite, with {DIM} levels last, got shape {state.shape}")
-    if seed is not None and state.ndim != 1:
-        raise ValueError("seed samples one outcome, so it needs a single state of shape "
-                         f"(8,), got shape {state.shape}")
     config = config or _DEFAULT_CONFIG
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
-    probs = np.abs(state) ** 2 @ matrix.T
-    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
+    return ReadoutResult(probabilities=np.abs(state) ** 2 @ matrix.T)
 
 
 def _apply_leakage(probs, noise, duration):
@@ -434,13 +423,16 @@ def run(seq, oracle_index, noise=IDEAL, config=None, candidate_angles=DESIGN_ANG
 
     With ideal noise every oracle index of the built-in sequences lands on
     readout_map[oracle_index] deterministically (to the precision of the
-    stored pulse angles). A seeded outcome is drawn from the returned
-    probabilities, leakage included.
+    stored pulse angles). Given a seed (an integer >= 0), one outcome is
+    drawn from the returned probabilities, leakage included.
     """
     config = config or default_config(seq)
     oracle = OracleSpec(seq.encoding, tuple(candidate_angles), oracle_index)
     probs = _evaluate(seq, config, noise, np.array([oracle.hidden_angle]))[0]
-    return ReadoutResult(probabilities=probs, outcome=_sample(probs, seed))
+    if seed is None:
+        return ReadoutResult(probabilities=probs)
+    rng = np.random.default_rng(check_int("seed", seed, minimum=0))
+    return ReadoutResult(probabilities=probs, outcome=int(rng.choice(4, p=probs / probs.sum())))
 
 
 def run_qubit_reduction(seq, signal_angle):
@@ -519,13 +511,22 @@ def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
 def angle_scan(seq, angles, config=None, noise=IDEAL, dim=6):
     """Readout populations as the oracle's signal angle sweeps a grid.
 
-    dim=6 runs the full ion model; dim=2 runs the two-level reduction. All
-    grid points are evaluated together as one batch. angles is a 1-d grid
-    or a scalar, which is one point; a grid of more dimensions raises
-    ValueError. Returns an (n, 4) array with columns (angle, p0, p1, p2).
+    dim=6 runs the full ion model; dim=2 runs the two-level reduction, which
+    is noiseless in the sequence's default config, so it raises ValueError
+    for a noise model other than IDEAL or a config other than None or
+    default_config(seq). All grid points are evaluated together as one
+    batch. angles is a 1-d grid or a scalar, which is one point; a grid of
+    more dimensions raises ValueError. Returns an (n, 4) array with columns
+    (angle, p0, p1, p2).
     """
     angles = finite_grid("angles", angles)
     if dim == 2:
+        if noise != IDEAL:
+            raise ValueError(f"dim=2 runs the noiseless two-level reduction, so noise must "
+                             f"be IDEAL, got {noise!r}")
+        if config not in (None, default_config(seq)):
+            raise ValueError("dim=2 runs the two-level reduction in the sequence's default config, "
+                             f"so config must be None or default_config(seq), got {config!r}")
         probs = run_qubit_reduction(seq, angles)
     elif dim == 6:
         probs = _evaluate(seq, config or default_config(seq), noise, angles)[:, :3]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array
+from ._checks import check_int, finite_array
 from .spin_algebra import su2_matrix, su2_product
 
 _log = logging.getLogger(__name__)
@@ -57,6 +57,14 @@ _MAX_DAMPING = 1e10
 # Two real roots of a factor of |P|^2 closer than this are one double root,
 # split by rounding (np.roots splits a double root by about 1e-8).
 _DOUBLE_ROOT = 1e-6
+# A wider real pair is turned complex by shifting the fit's top coefficient
+# when a shift of at most this does it; it moves |P|^2 on [0, 1] by at most
+# a quarter of it (notes/decisions.md).
+_MAX_TOP_SHIFT = 1e-12
+# find_phases checks this many starts, and a start succeeds when every
+# | |P|^2 - |t|^2 | is at most _POINT_TOL (notes/decisions.md).
+_N_STARTS = 32
+_POINT_TOL = 1e-9
 
 
 class PhaseFindingError(RuntimeError):
@@ -194,21 +202,18 @@ def bisecting_poly(a):
 class PolynomialSpec:
     """Target for the phase finder: |P(a_i)| should match |target_i|.
 
-    kind is one of "chebyshev", "bisecting", "sampled"; degree, an integer
-    >= 1, fixes the number of phases (degree + 1); samples holds at least
-    one (a, |target|) pair, with a and the target finite and in [-1, 1].
-    Targets at +/-a must share one magnitude, as a definite-parity P
-    forces. Every spec is checked when it is built, however it is built.
+    degree, an integer >= 1, fixes the number of phases (degree + 1);
+    samples holds at least one (a, |target|) pair, with a and the target
+    finite and in [-1, 1]. Targets at +/-a must share one magnitude, as a
+    definite-parity P forces. Every spec is checked when it is built,
+    however it is built; the chebyshev, bisecting and sampled constructors
+    only choose the samples.
     """
 
-    kind: str
     degree: int
     samples: tuple
 
     def __post_init__(self):
-        kinds = ("chebyshev", "bisecting", "sampled")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
         object.__setattr__(self, "degree", check_int("degree", self.degree))
         pairs = tuple((float(a), float(t)) for a, t in self.samples)
         if not pairs:
@@ -245,7 +250,7 @@ class PolynomialSpec:
         degree = check_int("degree", degree)
         grid = np.cos(np.linspace(0.0, np.pi, 25))
         targets = np.cos(degree * np.arccos(grid))
-        return cls("chebyshev", degree, tuple(zip(grid.tolist(), np.abs(targets).tolist())))
+        return cls(degree, tuple(zip(grid.tolist(), np.abs(targets).tolist())))
 
     @classmethod
     def bisecting(cls):
@@ -257,7 +262,7 @@ class PolynomialSpec:
         three magnitude constraints at degree 3, where an exact completion
         exists.
         """
-        return cls("bisecting", 3, ((1.0, 1.0), (0.5, 0.0), (-0.5, 0.0)))
+        return cls(3, ((1.0, 1.0), (0.5, 0.0), (-0.5, 0.0)))
 
     @classmethod
     def sampled(cls, pairs, degree):
@@ -265,7 +270,7 @@ class PolynomialSpec:
 
         The spec's checks apply: see PolynomialSpec.
         """
-        return cls("sampled", degree, tuple(pairs))
+        return cls(degree, tuple(pairs))
 
 
 def _residuals_and_jacobian(phases, w, t):
@@ -392,9 +397,10 @@ def _closed_form_start(degree, a, t):
     (notes/decisions.md). Returns None, so that the caller goes on to the
     seeded draws, when the fit is rank-deficient (fewer than d - 1 rows
     from distinct y_i strictly between 0 and 1, a zero target counting
-    twice) or |p|^2 or |q|^2 is negative somewhere on the real line. The
-    phases are exact up to rounding when the samples come from some
-    product of this degree; otherwise they are only a start.
+    twice) or |p|^2 or |q|^2 is negative somewhere on the real line, even
+    after _flip_far_pair's shift of g's top coefficient. The phases are
+    exact up to rounding when the samples come from some product of this
+    degree; otherwise they are only a start.
     """
     odd = degree % 2
     y = a * a
@@ -412,19 +418,10 @@ def _closed_form_start(degree, a, t):
     g, _, rank, _ = np.linalg.lstsq(rows, rhs)
     if rank < degree - 1:
         return None
-    # Ascending coefficients of |p|^2 = A / y^odd and of
-    # |q|^2 = (1 - A) / ((1 - y) y^(1 - odd)).
-    p_squared = np.zeros(degree + 1 - odd)
-    p_squared[0] = 1.0
-    if odd:  # 1 + (1 - y) g and 1 - y g
-        p_squared[:-1] += g
-        p_squared[1:] -= g
-        q_squared = np.concatenate(([1.0], -g))
-    else:  # 1 - y (1 - y) g and g
-        p_squared[1:-1] -= g
-        p_squared[2:] += g
-        q_squared = g
-    p, q = _half_factor(p_squared), _half_factor(q_squared)
+    p, q = map(_half_factor, _squares(g, odd))
+    if p is None or q is None:
+        g = _flip_far_pair(g, odd)
+        p, q = (None, None) if g is None else map(_half_factor, _squares(g, odd))
     if p is None or q is None:
         return None
     # P and Q as ascending coefficients in a, on Python complex numbers.
@@ -444,6 +441,63 @@ def _closed_form_start(degree, a, t):
     return np.array(phases)
 
 
+def _squares(g, odd):
+    """Ascending coefficients of |p|^2 = A / y^odd and of
+    |q|^2 = (1 - A) / ((1 - y) y^(1 - odd)) for the fit g."""
+    p_squared = np.zeros(len(g) + 2 - odd)
+    p_squared[0] = 1.0
+    if odd:  # 1 + (1 - y) g and 1 - y g
+        p_squared[:-1] += g
+        p_squared[1:] -= g
+        return p_squared, np.concatenate(([1.0], -g))
+    # 1 - y (1 - y) g and g
+    p_squared[1:-1] -= g
+    p_squared[2:] += g
+    return p_squared, g
+
+
+def _flip_far_pair(g, odd):
+    """g with its top coefficient shifted so that a split real pair turns complex, or None.
+
+    The samples fix A on [0, 1] far better than they fix the roots of a
+    factor whose top coefficient is tiny, so a conjugate pair far from
+    [0, 1] can come back as two real roots. The first real pair of either
+    factor split by more than _DOUBLE_ROOT sets the shift: twice the one
+    that lifts that factor to 0 at the pair's midpoint, so that the pair
+    turns complex. Both factors are affine in g and shift together, so the
+    norm identity still holds exactly. Returns None when a factor's top
+    coefficient is not positive, when no pair is split, or when the shift
+    exceeds _MAX_TOP_SHIFT: it moves A by y^(d - 1) (1 - y) times the
+    shift, at most a quarter of it on [0, 1] (notes/decisions.md).
+    """
+    top = np.zeros_like(g)
+    top[-1] = 1.0
+    for c, shifted in zip(_squares(g, odd), _squares(g + top, odd)):
+        if not c[-1] > 0.0:
+            return None
+        real = sorted(root.real for root in _roots(c) if root.imag == 0.0)
+        for low, high in zip(real[::2], real[1::2]):
+            if high - low > _DOUBLE_ROOT:
+                mid = 0.5 * (low + high)
+                lift, rate = np.polyval(c[::-1], mid), np.polyval((shifted - c)[::-1], mid)
+                if not 0.0 < abs(2.0 * lift) <= _MAX_TOP_SHIFT * abs(rate):
+                    return None
+                return g - 2.0 * lift / rate * top
+    return None
+
+
+def _roots(coeffs):
+    """Roots of the polynomial of ascending coefficients coeffs, top one nonzero.
+
+    They are the eigenvalues of its companion matrix, built as np.roots
+    builds it, without np.roots' per-call wrapping.
+    """
+    companion = np.eye(len(coeffs) - 1, k=-1)
+    if len(companion):
+        companion[0] = -coeffs[-2::-1] / coeffs[-1]
+    return np.linalg.eigvals(companion).tolist()
+
+
 def _half_factor(coeffs):
     """h with |h(y)|^2 = c(y) for real y, or None when c < 0 somewhere.
 
@@ -453,16 +507,11 @@ def _half_factor(coeffs):
     double roots (two closer than _DOUBLE_ROOT count as one); h then keeps
     one root of each conjugate pair and one of each double root
     (Fejer-Riesz), scaled by the root of the top coefficient. A zero top
-    coefficient is declined too. The roots are the eigenvalues of c's
-    companion matrix, built as np.roots builds it, without np.roots'
-    per-call wrapping.
+    coefficient is declined too.
     """
     if not coeffs[-1] > 0.0:
         return None
-    companion = np.eye(len(coeffs) - 1, k=-1)
-    if len(companion):
-        companion[0] = -coeffs[-2::-1] / coeffs[-1]
-    roots = np.linalg.eigvals(companion).tolist()
+    roots = _roots(coeffs)
     real = sorted(root.real for root in roots if root.imag == 0.0)
     pairs = list(zip(real[::2], real[1::2]))
     if any(high - low > _DOUBLE_ROOT for low, high in pairs):
@@ -474,7 +523,7 @@ def _half_factor(coeffs):
     return h
 
 
-def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
+def find_phases(spec, seed=0):
     """Find phases whose product matches the spec's target magnitudes.
 
     Multi-start least squares on the magnitude residuals |P(a_i)| - |t_i|
@@ -490,15 +539,15 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     target fixing its slope too, then factored and stripped layer by layer
     (notes/decisions.md). They are checked the same way, and on a spec
     sampled from a product of its degree, the bisecting spec among them,
-    they meet point_tol with no minimize call. Only when they miss does the
+    they meet _POINT_TOL with no minimize call. Only when they miss does the
     third start polish them, with one minimize call. Where that
     construction declines (too few distinct sample points, or a fit no
     product can have), or its polish misses too, the remaining starts are
-    seeded draws, each one minimize call. minimize is looked up by name at
-    call time. A start succeeds when | |P|^2 - |t|^2 | <= point_tol at
-    every sample point; its residuals are computed once, for that check
-    and for its DEBUG record on the "spinkey.qsp" logger (residual sum,
-    worst point and iterations).
+    seeded draws, each one minimize call, up to _N_STARTS starts in all.
+    minimize is looked up by name at call time. A start succeeds when
+    | |P|^2 - |t|^2 | <= _POINT_TOL (1e-9) at every sample point; its
+    residuals are computed once, for that check and for its DEBUG record on
+    the "spinkey.qsp" logger (residual sum, worst point and iterations).
 
     Parameters
     ----------
@@ -506,12 +555,6 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     seed : int
         Seed for the multi-start generator, >= 0; the generator is built
         only when a seeded draw is needed.
-    n_starts : int
-        Number of starts checked, >= 1, before giving up: the zero start,
-        the closed-form phases and their polish when the construction
-        gives them, then seeded draws.
-    point_tol : float
-        Maximum allowed | |P|^2 - |t|^2 | at any sample point; finite, > 0.
 
     Returns
     -------
@@ -521,21 +564,20 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
     Raises
     ------
     ValueError
-        If seed, n_starts or point_tol is out of range, before any start.
+        If seed is out of range, before any start.
     PhaseFindingError
-        If no start reaches point_tol; carries the best residual sum.
+        If none of the _N_STARTS (32) starts reaches _POINT_TOL; carries
+        the best residual sum.
     """
     seed = check_int("seed", seed, minimum=0)
-    n_starts = check_int("n_starts", n_starts)
-    check_real("point_tol", point_tol, 0.0, strict=True)
     n_phases = spec.degree + 1
     a, t = np.array(spec.samples, dtype=float).reshape(-1, 2).T
     t = np.abs(t)
     w = _signal_pair(a)
 
     # | |P|^2 - t^2 | = |m| (|m| + 2 t) for m = |P| - t, so |m| <= tol, the root
-    # of tol (tol + 2 t) = point_tol / 2, leaves half of point_tol as margin.
-    tol = 0.5 * point_tol / (np.sqrt(t * t + 0.5 * point_tol) + t)
+    # of tol (tol + 2 t) = _POINT_TOL / 2, leaves half of _POINT_TOL as margin.
+    tol = 0.5 * _POINT_TOL / (np.sqrt(t * t + 0.5 * _POINT_TOL) + t)
     fun = functools.partial(_magnitude_residuals, w=w, t=t)
 
     def starts():
@@ -551,17 +593,17 @@ def find_phases(spec, seed=0, n_starts=32, point_tol=1e-9):
             yield minimize(fun, rng.uniform(-np.pi, np.pi, n_phases), tol=tol)
 
     best = np.inf
-    for start, (candidate, iterations) in zip(range(n_starts), starts()):
+    for start, (candidate, iterations) in zip(range(_N_STARTS), starts()):
         residuals = _abs_squared(_prefix_pairs(candidate, w)[0][-1]) - t * t
         total = float(np.sum(residuals ** 2))
         worst = np.max(np.abs(residuals))
         _log.debug("start %d: residual sum %.3e, worst point %.3e, %d iterations",
                    start, total, worst, iterations)
         best = min(best, total)
-        if worst <= point_tol:
+        if worst <= _POINT_TOL:
             return np.asarray(candidate, dtype=float)
     raise PhaseFindingError(
-        f"no phase vector reached tolerance {point_tol} after {n_starts} starts "
+        f"no phase vector reached tolerance {_POINT_TOL} after {_N_STARTS} starts "
         f"(best residual sum {best:.3e})",
         best_residual=best,
     )

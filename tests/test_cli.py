@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinkey import ion_sim
 from spinkey.cli import _emit, main
-from spinkey.protocols import PSK, PulseSequence, psk3_sequence
+from spinkey.protocols import PSK, PulseSequence, ask3_sequence, psk3_sequence
 
 
 def _read(path):
@@ -180,6 +180,12 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
     (["scan", "time", "--points", "3", "--start", "5"], "--start"),
     (["scan", "time", "--points", "3", "--stop", "9"], "--stop"),
     (["scan", "detuning", "--points", "3", "--dim", "2"], "scan detuning reads no --dim"),
+    (["scan", "detuning", "--points", "3", "--start", "-10", "--stop", "10",
+      "--detuning-hz=500"], "--detuning-hz"),
+    # The binomial draw takes at most int64's largest value, and the period
+    # count must fit an array index.
+    (["servo", "--shots", "1000000000000000000000"], "shots"),
+    (["servo", "--duration", "1e300"], "duration_s"),
     # Only servo and run --sample draw at random, so only they read a seed.
     (["scan", "angle", "--points", "3", "--seed", "1"], "--seed"),
     (["run", "--oracle", "1", "--seed", "2"], "--seed"),
@@ -195,7 +201,8 @@ def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, c
         "scan-seed-negative", "dim-2-noise", "lab-miscalibration_hz", "lab-white_sigma1",
         "lab-shots", "time-dim", "detuning-check-period", "ask3-check-period",
         "angle-oracle", "detuning-oracle", "time-start", "time-stop", "detuning-dim",
-        "scan-seed", "run-seed", "bisect-seed", "baselines-seed", "rabi-seed"])
+        "detuning-detuning-hz", "servo-shots-huge", "servo-duration-huge", "scan-seed",
+        "run-seed", "bisect-seed", "baselines-seed", "rabi-seed"])
 def test_invalid_noise_names_field(capsys, argv, field):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -214,13 +221,15 @@ def test_scan_accepts_unread_flags_at_their_defaults(capsys, argv):
 
 
 def test_seq_with_seq_file_is_refused(tmp_path, capsys):
+    # An explicit --seq is refused beside --seq-file even when it names the default.
     seq_path = tmp_path / "s.json"
-    seq_path.write_text(psk3_sequence().to_json())
-    assert main(["run", "--oracle", "1", "--seq-file", str(seq_path), "--seq", "ask3"]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert captured.out == "" and len(lines) == 1
-    assert lines[0].startswith("error:") and "--seq " in lines[0] and "--seq-file" in lines[0]
+    seq_path.write_text(ask3_sequence().to_json())
+    for seq in ("ask3", "psk3"):
+        assert main(["run", "--oracle", "1", "--seq", seq, "--seq-file", str(seq_path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error:") and "--seq " in lines[0] and "--seq-file" in lines[0]
 
 
 def test_scan_angle_schema_and_period_check(tmp_path, capsys):
@@ -603,7 +612,9 @@ def _reference_text(fmt, meta, columns, rows):
         return json.dumps(payload, indent=2, default=float) + "\n"
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row)
+    # A column of floats only is written as ".17g", any other one with str.
+    floats = [all(isinstance(row[i], float) for row in rows) for i in range(len(columns))]
+    lines += [",".join(format(x, ".17g") if f else str(x) for x, f in zip(row, floats))
               for row in rows]
     return "\n".join(lines) + "\n"
 

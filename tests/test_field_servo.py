@@ -172,11 +172,13 @@ def test_budget_grid_grows_with_the_residuals_not_their_range(kwargs):
 
 
 def test_servo_config_rejects_bad_shots():
-    for bad in (0, -1, 2.5, "50", True):
+    for bad in (0, -1, 2.5, "50", True, 2**63, 10**21):
         with pytest.raises(ValueError, match="shots"):
             ServoConfig(shots=bad)
     assert ServoConfig(shots=None).shots is None
     assert ServoConfig(shots=np.int64(1)).shots == 1
+    # The largest count one binomial draw takes.
+    assert ServoConfig(shots=2**63 - 1).shots == 2**63 - 1
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -207,6 +209,8 @@ def test_drift_model_rejects_bad_fields(field, bad):
     ({"seed": -1}, "seed"),
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
+    ({"seed": None}, "seed"),
+    ({"duration_s": 1e300}, "duration_s"),
 ])
 def test_simulate_servo_rejects_bad_arguments(kwargs, field):
     args = {"duration_s": 20.0, **kwargs}
@@ -225,6 +229,10 @@ def test_simulate_servo_rejects_bad_arguments(kwargs, field):
     ({"duration_s": 10.0, "seed": -1}, "seed"),
     ({"duration_s": 10.0, "seed": 1.5}, "seed"),
     ({"duration_s": 10.0, "seed": True}, "seed"),
+    ({"duration_s": 10.0, "seed": None}, "seed"),
+    ({"duration_s": 1e300}, "duration_s"),
+    ({"duration_s": 5e18}, "duration_s"),
+    ({"duration_s": 1.0, "dt": 1e-300}, "duration_s"),
 ])
 def test_drift_generate_rejects_bad_arguments(kwargs, field):
     with pytest.raises(ValueError, match=field):

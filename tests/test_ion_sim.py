@@ -263,9 +263,6 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: run(psk3_sequence(), 0, seed=-1), "seed"),
     (lambda: run(psk3_sequence(), 0, seed=1.5), "seed"),
     (lambda: run(psk3_sequence(), 0, seed=True), "seed"),
-    (lambda: sequential_readout(init_state(ExperimentConfig()), seed=-1), "seed"),
-    (lambda: sequential_readout(np.tile(init_state(ExperimentConfig()), (2, 1)), seed=0), "seed"),
-    (lambda: sequential_readout(init_state(ExperimentConfig())[None], seed=0), "seed"),
     (lambda: run_qubit_reduction(psk3_sequence(), math.nan), "signal_angle"),
     (lambda: run_qubit_reduction(psk3_sequence(), [0.0, math.inf]), "signal_angle"),
     (lambda: sequential_readout(np.ones(3)), "state"),
@@ -279,8 +276,7 @@ def test_detuning_scan_rejects_non_finite_detunings():
         "run-nan-angle", "detuning-scan-inf-angle", "detuning-scan-four-angles",
         "time-series-nan-angle",
         "run-fraction-index", "run-bool-index", "start_level-bool",
-        "run-seed-negative", "run-seed-float", "run-seed-bool", "readout-seed-negative",
-        "readout-seed-batch", "readout-seed-one-row-batch", "reduction-nan-angle",
+        "run-seed-negative", "run-seed-float", "run-seed-bool", "reduction-nan-angle",
         "reduction-inf-angle", "readout-three-levels", "readout-nan-state",
         "laser-pair-out-of-range", "laser-pair-repeated", "laser-pair-float"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
@@ -333,6 +329,26 @@ def test_time_series_of_an_empty_program_is_run_at_time_zero():
 def test_scans_refuse_grids_of_more_than_one_dimension(call, field):
     with pytest.raises(ValueError, match=field):
         call()
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"noise": NoiseModel(spam_error=0.3)}, "noise"),
+    ({"config": ExperimentConfig(pulse_gap_s=1e-3)}, "config"),
+    ({"noise": NoiseModel(spam_error=0.3), "config": ExperimentConfig(pulse_gap_s=1e-3)},
+     "noise"),
+    ({"config": default_config(ask3_sequence())}, "config"),
+], ids=["noise", "config", "both", "other-sequence-config"])
+def test_two_level_angle_scan_refuses_what_it_would_ignore(kwargs, field):
+    # The two-level reduction is noiseless and runs in the sequence's default config.
+    with pytest.raises(ValueError, match=field):
+        angle_scan(psk3_sequence(), [0.3, 1.0], dim=2, **kwargs)
+
+
+def test_two_level_angle_scan_takes_the_ideal_model_and_default_config():
+    seq = ask3_sequence()
+    np.testing.assert_array_equal(
+        angle_scan(seq, [0.3, 1.0], default_config(seq), NoiseModel(), dim=2),
+        angle_scan(seq, [0.3, 1.0], dim=2))
 
 
 def test_a_scalar_grid_is_one_point():
