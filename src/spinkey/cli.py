@@ -355,11 +355,15 @@ _COMMANDS = {
 def build_parser(argv):
     """The spinkey parser for argv, with arguments only on the command argv names.
 
-    The root parser and every subparser are always built, so the root help,
-    usage line and invalid-choice error list all commands. Only the command
-    named by argv's first token that does not start with "-" gets its
-    arguments and handler: the root takes only -h and --version, neither of
-    which takes a value, so that token is the command. Parse the same argv.
+    When argv[0] names a command, only that subparser is built; the
+    subparsers' metavar then lists every command, so the root usage line
+    reads as if all were built. Any other argv (root help, --version, a
+    usage error, no command) builds every subparser, so the root help,
+    invalid-choice error and missing-command error list all commands.
+    Only the command named by argv's first token that does not start with
+    "-" gets its arguments and handler: the root takes only -h and
+    --version, neither of which takes a value, so that token is the
+    command. Parse the same argv.
     """
     parser = argparse.ArgumentParser(
         prog="spinkey",
@@ -367,9 +371,12 @@ def build_parser(argv):
         allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    narrow = bool(argv) and argv[0] in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if narrow else None)
     command = next((token for token in argv if not token.startswith("-")), None)
-    for name, (help_text, add_args, func) in _COMMANDS.items():
+    for name in argv[:1] if narrow else _COMMANDS:
+        help_text, add_args, func = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == command:
             add_args(p)

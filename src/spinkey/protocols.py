@@ -17,7 +17,7 @@ query accounting.
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -104,19 +104,64 @@ class PulseSequence:
 
     @classmethod
     def from_json(cls, text):
+        """The sequence a to_json() document describes.
+
+        The document's shape is checked before anything is built: one
+        ValueError names every path at fault, such as pulses, pulses[0].phi
+        or readout_map. A field value Pulse rejects is reported with its
+        pulse's path too.
+        """
         data = json.loads(text)
-        try:
-            pulses = tuple(Pulse(**record) for record in data["pulses"])
-            # A key that is not a decimal integer stays a string, which
-            # __post_init__ rejects as an index other than 0, 1 or 2.
-            readout_map = {int(k) if k.isdecimal() else k: v
-                           for k, v in data["readout_map"].items()}
-            return cls(name=data["name"], encoding=data["encoding"],
-                       pulses=pulses, readout_map=readout_map)
-        except KeyError as err:
-            raise ValueError(f"sequence JSON is missing field {err}") from None
-        except (TypeError, AttributeError) as err:
-            raise ValueError(f"malformed sequence JSON: {err}") from None
+        problems = _object_problems(None, data, _SEQUENCE_FIELDS)
+        doc = data if isinstance(data, dict) else {}
+        records = doc.get("pulses", [])
+        if isinstance(records, list):
+            for i, record in enumerate(records):
+                problems += _object_problems(f"pulses[{i}]", record, _PULSE_REQUIRED,
+                                             _PULSE_FIELDS)
+        else:
+            problems.append(f"pulses must be an array, got {_json_kind(records)}")
+        problems += _object_problems("readout_map", doc.get("readout_map", {}), ())
+        if problems:
+            raise ValueError("malformed sequence JSON: " + "; ".join(problems))
+        pulses = []
+        for i, record in enumerate(records):
+            try:
+                pulses.append(Pulse(**record))
+            except ValueError as err:
+                raise ValueError(f"pulses[{i}]: {err}") from None
+        # A key that is not a decimal integer stays a string, which
+        # __post_init__ rejects as an index other than 0, 1 or 2.
+        readout_map = {int(k) if k.isdecimal() else k: v
+                       for k, v in data["readout_map"].items()}
+        return cls(name=data["name"], encoding=data["encoding"],
+                   pulses=tuple(pulses), readout_map=readout_map)
+
+
+_SEQUENCE_FIELDS = tuple(field.name for field in fields(PulseSequence))
+_PULSE_FIELDS = tuple(field.name for field in fields(Pulse))
+_PULSE_REQUIRED = tuple(field.name for field in fields(Pulse) if field.default is MISSING)
+
+
+def _json_kind(value):
+    """The JSON name of a decoded value's type."""
+    if value is None:
+        return "null"
+    return {bool: "boolean", str: "string", list: "array", dict: "object"}.get(type(value), "number")
+
+
+def _object_problems(path, value, required, allowed=None):
+    """What keeps value, at path in a sequence document (None for the
+    document itself), from being a JSON object with every key in required
+    and, if allowed is given, no key outside it: one phrase per fault, each
+    naming its path."""
+    if not isinstance(value, dict):
+        return [f"{path or 'the document'} must be an object, got {_json_kind(value)}"]
+    prefix = f"{path}." if path else ""
+    problems = [f"missing {prefix}{key}" for key in required if key not in value]
+    if allowed is not None:
+        problems += [f"unknown field {prefix}{key}" for key in value if key not in allowed]
+    return problems
 
 
 @dataclass(frozen=True)

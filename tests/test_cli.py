@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinkey import ion_sim
+from spinkey import cli, ion_sim
 from spinkey.cli import _emit, main
 from spinkey.protocols import PSK, PulseSequence, ask3_sequence, psk3_sequence
 
@@ -124,6 +124,22 @@ def test_run_invalid_sequence_file_names_field(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, path", [
+    ("[]", "the document"), ('{"pulses": 5}', "pulses"), ("null", "the document"),
+    ('"abc"', "the document"), (_edit_sequence(lambda d: d.update(readout_map=3)), "readout_map"),
+    (_edit_sequence(lambda d: [d["pulses"][0].pop(k) for k in ("index", "label", "phi")]),
+     "pulses[0].phi"),
+], ids=["array", "pulses-number", "null", "string", "readout_map-number", "pulse-missing-fields"])
+def test_run_malformed_sequence_file_is_one_error_line(tmp_path, capsys, text, path):
+    seq_path = tmp_path / "bad.json"
+    seq_path.write_text(text)
+    assert main(["run", "--seq-file", str(seq_path), "--oracle", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed sequence JSON: ")
+    assert captured.err.count("\n") == 1 and path in captured.err
 
 
 def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, capsys):
@@ -515,6 +531,69 @@ def test_root_usage_errors_list_every_command(capsys, argv):
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: spinkey ") and "{run,scan,bisect,baselines,servo,rabi}" in err
+
+
+def _every_subparser(argv):
+    """The reference parser: the root and all six subparsers, with no metavar."""
+    parser = argparse.ArgumentParser(
+        prog="spinkey",
+        description="Simulate keyed-rotation channel discrimination on a single ion.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=cli.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((token for token in argv if not token.startswith("-")), None)
+    for name, (help_text, add_args, func) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if name == command:
+            add_args(p)
+            cli._add_common(p)
+            p.set_defaults(func=func)
+    return parser
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in _COMMAND_HELP] + [
+    ["run", "--oracle", "1"], ["scan", "angle", "--points", "3"], ["bisect", "--n", "4"],
+    ["baselines", "--accuracy", "0.99"], ["servo", "--duration", "20"], ["rabi", "--points", "3"],
+    ["run", "--oracle", "1", "--bogus"], ["scan", "angle", "extra"], ["run"], ["scan", "sideways"],
+    ["run", "--oracle=x"], ["--help", "run"], ["-h", "scan"], ["--version", "run"],
+    ["--bogus", "run", "--oracle", "1"], ["-1", "run"], ["--", "run", "--oracle", "1"], ["foo"],
+    ["ru"], ["-"], [],
+], ids=" ".join)
+def test_main_matches_the_every_subparser_parser(monkeypatch, capsys, argv):
+    built = _main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", _every_subparser)
+    assert built == _main_outcome(argv, capsys)
+
+
+def _parsers_and_commands(monkeypatch, argv):
+    """How many ArgumentParsers build_parser(argv) makes, and its subparser choices."""
+    count = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: count.append(1) or init(self, *a, **k))
+    parser = cli.build_parser(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return len(count), list(sub.choices)
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["run", "--oracle", "1"], ["run"]),
+    (["--help"], list(_COMMAND_HELP)),
+    (["foo"], list(_COMMAND_HELP)),
+    (["--bogus", "run"], list(_COMMAND_HELP)),
+], ids=" ".join)
+def test_only_a_leading_command_narrows_the_parser(monkeypatch, argv, commands):
+    assert _parsers_and_commands(monkeypatch, argv) == (1 + len(commands), commands)
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -24,6 +24,7 @@ from spinkey.ion_sim import (
     apply_laser_pi,
     default_config,
     init_state,
+    rabi_curve,
     rf_unitary,
     run,
     run_qubit_reduction,
@@ -46,6 +47,7 @@ from spinkey.protocols import (
 )
 from spinkey.qsp import qsp_unitary
 from spinkey.spin_algebra import (
+    _jx_eigenbasis,
     rotation,
     su2_apply,
     su2_factors,
@@ -396,3 +398,59 @@ def test_spin_coherent_branches_follow_the_p_to_the_2j_law(seq, signal, config, 
     spin_j = (ion_sim.D_DIM - 1) / 2
     np.testing.assert_allclose(probs[:3], [0.0, p ** (2 * spin_j), (1.0 - p) ** (2 * spin_j)],
                                rtol=0, atol=1e-12)
+
+
+U = 2.0 ** -53  # the unit roundoff of float64
+
+
+def _orthogonality_defect(v):
+    """||V^H V - I||_2 of a computed eigenbasis V."""
+    return np.linalg.norm(v.conj().T @ v - np.eye(len(v)), 2)
+
+
+def _probability_bound(seq, config, noise, dim=6):
+    """The rounding bound eps of notes/decisions.md ("Probabilities: the
+    rounding bound"): how far a probability of run, time_series or
+    angle_scan can leave [0, 1], from the swaps and drives of the program
+    and the measured defects of the cached eigenbasis and readout matrix."""
+    segments = ion_sim._compile(seq, config, 0.0)
+    swaps = sum(segment.pair is not None for segment in segments)
+    if dim == 2:
+        return U * (46 * len(segments) + 12 * (swaps + 1) + 10 * swaps + 5)
+    basis = _jx_eigenbasis(6)[1]
+    block = U * (258 + 24 * math.sqrt(6)) + 2 * _orthogonality_defect(basis)
+    matrix = ion_sim._readout_matrix(float(noise.spam_error), ion_sim._laser_angle(noise),
+                                     config.readout_pairs)
+    return block * (swaps + 1) + U * (10 * swaps + 14) + max(matrix.sum(axis=0).max() - 1, 0)
+
+
+def _rabi_bound(config):
+    """The rounding bound eps of a rabi_curve population, as _probability_bound."""
+    basis = np.linalg.eigh(config.rabi_freq * ion_sim._J6.jx)[1]
+    return U * (26 * math.sqrt(6) + 5) + 2 * _orthogonality_defect(basis)
+
+
+@SETTINGS
+@given(st.one_of(programs().map(lambda p: p + (DESIGN_ANGLES,)),
+                 random_programs.map(lambda p: (p[0], 0, p[2], p[3], (p[1],)))),
+       st.lists(angles, min_size=1, max_size=6), st.integers(2, 40),
+       st.lists(_real(0.0, 1e-3), min_size=1, max_size=6), st.integers(0, 5))
+@example((ask3_sequence(exact=True), 2, IDEAL, default_config(ask3_sequence()), DESIGN_ANGLES),
+         [0.0], 2, [0.0], 4)  # state2 and the t = 0 population round to just above 1
+@example((psk3_sequence(), 0, NoiseModel(detuning_hz=1e300), default_config(psk3_sequence()),
+          DESIGN_ANGLES), [0.0], 2, [0.0], 4)  # state0 is 1 + 16u
+def test_probabilities_stay_within_the_rounding_bound(program, grid, n_points, times, level):
+    """Every probability of run, time_series, angle_scan (both dims) and
+    rabi_curve lies in [-eps, 1 + eps], eps the derived rounding bound."""
+    seq, index, noise, config, candidates = program
+    eps = _probability_bound(seq, config, noise)
+    eps2 = _probability_bound(seq, default_config(seq), IDEAL, dim=2)
+    tables = [
+        (eps, run(seq, index, noise, config, candidates).probabilities),
+        (eps, time_series(seq, index, n_points, config, noise, candidates)[:, 1:]),
+        (eps, angle_scan(seq, grid, config, noise)[:, 1:]),
+        (eps2, angle_scan(seq, grid, dim=2)[:, 1:]),
+        (_rabi_bound(ExperimentConfig()), rabi_curve(times, level)[1]),
+    ]
+    for bound, probs in tables:
+        assert np.all(probs >= -bound) and np.all(probs <= 1.0 + bound), (bound, probs)

@@ -299,3 +299,64 @@ def test_sequence_rejects_bad_fields():
                            "malformed")):
         with pytest.raises(ValueError, match=match):
             PulseSequence.from_json(broken)
+
+
+def _psk3_document(**fields):
+    return json.dumps({**json.loads(psk3_sequence().to_json()), **fields})
+
+
+_PULSE_WITHOUT_INDEX_LABEL_PHI = {"channel": "rf", "theta": 1.0}
+
+
+@pytest.mark.parametrize("text, paths", [
+    ("[]", ["the document"]),
+    ('{"pulses": 5}', ["pulses", "name", "encoding", "readout_map"]),
+    ("null", ["the document"]),
+    ('"abc"', ["the document"]),
+    (_psk3_document(pulses=[], readout_map=3), ["readout_map"]),
+    (_psk3_document(pulses=[_PULSE_WITHOUT_INDEX_LABEL_PHI]),
+     ["pulses[0].index", "pulses[0].label", "pulses[0].phi"]),
+    (_psk3_document(pulses=[None]), ["pulses[0]"]),
+    (_psk3_document(pulses={"0": {}}), ["pulses"]),
+], ids=["array", "pulses-number", "null", "string", "readout_map-number",
+        "pulse-missing-fields", "pulse-null", "pulses-object"])
+def test_sequence_json_shape_errors_name_each_path(text, paths):
+    with pytest.raises(ValueError) as err:
+        PulseSequence.from_json(text)
+    message = str(err.value)
+    assert message.startswith("malformed sequence JSON: ")
+    assert all(path in message for path in paths)
+
+
+def test_sequence_json_pulse_value_errors_name_the_pulse():
+    pulses = json.loads(psk3_sequence().to_json())["pulses"]
+    pulses[3]["phi"] = "nan"
+    with pytest.raises(ValueError, match=r"^pulses\[3\]: pulse phi "):
+        PulseSequence.from_json(_psk3_document(pulses=pulses))
+
+
+def _mutations(value):
+    """(name, mutate) pairs: each key or item of value and its children dropped or
+    replaced by a value of another kind. name is how an error names the part
+    changed: its key, or [i] for an item of an array."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        name = key if isinstance(value, dict) else f"[{key}]"
+        for other in (None, 5, "x", [], {}, True):
+            yield name, lambda doc, key=key, other=other: doc.__setitem__(key, other)
+        if isinstance(value, dict):
+            yield name, lambda doc, key=key: doc.pop(key)
+        if isinstance(child, (dict, list)):
+            for inner, mutate in _mutations(child):
+                yield inner, lambda doc, key=key, mutate=mutate: mutate(doc[key])
+
+
+@pytest.mark.parametrize("sequence", [psk3_sequence(), ask3_sequence()], ids=["psk3", "ask3"])
+def test_every_mutated_sequence_document_loads_or_names_the_part_changed(sequence):
+    for name, mutate in _mutations(json.loads(sequence.to_json())):
+        doc = json.loads(sequence.to_json())
+        mutate(doc)
+        try:
+            PulseSequence.from_json(json.dumps(doc))
+        except ValueError as err:
+            assert name in str(err)
