@@ -52,9 +52,10 @@ class SymmetricStateSet:
         return [abs(np.vdot(self.states[i], self.states[k]))
                 for i in range(self.n) for k in range(i + 1, self.n)]
 
-    def is_symmetric(self, atol=1e-10):
+    def is_symmetric(self):
+        """Whether every pairwise overlap magnitude agrees within 1e-10."""
         mags = self.overlap_magnitudes()
-        return len(mags) == 0 or max(mags) - min(mags) <= atol
+        return len(mags) == 0 or max(mags) - min(mags) <= 1e-10
 
 
 def symmetric_states(n=3, encoding=ASK):
@@ -120,33 +121,57 @@ def me_majority(state_set, k=4):
     k! / prod(c_j!): (k+1)(k+2)/2 terms for the triad instead of 3^k
     outcome tuples. Each c with a unique top count contributes
     eta_w k! / prod(c_j!) prod_j p[w, j]^c_j for its winner w.
+
+    The count vectors are read off the n - 1 bar positions of each
+    stars-and-bars arrangement, one (n,) row each, in the order
+    itertools.combinations_with_replacement(range(n), k) lists them, so
+    no k-long vote tuple is built. Each factorial and each power
+    p[w, j]^c is held as a float mantissa and an integer power of two, the
+    mantissa taken from the float itself wherever that float is normal.
+    A term multiplies the mantissas, adds the powers of two and applies
+    them last, so it is bitwise the float product wherever every factor
+    is a normal float, and k! beyond the float range (k > 170) or a power
+    below it neither overflows nor vanishes.
     """
     k = check_int("k", k)
     p = outcome_probabilities(state_set)
     n = state_set.n
-    votes = np.array(list(itertools.combinations_with_replacement(range(n), k)))
-    counts = (votes[:, :, None] == np.arange(n)).sum(axis=1)
-    factorial = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
-    ways = factorial[k] / factorial[counts].prod(axis=1)
-    top = counts.max(axis=1)
-    unique = (counts == top[:, None]).sum(axis=1) == 1
+    edges = [(-1,) + b + (k + n - 1,) for b in itertools.combinations(range(k + n - 1), n - 1)]
+    counts = np.diff(np.array(edges)[::-1], axis=1) - 1
+    factorial = [math.factorial(j) for j in range(k + 1)]
+    exponent = np.array([f.bit_length() - 1 for f in factorial])
+    # Integer true division rounds once, so mantissa * 2**exponent is float(j!).
+    mantissa = np.array([f / (1 << int(e)) for f, e in zip(factorial, exponent)])
+    ways = mantissa[k] / mantissa[counts].prod(axis=1)
+    # p[w, j]^c for c = 0..k; below the normal range, the power of p's mantissa.
+    c = np.arange(k + 1)
+    p_mantissa, p_exponent = np.frexp(p[:, :, None])
+    power = p[:, :, None] ** c
+    low = power < np.finfo(float).tiny
+    power_mantissa, power_exponent = np.frexp(np.where(low, p_mantissa ** c, power))
+    power_exponent += low * p_exponent * c
+    unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1
     winner = counts.argmax(axis=1)
-    priors = np.asarray(state_set.priors, dtype=float)
-    weight = priors[winner] * ways * (p[winner] ** counts).prod(axis=1)
-    return float(weight[unique].sum())
+    term = (winner[:, None], np.arange(n), counts)
+    weight = np.asarray(state_set.priors)[winner] * ways * power_mantissa[term].prod(axis=1)
+    scale = exponent[k] - exponent[counts].sum(axis=1) + power_exponent[term].sum(axis=1)
+    return float(np.ldexp(weight, scale)[unique].sum())
 
 
 def posterior_all_agree(state_set, k=4):
     """Bayesian posterior of the modal hypothesis after k identical outcomes.
 
     For the triad this is (2/3)^k / ((2/3)^k + 2 (1/6)^k): 2/3 at k = 1 and
-    128/129 = 0.99225 at k = 4, rising monotonically toward certainty.
+    128/129 = 0.99225 at k = 4, rising monotonically toward certainty. It
+    is evaluated as 1 / (1 + sum_{i>=1} (eta_i / eta_0) (p[i, 0] / p[0, 0])^k),
+    whose terms underflow harmlessly to 0 at large k, where (2/3)^k and
+    (1/6)^k would both reach 0 and leave 0 / 0.
     """
     k = check_int("k", k)
     p = outcome_probabilities(state_set)
-    numer = state_set.priors[0] * p[0, 0] ** k
-    denom = sum(eta * p[i, 0] ** k for i, eta in enumerate(state_set.priors))
-    return float(numer / denom)
+    eta = state_set.priors
+    rest = sum(eta[i] / eta[0] * (p[i, 0] / p[0, 0]) ** k for i in range(1, state_set.n))
+    return float(1.0 / (1.0 + rest))
 
 
 def ud_success(state_set):
@@ -179,20 +204,22 @@ def ud_multi(state_set, trials=4):
     return 1.0 - (1.0 - ud_success(state_set)) ** trials
 
 
-def advantage_report(accuracy, state_set=None, k=4):
+def advantage_report(accuracy):
     """Compare a measured accuracy against the incoherent strategies.
 
-    Returns five rows of (strategy, success_probability, beaten), where
-    beaten records whether the supplied accuracy exceeds that strategy.
-    accuracy must be a probability: finite and in [0, 1].
+    The strategies act on the symmetric triad with four queries, the
+    query count of the built-in sequences. Returns five rows of
+    (strategy, success_probability, beaten), where beaten records whether
+    the supplied accuracy exceeds that strategy. accuracy must be a
+    probability: finite and in [0, 1].
     """
     accuracy = float(check_real("accuracy", accuracy, 0.0, maximum=1.0))
-    state_set = state_set or symmetric_states()
+    triad = symmetric_states()
     rows = [("coherent_protocol", accuracy),
-            ("minimum_error_single_shot", me_single_shot(state_set)),
-            (f"minimum_error_majority_{k}", me_majority(state_set, k)),
-            (f"posterior_all_agree_{k}", posterior_all_agree(state_set, k)),
-            (f"unambiguous_{k}_trials", ud_multi(state_set, k))]
+            ("minimum_error_single_shot", me_single_shot(triad)),
+            ("minimum_error_majority_4", me_majority(triad, 4)),
+            ("posterior_all_agree_4", posterior_all_agree(triad, 4)),
+            ("unambiguous_4_trials", ud_multi(triad, 4))]
     return [{"strategy": name, "success_probability": value,
              "beaten": None if name == "coherent_protocol" else bool(accuracy > value)}
             for name, value in rows]

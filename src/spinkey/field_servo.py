@@ -24,6 +24,9 @@ CARRIER_HZ = 8.6e6
 # stability figures (30 Hz of detuning per 20 uG of field).
 HZ_PER_GAUSS = 1.5e6
 
+# detuning_error_budget interpolates the accuracy curve between multiples of this.
+_GRID_STEP_HZ = 5.0
+
 
 @dataclass(frozen=True)
 class DriftModel:
@@ -89,14 +92,13 @@ class ServoConfig:
     interrogation_s is the Ramsey free-evolution time per fringe side,
     step_hz the fixed frequency increment, period_s the repetition
     interval, and shots the detections per fringe side, an integer from 1
-    to np.iinfo(np.int64).max, the most one binomial draw takes (None
-    means noiseless probabilities). The atom is interrogated at its
-    light-shifted frequency and the calibrated light-shift offset is
-    subtracted from every measurement again, so a correct calibration
-    cancels exactly and needs no parameter. miscalibration_hz models an
-    imperfect offset calibration: the servo converges to that residual
-    detuning. Every float field is finite; interrogation_s, step_hz and
-    period_s are > 0.
+    to np.iinfo(np.int64).max, the most one binomial draw takes. The atom
+    is interrogated at its light-shifted frequency and the calibrated
+    light-shift offset is subtracted from every measurement again, so a
+    correct calibration cancels exactly and needs no parameter.
+    miscalibration_hz models an imperfect offset calibration: the servo
+    converges to that residual detuning. Every float field is finite;
+    interrogation_s, step_hz and period_s are > 0.
     """
 
     interrogation_s: float = 5e-3
@@ -109,7 +111,7 @@ class ServoConfig:
         for name in ("interrogation_s", "step_hz", "period_s"):
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("miscalibration_hz", self.miscalibration_hz)
-        if self.shots is not None and check_int("shots", self.shots) > np.iinfo(np.int64).max:
+        if check_int("shots", self.shots) > np.iinfo(np.int64).max:
             raise ValueError(f"shots must be <= {np.iinfo(np.int64).max}, the most one binomial "
                              f"draw takes, got {self.shots!r}")
 
@@ -146,7 +148,7 @@ class ServoTrace:
         return self.applied_freq_hz - self.true_freq_hz
 
 
-def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
+def simulate_servo(drift, servo, duration_s, seed=0):
     """Run the feed-forward loop against a drifting resonance.
 
     Each period the loop measures both fringe sides of the current
@@ -157,14 +159,13 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
 
     Each period evaluates the two fringe sides of ramsey_probability,
     0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
-    without clipping. With shots, each side is one binomial draw, plus side
-    first. duration_s must be finite and >= 0, initial_offset_hz finite;
-    duration_s and seed (an integer >= 0) are checked by
-    DriftModel.generate.
+    without clipping. Each side is one binomial draw of servo.shots, plus
+    side first. The resonance starts at the drive frequency, so the drift
+    alone moves it. duration_s (finite and >= 0) and seed (an integer
+    >= 0) are checked by DriftModel.generate.
     """
-    check_real("initial_offset_hz", initial_offset_hz)
     t, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
-    resonance = y * drift.carrier_hz + initial_offset_hz
+    resonance = y * drift.carrier_hz
 
     rng = np.random.default_rng(seed + 0x5EED)
     applied = []
@@ -176,17 +177,10 @@ def simulate_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
         # miscalibrated part.
         delta = (freq + servo.miscalibration_hz) - level
         s = math.sin(2.0 * math.pi * delta * servo.interrogation_s)
-        p_plus = 0.5 * (1.0 + s)
-        p_minus = 0.5 * (1.0 - s)
-        if servo.shots is None:
-            diff = p_plus - p_minus
-        else:
-            diff = (rng.binomial(servo.shots, p_plus)
-                    - rng.binomial(servo.shots, p_minus)) / servo.shots
-        if diff > 0:
-            level += servo.step_hz
-        elif diff < 0:
-            level -= servo.step_hz
+        plus = rng.binomial(servo.shots, 0.5 * (1.0 + s))
+        minus = rng.binomial(servo.shots, 0.5 * (1.0 - s))
+        if plus != minus:
+            level += servo.step_hz if plus > minus else -servo.step_hz
     return ServoTrace(t=t, true_freq_hz=resonance, applied_freq_hz=np.array(applied))
 
 
@@ -226,18 +220,17 @@ def allan_deviation(y, taus, dt=1.0):
     return out
 
 
-def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0):
+def detuning_error_budget(residuals_hz, seq=None, config=None):
     """Mean algorithm inaccuracy implied by a residual-detuning series.
 
     Maps each residual through the simulated accuracy-versus-detuning curve
     of the discrimination sequence and averages the inaccuracy. The curve is
-    interpolated linearly between multiples of grid_step_hz and computed
-    only at the multiples that bracket a residual, at most two per residual.
+    interpolated linearly between multiples of 5 Hz and computed only at
+    the multiples that bracket a residual, at most two per residual.
     By default the curve is computed for the phase-keyed sequence with the
     composite laser blocks given their physical duration (200 us per
     block); the instantaneous-laser default would understate the dephasing
-    a real trial accumulates. residuals_hz must be non-empty and finite,
-    grid_step_hz finite and > 0.
+    a real trial accumulates. residuals_hz must be non-empty and finite.
     """
     from .ion_sim import default_config, detuning_scan
     from .protocols import psk3_sequence
@@ -245,14 +238,13 @@ def detuning_error_budget(residuals_hz, seq=None, config=None, grid_step_hz=5.0)
     residuals_hz = finite_array("residuals_hz", residuals_hz)
     if residuals_hz.size == 0:
         raise ValueError("residuals_hz is empty: the budget is a mean over residuals")
-    check_real("grid_step_hz", grid_step_hz, 0.0, strict=True)
     if seq is None:
         seq = psk3_sequence()
     if config is None:
         config = replace(default_config(seq), laser_time_s=200e-6)
 
-    nodes = np.unique(np.floor(residuals_hz / grid_step_hz))
-    grid = np.union1d(nodes, nodes + 1) * grid_step_hz
+    nodes = np.unique(np.floor(residuals_hz / _GRID_STEP_HZ))
+    grid = np.union1d(nodes, nodes + 1) * _GRID_STEP_HZ
     curve = detuning_scan(seq, grid, config=config)
     acc = np.interp(residuals_hz, curve[:, 0], curve[:, 1])
     return float(np.mean(1.0 - acc))

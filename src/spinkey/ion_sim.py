@@ -70,6 +70,8 @@ S_LEVELS = (6, 7)
 
 _J6 = spin_operators(6)
 _M6 = np.diag(_J6.jz).real
+# The sublevel light_shift_isolation shifts: m = -1/2.
+_SHIFTED_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,9 @@ class ExperimentConfig:
     readout states 1 and 2, in detection order. Readout state 0 is the
     ground manifold itself. Every pair is (metastable level 0-5, ground
     level 6-7), and init_level is a ground level. Pairs given as lists are
-    stored as tuples of ints, so every valid config is hashable.
+    stored as tuples of ints, so every valid config is hashable. Every rf
+    and oracle drive lasts |theta| / rabi_freq, so an amplitude-keyed
+    oracle of angle 0 takes no time.
     """
 
     rabi_freq: float = math.pi / 55e-6
@@ -132,9 +136,6 @@ class ExperimentConfig:
     init_level: int = 6
     couple_pair: tuple = (2, 6)
     readout_pairs: tuple = ((3, 6), (2, 6))
-    # Non-default alternative: drive zero-angle oracle pulses for a full
-    # pi-time at zero amplitude so every query takes the same wall time.
-    oracle_fixed_length: bool = False
 
     def __post_init__(self):
         check_real("rabi_freq", self.rabi_freq, 0.0, strict=True)
@@ -272,8 +273,8 @@ def _compile(seq, config, signal_angles):
 
     This is the only place that knows the program's rules: a free gap
     between consecutive pulses, the in-sequence laser on the couple pair
-    followed by its laser time, oracle resolution, and the fixed-length
-    option for amplitude-keyed oracles.
+    followed by its laser time, oracle resolution, and a drive time of
+    |theta| / rabi_freq for every rf and oracle pulse.
     """
     segments = []
     for n, pulse in enumerate(seq.pulses):
@@ -283,14 +284,9 @@ def _compile(seq, config, signal_angles):
             segments.append(_Segment(config.laser_time_s, pair=config.couple_pair))
             continue
         theta, phi = pulse.theta, pulse.phi
-        duration = None
         if pulse.channel == ORACLE:
             theta, phi = resolve_oracle_pulse(pulse, seq.encoding, signal_angles)
-            if config.oracle_fixed_length and seq.encoding == ASK:
-                duration = config.pi_time
-        if duration is None:
-            duration = np.abs(theta) / config.rabi_freq
-        segments.append(_Segment(duration, theta, phi))
+        segments.append(_Segment(np.abs(theta) / config.rabi_freq, theta, phi))
     return segments
 
 
@@ -571,25 +567,23 @@ def rabi_curve(times, start_level, config=None):
     return light_shift_isolation(0.0, times, config, start_level=start_level)
 
 
-def light_shift_isolation(shift_hz, times, config=None, start_level=5,
-                          shifted_level=3):
-    """Rabi dynamics with one sublevel shifted out of resonance.
+def light_shift_isolation(shift_hz, times, config=None, start_level=5):
+    """Rabi dynamics with the m = -1/2 sublevel shifted out of resonance.
 
-    Shifting m = -1/2 while driving from m = -5/2 pins the dynamics to the
-    lowest two sublevels once the shift dominates the drive's ladder
-    coupling; at zero shift this reduces to the free six-level curve.
-    start_level and shifted_level are metastable levels 0-5; shift_hz and
+    Shifting m = -1/2 (level 3) while driving from m = -5/2 pins the
+    dynamics to the lowest two sublevels once the shift dominates the
+    drive's ladder coupling; at zero shift this reduces to the free
+    six-level curve. start_level is a metastable level 0-5; shift_hz and
     the times must be finite.
 
     Returns (times, populations) with populations of shape (n, 6).
     """
-    for name, level in (("start_level", start_level), ("shifted_level", shifted_level)):
-        if not is_index(level, range(D_DIM)):
-            raise ValueError(f"{name} must be a metastable level 0-5, got {level!r}")
+    if not is_index(start_level, range(D_DIM)):
+        raise ValueError(f"start_level must be a metastable level 0-5, got {start_level!r}")
     check_real("shift_hz", shift_hz)
     config = config or _DEFAULT_CONFIG
     times = finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
-    h[shifted_level, shifted_level] += 2.0 * math.pi * shift_hz
+    h[_SHIFTED_LEVEL, _SHIFTED_LEVEL] += 2.0 * math.pi * shift_hz
     psi = hermitian_propagator(h, times[:, None, None])[:, :, start_level]
     return times, np.abs(psi) ** 2

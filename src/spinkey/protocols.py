@@ -69,7 +69,8 @@ class Pulse:
 class PulseSequence:
     """Ordered pulse program with its encoding and readout assignment.
 
-    readout_map sends each oracle index 0, 1 and 2 to the readout state
+    pulses is a tuple or list of Pulse, stored as a tuple. readout_map is
+    a dict that sends each oracle index 0, 1 and 2 to the readout state
     (0, 1, 2) where an ideal run deterministically ends; the built-in maps
     were frozen from noiseless simulation of the tables.
     """
@@ -84,6 +85,14 @@ class PulseSequence:
             raise ValueError(f"sequence name must be a string, got {self.name!r}")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
+        if not isinstance(self.pulses, (tuple, list)):
+            raise ValueError(f"pulses must be a tuple or list of Pulse, got {self.pulses!r}")
+        for i, pulse in enumerate(self.pulses):
+            if not isinstance(pulse, Pulse):
+                raise ValueError(f"pulses[{i}] must be a Pulse, got {pulse!r}")
+        object.__setattr__(self, "pulses", tuple(self.pulses))
+        if not isinstance(self.readout_map, dict):
+            raise ValueError(f"readout_map must be a dict, got {self.readout_map!r}")
         for index, state in self.readout_map.items():
             if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
                     or not 0 <= state <= 2):
@@ -365,32 +374,37 @@ def run_bisection(protocol, hidden_index):
     Each stage applies the all-zero-phase product of degree d to the offset
     signal x and measures the return population. That product's top-left
     entry is the Chebyshev polynomial T_d(cos(x/2)) = cos(d x / 2), so the
-    population is cos(d x / 2)^2 in closed form: exactly 1 for the even
-    half of the surviving subset and exactly 0 for the odd half.
+    population is cos(d x / 2)^2 in closed form: 1 for the even half of
+    the surviving subset and 0 for the odd half. The signal and the
+    accumulated offset are held as integer counts of 2 pi / n, and the
+    population has period n / d in that count, so the count is reduced
+    modulo n / d before the cosine: every population is exactly 1 or
+    cos(pi / 2)^2 and the identified index is exact at every n.
     hidden_index is the candidate the oracle holds, an integer in [0, n).
 
     Returns
     -------
     (identified_index, queries_used, worst_margin)
-        worst_margin is the smallest distance of any stage population from
+        worst_margin is the largest distance of any stage population from
         its ideal 0/1 value.
     """
     n = protocol.n
-    if check_int("hidden_index", hidden_index, minimum=0) >= n:
+    hidden = check_int("hidden_index", hidden_index, minimum=0)
+    if hidden >= n:
         raise ValueError(f"hidden_index must be < {n}, got {hidden_index!r}")
-    theta = 2.0 * np.pi * hidden_index / n
-    offset = 0.0
+    shift = 0
     queries = 0
     worst = 0.0
     for stage in protocol.stages:
-        p_return = math.cos(stage.qsp_degree * (theta - offset) / 2.0) ** 2
+        period = n // stage.qsp_degree
+        p_return = math.cos(math.pi * ((hidden - shift) % period) / period) ** 2
         queries += stage.qsp_degree
         worst = max(worst, min(p_return, 1.0 - p_return))
         if p_return < 0.5:
-            # Odd half survives: shift the reference onto that subset.
-            offset += stage.offset
-    identified = int(round(offset / (2.0 * np.pi / n))) % n
-    return identified, queries, worst
+            # Odd half survives: shift the reference onto that subset by
+            # stage.offset, n // subset_size counts of 2 pi / n.
+            shift += n // stage.subset_size
+    return shift % n, queries, worst
 
 
 @dataclass(frozen=True)

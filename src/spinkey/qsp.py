@@ -240,10 +240,6 @@ class PolynomialSpec:
             )
         object.__setattr__(self, "samples", pairs)
 
-    @property
-    def parity(self):
-        return "even" if self.degree % 2 == 0 else "odd"
-
     @classmethod
     def chebyshev(cls, degree):
         """Chebyshev T_degree magnitudes sampled on a 25-point cosine grid."""

@@ -1,3 +1,12 @@
+import itertools
+import math
+import os
+import resource
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -234,3 +243,111 @@ _TRIAD = symmetric_states(3)
 def test_state_set_rejects_invalid_fields(n, states, priors, field):
     with pytest.raises(ValueError, match=rf"^{field} must"):
         SymmetricStateSet(n, states, priors)
+
+
+@pytest.mark.parametrize("k", [1840, 10 ** 6])
+def test_posterior_all_agree_stays_finite_at_large_k(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = posterior_all_agree(symmetric_states(3), k)
+    assert math.isfinite(value) and 0.0 < value <= 1.0
+
+
+@pytest.mark.parametrize("encoding", ["ask", "psk"])
+def test_posterior_all_agree_is_within_4_ulp_of_the_exact_value(encoding):
+    triad = symmetric_states(3, encoding)
+    for k in range(1, 41):
+        exact = 1 / (1 + 2 * Fraction(1, 4) ** k)
+        value = posterior_all_agree(triad, k)
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact))), k
+    assert posterior_all_agree(triad, 4) == 128 / 129
+
+
+def _majority_vote_tuples(state_set, k):
+    """me_majority with the count vectors taken from every k-long vote tuple
+    of combinations_with_replacement and the factorials as floats."""
+    p = outcome_probabilities(state_set)
+    n = state_set.n
+    votes = np.array(list(itertools.combinations_with_replacement(range(n), k)))
+    counts = (votes[:, :, None] == np.arange(n)).sum(axis=1)
+    factorial = np.array([math.factorial(j) for j in range(k + 1)], dtype=float)
+    ways = factorial[k] / factorial[counts].prod(axis=1)
+    top = counts.max(axis=1)
+    unique = (counts == top[:, None]).sum(axis=1) == 1
+    winner = counts.argmax(axis=1)
+    priors = np.asarray(state_set.priors, dtype=float)
+    weight = priors[winner] * ways * (p[winner] ** counts).prod(axis=1)
+    return float(weight[unique].sum())
+
+
+def _equal_overlap_states(n, a):
+    """n unit vectors sqrt(1 - a) e_i + sqrt(a / n) (1, ..., 1), normalised:
+    every pairwise overlap has one magnitude."""
+    v = np.eye(n) * math.sqrt(1.0 - a) + math.sqrt(a / n)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return SymmetricStateSet(n, tuple(v.astype(complex)), tuple([1.0 / n] * n))
+
+
+def test_majority_is_bitwise_the_vote_tuple_sum():
+    sets = ([symmetric_states(n, encoding) for n in (1, 2, 3) for encoding in ("ask", "psk")]
+            + [_equal_overlap_states(n, a) for n in (2, 3, 4, 5) for a in (0.1, 0.5, 0.9)])
+    for state_set in sets:
+        for k in range(1, 11):
+            assert me_majority(state_set, k) == _majority_vote_tuples(state_set, k), (state_set, k)
+
+
+def _scaled(x, exponent):
+    """x * 2**exponent as a mantissa in [0.5, 1) and a new exponent."""
+    mantissa, shift = math.frexp(x)
+    return mantissa, exponent + shift
+
+
+def _triad_majority_closed_form(p, priors, k):
+    """Majority-vote success on three outcomes, term by term over (c0, c1, c2):
+    C(k, c0) from the exact integer, C(k - c0, c1) by its recurrence in c1,
+    each power p[w, j]^c by repeated multiplication, every factor kept as a
+    mantissa and a power of two, and the terms summed with math.fsum."""
+    def powers(base):
+        table, mantissa, exponent = [], 1.0, 0
+        for _ in range(k + 1):
+            table.append((mantissa, exponent))
+            mantissa, exponent = _scaled(mantissa * base, exponent)
+        return table
+
+    table = {(w, j): powers(float(p[w, j])) for w in range(3) for j in range(3)}
+    terms = []
+    for c0 in range(k + 1):
+        outer = math.comb(k, c0)
+        ways, exponent = outer / (1 << outer.bit_length()), outer.bit_length()
+        rest = k - c0
+        for c1 in range(rest + 1):
+            if c1:
+                ways, exponent = _scaled(ways * (rest - c1 + 1) / c1, exponent)
+            counts = (c0, c1, rest - c1)
+            top = max(counts)
+            if counts.count(top) > 1:
+                continue
+            w = counts.index(top)
+            value, scale = ways, exponent
+            for j, c in enumerate(counts):
+                value *= table[w, j][c][0]
+                scale += table[w, j][c][1]
+            terms.append(priors[w] * math.ldexp(value, scale))
+    return math.fsum(terms)
+
+
+def test_majority_at_k_1000_runs_in_one_gib():
+    """The vote-tuple sum builds a (C, k) array and a (C, k, n) compare at
+    C = 501501, about 10 GB in all, and ends in MemoryError here."""
+    code = ("from spinkey.baselines import me_majority, symmetric_states; "
+            "print(repr(me_majority(symmetric_states(3), 1000)))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    limit = 1 << 30
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert child.returncode == 0, child.stderr
+    triad = symmetric_states(3)
+    expected = _triad_majority_closed_form(outcome_probabilities(triad), triad.priors, 1000)
+    assert abs(float(child.stdout) - expected) <= 1e-12

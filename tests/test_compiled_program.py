@@ -80,16 +80,14 @@ def _reference_state(seq, angle, noise, config):
             state = _precession(noise.detuning_hz, config.laser_time_s) @ state
             elapsed += config.laser_time_s
             continue
-        theta, phi, duration = pulse.theta, pulse.phi, None
+        theta, phi = pulse.theta, pulse.phi
         if pulse.channel == ORACLE:
             if seq.encoding == PSK:
                 phi = angle + pulse.oracle_phase_offset
             else:
                 theta = angle
-                if config.oracle_fixed_length:
-                    duration = config.pi_time
-        state = _rf(theta, phi, noise, config, duration) @ state
-        elapsed += abs(theta) / config.rabi_freq if duration is None else duration
+        state = _rf(theta, phi, noise, config, None) @ state
+        elapsed += abs(theta) / config.rabi_freq
     return state, elapsed
 
 
@@ -130,7 +128,7 @@ def _cases():
     return (
         (psk, default_config(psk), lab),
         (psk, replace(default_config(psk), **slow), replace(lab, detuning_hz=25.0)),
-        (ask, replace(default_config(ask), oracle_fixed_length=True, **slow),
+        (ask, replace(default_config(ask), **slow),
          replace(lab, detuning_hz=-15.0)),
         # Non-default level assignment: the psk3 levels under the ask3 table.
         (ask, ExperimentConfig(couple_pair=(2, 6), readout_pairs=((3, 6), (5, 7)), **slow),

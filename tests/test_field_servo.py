@@ -99,21 +99,6 @@ def test_field_to_frequency_conversion():
     assert CARRIER_HZ == 8.6e6
 
 
-def test_servo_locks_and_dithers_within_step():
-    trace = simulate_servo(DriftModel(), ServoConfig(shots=None), 40, seed=0)
-    res = trace.residual_hz
-    assert np.all(np.abs(res) <= 5.0)
-
-
-def test_servo_converges_from_constant_offset():
-    trace = simulate_servo(DriftModel(), ServoConfig(shots=None), 20, seed=0,
-                           initial_offset_hz=20.0)
-    res = np.abs(trace.residual_hz)
-    first_locked = int(np.argmax(res <= 5.0))
-    assert first_locked <= 8
-    assert np.all(res[first_locked:] <= 5.0)
-
-
 def test_servo_steps_are_quantized():
     trace = simulate_servo(DriftModel.lab(), ServoConfig(), 60, seed=5)
     steps = np.diff(trace.applied_freq_hz)
@@ -163,19 +148,16 @@ def test_budget_matches_a_dense_grid(seed, duration_s):
     assert budget == pytest.approx(_dense_budget(trace.residual_hz), rel=0, abs=1e-15)
 
 
-@pytest.mark.parametrize("kwargs", [{"residuals_hz": [1e9]},
-                                    {"residuals_hz": [1.0], "grid_step_hz": 1e-9}],
-                         ids=["far-residual", "fine-step"])
+@pytest.mark.parametrize("kwargs", [{"residuals_hz": [1e9]}], ids=["far-residual"])
 def test_budget_grid_grows_with_the_residuals_not_their_range(kwargs):
     budget = detuning_error_budget(**kwargs)
     assert math.isfinite(budget) and 0.0 <= budget <= 1.0
 
 
 def test_servo_config_rejects_bad_shots():
-    for bad in (0, -1, 2.5, "50", True, 2**63, 10**21):
+    for bad in (0, -1, 2.5, "50", True, 2**63, 10**21, None):
         with pytest.raises(ValueError, match="shots"):
             ServoConfig(shots=bad)
-    assert ServoConfig(shots=None).shots is None
     assert ServoConfig(shots=np.int64(1)).shots == 1
     # The largest count one binomial draw takes.
     assert ServoConfig(shots=2**63 - 1).shots == 2**63 - 1
@@ -204,8 +186,8 @@ def test_drift_model_rejects_bad_fields(field, bad):
     ({"duration_s": math.inf}, "duration_s"),
     ({"duration_s": math.nan}, "duration_s"),
     ({"duration_s": -1.0}, "duration_s"),
-    ({"initial_offset_hz": math.inf}, "initial_offset_hz"),
-    ({"initial_offset_hz": math.nan}, "initial_offset_hz"),
+    ({"duration_s": "20"}, "duration_s"),
+    ({"seed": "0"}, "seed"),
     ({"seed": -1}, "seed"),
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
@@ -215,7 +197,7 @@ def test_drift_model_rejects_bad_fields(field, bad):
 def test_simulate_servo_rejects_bad_arguments(kwargs, field):
     args = {"duration_s": 20.0, **kwargs}
     with pytest.raises(ValueError, match=field):
-        simulate_servo(DriftModel.lab(), ServoConfig(shots=None), **args)
+        simulate_servo(DriftModel.lab(), ServoConfig(), **args)
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -247,22 +229,19 @@ def test_budget_rejects_empty_residuals():
 @pytest.mark.parametrize("kwargs, field", [
     ({"residuals_hz": [0.0, math.nan]}, "residuals_hz"),
     ({"residuals_hz": [math.inf]}, "residuals_hz"),
-    ({"residuals_hz": [1.0], "grid_step_hz": 0.0}, "grid_step_hz"),
-    ({"residuals_hz": [1.0], "grid_step_hz": -5.0}, "grid_step_hz"),
-    ({"residuals_hz": [1.0], "grid_step_hz": math.nan}, "grid_step_hz"),
 ])
 def test_budget_rejects_bad_arguments(kwargs, field):
     with pytest.raises(ValueError, match=field):
         detuning_error_budget(**kwargs)
 
 
-def _reference_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
+def _reference_servo(drift, servo, duration_s, seed=0):
     """The servo loop written with numpy scalars: per period, two
     ramsey_probability calls clipped to [0, 1], and one binomial draw per
     fringe side, plus side first."""
     n = int(round(duration_s / servo.period_s))
     _, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
-    resonance = y * drift.carrier_hz + initial_offset_hz
+    resonance = y * drift.carrier_hz
     rng = np.random.default_rng(seed + 0x5EED)
     applied = np.zeros(n)
     level = 0.0
@@ -271,11 +250,8 @@ def _reference_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
         delta = (resonance[k] + servo.miscalibration_hz) - level
         p_plus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, +1), 0, 1))
         p_minus = float(np.clip(ramsey_probability(delta, servo.interrogation_s, -1), 0, 1))
-        if servo.shots is None:
-            diff = p_plus - p_minus
-        else:
-            diff = (rng.binomial(servo.shots, p_plus)
-                    - rng.binomial(servo.shots, p_minus)) / servo.shots
+        diff = (rng.binomial(servo.shots, p_plus)
+                - rng.binomial(servo.shots, p_minus)) / servo.shots
         if diff > 0:
             level += servo.step_hz
         elif diff < 0:
@@ -284,19 +260,16 @@ def _reference_servo(drift, servo, duration_s, seed=0, initial_offset_hz=0.0):
                       applied_freq_hz=applied)
 
 
-@pytest.mark.parametrize("servo, duration_s, offset_hz", [
-    (ServoConfig(shots=None), 600, 0.0),
-    (ServoConfig(shots=1), 600, 0.0),
-    (ServoConfig(shots=50), 3600, 0.0),
-    (ServoConfig.lab(), 3600, 0.0),
-    (ServoConfig.lab(), 300, 37.5),
-    (ServoConfig(shots=None, miscalibration_hz=-8.0), 300, -20.0),
-], ids=["noiseless", "one-shot", "shots50", "lab", "lab-offset", "noiseless-offset"])
+@pytest.mark.parametrize("servo, duration_s", [
+    (ServoConfig(shots=1), 600),
+    (ServoConfig(shots=50), 3600),
+    (ServoConfig.lab(), 3600),
+], ids=["one-shot", "shots50", "lab"])
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_servo_trace_is_bitwise_the_reference_loop(servo, duration_s, offset_hz, seed):
+def test_servo_trace_is_bitwise_the_reference_loop(servo, duration_s, seed):
     drift = DriftModel.lab()
-    trace = simulate_servo(drift, servo, duration_s, seed=seed, initial_offset_hz=offset_hz)
-    ref = _reference_servo(drift, servo, duration_s, seed=seed, initial_offset_hz=offset_hz)
+    trace = simulate_servo(drift, servo, duration_s, seed=seed)
+    ref = _reference_servo(drift, servo, duration_s, seed=seed)
     assert trace.applied_freq_hz.shape == (round(duration_s / servo.period_s),)
     assert np.array_equal(trace.applied_freq_hz, ref.applied_freq_hz)
     assert np.array_equal(trace.true_freq_hz, ref.true_freq_hz)

@@ -242,7 +242,6 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: rabi_curve([0.0, 1e-5], 2.0), "start_level"),
     (lambda: rabi_curve([0.0, math.nan], 4), "times"),
     (lambda: light_shift_isolation(1e5, [math.inf]), "times"),
-    (lambda: light_shift_isolation(1e5, [0.0], shifted_level=6), "shifted_level"),
     (lambda: light_shift_isolation(math.nan, [0.0]), "shift_hz"),
     (lambda: angle_scan(psk3_sequence(), [0.0, math.nan]), "angles"),
     (lambda: angle_scan(psk3_sequence(), [math.inf], dim=2), "angles"),
@@ -271,7 +270,7 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: apply_laser_pi(init_state(), (6, 6)), "pair"),
     (lambda: apply_laser_pi(init_state(), (2.0, 6)), "pair"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
-        "times-inf", "shifted_level", "shift_hz", "angles-nan", "angles-inf-dim2",
+        "times-inf", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
         "run-nan-angle", "detuning-scan-inf-angle", "detuning-scan-four-angles",
         "time-series-nan-angle",
@@ -303,8 +302,7 @@ def test_time_series_last_row_equals_run_with_leakage():
     for seq in (psk3_sequence(), ask3_sequence()):
         base = default_config(seq)
         slow = replace(base, pulse_gap_s=7e-6, laser_time_s=3e-6)
-        for config, model in ((base, noise), (slow, detuned),
-                              (replace(slow, oracle_fixed_length=True), detuned)):
+        for config, model in ((base, noise), (slow, detuned)):
             for index in range(3):
                 table = time_series(seq, index, 33, config=config, noise=model)
                 final = run(seq, index, model, config).probabilities[:3]
@@ -487,22 +485,6 @@ def test_config_validation():
 def test_config_rejects_bad_levels(fields, name):
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**fields)
-
-
-def test_fixed_length_oracle_option():
-    seq = ask3_sequence(exact=True)
-    config = replace(default_config(seq), oracle_fixed_length=True)
-    # Ideal drive: rescaled amplitude reproduces the same rotations.
-    for index in range(3):
-        probs = run(seq, index, config=config).probabilities
-        assert probs[seq.readout_map[index]] > 1 - 1e-9
-    # With detuning, the zero-angle query takes a pi-time of free
-    # precession instead of zero time, so the two timings are physically
-    # distinct channels.
-    noise = NoiseModel(detuning_hz=500.0)
-    p_default = run(seq, 0, noise).probabilities[0]
-    p_fixed = run(seq, 0, noise, config=config).probabilities[0]
-    assert abs(p_fixed - p_default) > 1e-4
 
 
 def test_list_pairs_are_stored_as_int_tuples():

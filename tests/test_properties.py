@@ -202,8 +202,7 @@ def programs(draw):
                               pulse_gap_s=draw(_real(0.0, 2e-5)),
                               laser_time_s=draw(_real(0.0, 1e-5)),
                               couple_pair=base.couple_pair,
-                              readout_pairs=base.readout_pairs,
-                              oracle_fixed_length=draw(st.booleans()))
+                              readout_pairs=base.readout_pairs)
     return seq, draw(st.integers(0, 2)), noise, config
 
 
@@ -246,7 +245,7 @@ def random_sequences(channels=CHANNELS):
 
 # Configs with random timing and the default level assignment.
 timings = st.builds(ExperimentConfig, _real(0.5, 2.0).map(lambda x: x * math.pi / 55e-6),
-                    _real(0.0, 2e-5), _real(0.0, 1e-5), oracle_fixed_length=st.booleans())
+                    _real(0.0, 2e-5), _real(0.0, 1e-5))
 # Any program as (sequence, signal angle, noise model, config); the laser
 # and readout pairs are any (metastable, ground) pairs.
 random_programs = st.tuples(

@@ -273,6 +273,38 @@ def test_bisection_closed_form_matches_product(n):
         assert abs(worst - ref_worst) <= 1e-12
 
 
+def _float_bisection(protocol, hidden_index):
+    """run_bisection with the signal and the offset in radians, as floats:
+    (identified_index, queries_used)."""
+    n = protocol.n
+    theta = 2.0 * np.pi * hidden_index / n
+    offset, queries = 0.0, 0
+    for stage in protocol.stages:
+        p_return = math.cos(stage.qsp_degree * (theta - offset) / 2.0) ** 2
+        queries += stage.qsp_degree
+        if p_return < 0.5:
+            offset += stage.offset
+    return int(round(offset / (2.0 * np.pi / n))) % n, queries
+
+
+def test_bisection_index_and_queries_are_the_float_rule_up_to_4096():
+    for k in range(1, 13):
+        proto = bisection_protocol(2 ** k)
+        for hidden in range(2 ** k):
+            assert run_bisection(proto, hidden)[:2] == _float_bisection(proto, hidden)
+
+
+@pytest.mark.parametrize("n", [2 ** 52, 2 ** 60, 2 ** 62])
+def test_bisection_is_exact_at_large_n(n):
+    """The floats lose the index from n = 2**52 (and the 1e-8 margin of
+    bisect --verify from 2**41); integer counts of 2 pi / n keep both."""
+    proto = bisection_protocol(n)
+    for hidden in (n - 1, n - 2, n // 3):
+        identified, used, worst = run_bisection(proto, hidden)
+        assert (identified, used) == (hidden, n - 1)
+        assert worst == math.cos(math.pi / 2) ** 2
+
+
 @pytest.mark.parametrize("field, value", [
     ("channel", "microwave"), ("theta", "nan"), ("phi", float("inf")),
     ("oracle_phase_offset", None), ("theta", True),
@@ -299,6 +331,30 @@ def test_sequence_rejects_bad_fields():
                            "malformed")):
         with pytest.raises(ValueError, match=match):
             PulseSequence.from_json(broken)
+
+
+_MAP = {0: 0, 1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("pulses, readout_map, field", [
+    ((), 3, "readout_map"),
+    ((), [0, 1, 2], "readout_map"),
+    (5, _MAP, "pulses"),
+    ("abc", _MAP, "pulses"),
+    ((5,), _MAP, r"pulses\[0\]"),
+    ((psk3_sequence().pulses[0], None), _MAP, r"pulses\[1\]"),
+], ids=["map-number", "map-list", "pulses-number", "pulses-string", "pulse-number",
+        "pulse-none"])
+def test_sequence_checks_its_pulses_and_readout_map(pulses, readout_map, field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        PulseSequence("x", "psk", pulses, readout_map)
+
+
+def test_sequence_stores_a_pulse_list_as_a_tuple():
+    seq = psk3_sequence()
+    listed = PulseSequence(seq.name, seq.encoding, list(seq.pulses), seq.readout_map)
+    assert type(listed.pulses) is tuple and listed == seq
+    assert PulseSequence.from_json(listed.to_json()) == seq
 
 
 def _psk3_document(**fields):
