@@ -7,6 +7,8 @@ as a pre-rotation on each oracle call. Identification is exact for every
 hidden index, with n/2 + n/4 + ... + 1 = n - 1 oracle queries in total.
 """
 
+import numpy as np
+
 from spinkey import protocols
 
 for n in (2, 4, 8, 16, 32):
@@ -14,10 +16,11 @@ for n in (2, 4, 8, 16, 32):
     stages = ", ".join(
         f"T_{s.qsp_degree}" for s in proto.stages
     )
-    results = [protocols.run_bisection(proto, hidden) for hidden in range(n)]
-    perfect = all(identified == hidden
-                  for hidden, (identified, _, _) in enumerate(results))
-    worst = max(margin for _, _, margin in results)
+    # One call runs every hidden index.
+    hidden = np.arange(n)
+    identified, _, margins = protocols.run_bisection(proto, hidden)
+    perfect = bool((identified == hidden).all())
+    worst = margins.max()
     print(f"n={n:3d}: stages [{stages}]  queries={proto.total_queries:3d}  "
           f"all identified={perfect}  worst margin={worst:.1e}")
 

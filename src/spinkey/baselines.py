@@ -105,8 +105,12 @@ def me_single_shot(state_set):
     The square-root measurement is optimal for symmetric pure states with
     equal priors; for the triad it returns 2/3.
     """
-    p = outcome_probabilities(state_set)
-    return float(sum(eta * p[i, i] for i, eta in enumerate(state_set.priors)))
+    return _me_single_shot(state_set.priors, outcome_probabilities(state_set))
+
+
+def _me_single_shot(priors, p):
+    """me_single_shot of the states with these priors and outcome table p."""
+    return float(sum(eta * p[i, i] for i, eta in enumerate(priors)))
 
 
 def me_majority(state_set, k=4):
@@ -115,6 +119,13 @@ def me_majority(state_set, k=4):
     A tied vote carries no decision and is counted as a failure; with that
     rule four queries on the triad succeed with probability 60/81, about
     74%. (Breaking ties randomly would instead give about 81%.)
+    """
+    k = check_int("k", k)
+    return _me_majority(state_set.priors, outcome_probabilities(state_set), k)
+
+
+def _me_majority(priors, p, k):
+    """me_majority of the states with these priors and outcome table p.
 
     The vote depends only on how often each outcome occurs, so the sum runs
     over count vectors c weighted by the multinomial coefficient
@@ -133,9 +144,7 @@ def me_majority(state_set, k=4):
     is a normal float, and k! beyond the float range (k > 170) or a power
     below it neither overflows nor vanishes.
     """
-    k = check_int("k", k)
-    p = outcome_probabilities(state_set)
-    n = state_set.n
+    n = len(priors)
     edges = [(-1,) + b + (k + n - 1,) for b in itertools.combinations(range(k + n - 1), n - 1)]
     counts = np.diff(np.array(edges)[::-1], axis=1) - 1
     factorial = [math.factorial(j) for j in range(k + 1)]
@@ -153,7 +162,7 @@ def me_majority(state_set, k=4):
     unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1
     winner = counts.argmax(axis=1)
     term = (winner[:, None], np.arange(n), counts)
-    weight = np.asarray(state_set.priors)[winner] * ways * power_mantissa[term].prod(axis=1)
+    weight = np.asarray(priors)[winner] * ways * power_mantissa[term].prod(axis=1)
     scale = exponent[k] - exponent[counts].sum(axis=1) + power_exponent[term].sum(axis=1)
     return float(np.ldexp(weight, scale)[unique].sum())
 
@@ -168,9 +177,12 @@ def posterior_all_agree(state_set, k=4):
     (1/6)^k would both reach 0 and leave 0 / 0.
     """
     k = check_int("k", k)
-    p = outcome_probabilities(state_set)
-    eta = state_set.priors
-    rest = sum(eta[i] / eta[0] * (p[i, 0] / p[0, 0]) ** k for i in range(1, state_set.n))
+    return _posterior_all_agree(state_set.priors, outcome_probabilities(state_set), k)
+
+
+def _posterior_all_agree(priors, p, k):
+    """posterior_all_agree of the states with these priors and outcome table p."""
+    rest = sum(priors[i] / priors[0] * (p[i, 0] / p[0, 0]) ** k for i in range(1, len(priors)))
     return float(1.0 / (1.0 + rest))
 
 
@@ -215,10 +227,12 @@ def advantage_report(accuracy):
     """
     accuracy = float(check_real("accuracy", accuracy, 0.0, maximum=1.0))
     triad = symmetric_states()
+    # One outcome table serves the three minimum-error strategies.
+    p = outcome_probabilities(triad)
     rows = [("coherent_protocol", accuracy),
-            ("minimum_error_single_shot", me_single_shot(triad)),
-            ("minimum_error_majority_4", me_majority(triad, 4)),
-            ("posterior_all_agree_4", posterior_all_agree(triad, 4)),
+            ("minimum_error_single_shot", _me_single_shot(triad.priors, p)),
+            ("minimum_error_majority_4", _me_majority(triad.priors, p, 4)),
+            ("posterior_all_agree_4", _posterior_all_agree(triad.priors, p, 4)),
             ("unambiguous_4_trials", ud_multi(triad, 4))]
     return [{"strategy": name, "success_probability": value,
              "beaten": None if name == "coherent_protocol" else bool(accuracy > value)}

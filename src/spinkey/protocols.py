@@ -314,6 +314,11 @@ def psk_to_ask_wrap(phi, dim):
     )
 
 
+# The largest candidate count bisection_protocol accepts: run_bisection holds
+# every index, offset and difference of two of them as an int64.
+_MAX_CANDIDATES = 1 << 62
+
+
 @dataclass(frozen=True)
 class BisectionStage:
     """One halving step: a pure-Chebyshev product plus an oracle pre-rotation.
@@ -353,6 +358,8 @@ def bisection_protocol(n):
     is a single query: apply the re-centered oracle and measure.
     """
     n = check_int("n", n)
+    if n > _MAX_CANDIDATES:
+        raise ValueError(f"n must be <= 2**62, so every count of 2 pi / n fits int64, got {n}")
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(
             f"n = {n} is not a power of two; protocols for other candidate "
@@ -376,35 +383,49 @@ def run_bisection(protocol, hidden_index):
     entry is the Chebyshev polynomial T_d(cos(x/2)) = cos(d x / 2), so the
     population is cos(d x / 2)^2 in closed form: 1 for the even half of
     the surviving subset and 0 for the odd half. The signal and the
-    accumulated offset are held as integer counts of 2 pi / n, and the
+    accumulated offset are held as int64 counts of 2 pi / n, and the
     population has period n / d in that count, so the count is reduced
     modulo n / d before the cosine: every population is exactly 1 or
     cos(pi / 2)^2 and the identified index is exact at every n.
-    hidden_index is the candidate the oracle holds, an integer in [0, n).
+    hidden_index is the candidate the oracle holds: an integer in [0, n),
+    or an integer array of them, all run at once with one loop over the
+    stages.
 
     Returns
     -------
     (identified_index, queries_used, worst_margin)
         worst_margin is the largest distance of any stage population from
-        its ideal 0/1 value.
+        its ideal 0/1 value. For an integer these are int, int and float;
+        for an array, identified_index and worst_margin are arrays of its
+        shape.
     """
     n = protocol.n
-    hidden = check_int("hidden_index", hidden_index, minimum=0)
-    if hidden >= n:
+    try:
+        hidden = np.asarray(hidden_index)
+    except ValueError:  # a ragged nest of sequences
+        raise ValueError(f"hidden_index must be an integer array, got {hidden_index!r}") from None
+    scalar = hidden.ndim == 0
+    if scalar and check_int("hidden_index", hidden_index, minimum=0) >= n:
         raise ValueError(f"hidden_index must be < {n}, got {hidden_index!r}")
-    shift = 0
-    queries = 0
-    worst = 0.0
+    if hidden.dtype.kind not in "iu":
+        raise ValueError(f"hidden_index must hold integers, got dtype {hidden.dtype}")
+    if hidden.size and (hidden.min() < 0 or hidden.max() >= n):
+        raise ValueError(f"hidden_index must lie in [0, {n}), got values from "
+                         f"{hidden.min()} to {hidden.max()}")
+    hidden = hidden.astype(np.int64)
+    shift = np.zeros_like(hidden)
+    worst = np.zeros(hidden.shape)
     for stage in protocol.stages:
         period = n // stage.qsp_degree
-        p_return = math.cos(math.pi * ((hidden - shift) % period) / period) ** 2
-        queries += stage.qsp_degree
-        worst = max(worst, min(p_return, 1.0 - p_return))
-        if p_return < 0.5:
-            # Odd half survives: shift the reference onto that subset by
-            # stage.offset, n // subset_size counts of 2 pi / n.
-            shift += n // stage.subset_size
-    return shift % n, queries, worst
+        p_return = np.cos(np.pi * ((hidden - shift) % period) / period) ** 2
+        np.maximum(worst, np.minimum(p_return, 1.0 - p_return), out=worst)
+        # Odd half survives: shift the reference onto that subset by
+        # stage.offset, n // subset_size counts of 2 pi / n.
+        shift += (p_return < 0.5) * (n // stage.subset_size)
+    identified = shift % n
+    if scalar:
+        return int(identified), protocol.total_queries, float(worst)
+    return identified, protocol.total_queries, worst
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,27 @@ def test_advantage_report_rows():
     assert all(0.0 <= p <= 1.0 for p in probs)
 
 
+def test_advantage_report_solves_the_measurement_once(monkeypatch):
+    """One eigh call in baselines per report, and the same rows bit for bit
+    as the public functions called on a fresh triad."""
+    from spinkey import baselines
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = advantage_report(0.994)
+    assert calls.count(baselines.__name__) == 1
+    monkeypatch.undo()
+    expected = [0.994, me_single_shot(symmetric_states()), me_majority(symmetric_states(), 4),
+                posterior_all_agree(symmetric_states(), 4), ud_multi(symmetric_states(), 4)]
+    assert [float(r["success_probability"]).hex() for r in report] == [x.hex() for x in expected]
+
+
 def _majority_by_enumeration(state_set, k):
     """me_majority by enumerating every outcome tuple in turn."""
     from itertools import product

@@ -4,13 +4,14 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinkey import cli, ion_sim
+from spinkey import cli, ion_sim, protocols
 from spinkey.cli import _emit, main
 from spinkey.protocols import PSK, PulseSequence, ask3_sequence, psk3_sequence
 
@@ -334,6 +335,28 @@ def test_bisect_verify_summary(capsys):
     assert lines[-1] == "queries=7, perfect=true"
 
 
+def test_bisect_verify_runs_blocks_of_indices(monkeypatch, capsys):
+    sizes = []
+    run = protocols.run_bisection
+    monkeypatch.setattr(protocols, "run_bisection",
+                        lambda proto, hidden: sizes.append(len(hidden)) or run(proto, hidden))
+    assert main(["bisect", "--n", str(2 ** 18), "--verify"]) == 0
+    assert sizes == [2 ** 16] * 4
+    assert capsys.readouterr().out.splitlines()[-1] == f"queries={2 ** 18 - 1}, perfect=true"
+
+
+def test_bisect_verify_reports_a_wrong_identification(monkeypatch, capsys):
+    run = protocols.run_bisection
+
+    def reversed_answers(proto, hidden):
+        identified, used, worst = run(proto, hidden)
+        return identified[::-1], used, worst
+
+    monkeypatch.setattr(protocols, "run_bisection", reversed_answers)
+    assert main(["bisect", "--n", "8", "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "queries=7, perfect=false"
+
+
 def test_baselines_table(tmp_path):
     out = tmp_path / "b.csv"
     rc = main(["baselines", "--accuracy", "0.994", "--out", str(out)])
@@ -594,6 +617,16 @@ def _parsers_and_commands(monkeypatch, argv):
 ], ids=" ".join)
 def test_only_a_leading_command_narrows_the_parser(monkeypatch, argv, commands):
     assert _parsers_and_commands(monkeypatch, argv) == (1 + len(commands), commands)
+
+
+@pytest.mark.parametrize("argv", [["scan", "angle", "--points", "3"], ["--help"], ["run"]],
+                         ids=" ".join)
+def test_one_main_call_looks_up_the_terminal_width_once(monkeypatch, capsys, argv):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(1) or size(*a))
+    _main_outcome(argv, capsys)
+    assert len(calls) == 1
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -416,3 +416,63 @@ def test_every_mutated_sequence_document_loads_or_names_the_part_changed(sequenc
             PulseSequence.from_json(json.dumps(doc))
         except ValueError as err:
             assert name in str(err)
+
+
+def _scalar_bisection(protocol, hidden_index):
+    """run_bisection's rule one hidden index at a time, with Python ints and
+    math.cos: (identified_index, queries_used, worst_margin)."""
+    n = protocol.n
+    shift, queries, worst = 0, 0, 0.0
+    for stage in protocol.stages:
+        period = n // stage.qsp_degree
+        p_return = math.cos(math.pi * ((hidden_index - shift) % period) / period) ** 2
+        queries += stage.qsp_degree
+        worst = max(worst, min(p_return, 1.0 - p_return))
+        if p_return < 0.5:
+            shift += n // stage.subset_size
+    return shift % n, queries, worst
+
+
+def _assert_batch_is_the_scalar_rule(protocol, hidden):
+    identified, used, worst = run_bisection(protocol, np.array(hidden))
+    ref = [_scalar_bisection(protocol, h) for h in hidden]
+    assert identified.shape == worst.shape == (len(hidden),)
+    assert identified.tolist() == [r[0] for r in ref]
+    assert {used} == {r[1] for r in ref}
+    assert worst.view(np.uint64).tolist() == np.array([r[2] for r in ref]).view(np.uint64).tolist()
+
+
+def test_batched_bisection_is_bitwise_the_scalar_rule_up_to_4096():
+    for k in range(1, 13):
+        _assert_batch_is_the_scalar_rule(bisection_protocol(2 ** k), list(range(2 ** k)))
+
+
+@pytest.mark.parametrize("n", [2 ** 52, 2 ** 60, 2 ** 62])
+def test_batched_bisection_is_bitwise_the_scalar_rule_at_large_n(n):
+    _assert_batch_is_the_scalar_rule(bisection_protocol(n), [n - 1, n - 2, n // 3])
+
+
+def test_batched_bisection_keeps_the_shape_of_its_indices():
+    identified, used, worst = run_bisection(bisection_protocol(8), np.arange(8).reshape(2, 4))
+    assert identified.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert (used, worst.shape) == (7, (2, 4))
+
+
+def test_scalar_bisection_returns_python_numbers():
+    result = run_bisection(bisection_protocol(16), np.int64(5))
+    assert [type(value) for value in result] == [int, int, float]
+    assert result == _scalar_bisection(bisection_protocol(16), 5)
+
+
+@pytest.mark.parametrize("hidden_index", [
+    np.array([0.5]), np.array([True]), [-1], np.array([0, 4]), 2 ** 70, [2 ** 70],
+    np.array([2 ** 64 - 1], dtype=np.uint64), np.array([1], dtype=object), [[1], [1, 2]]])
+def test_batched_bisection_rejects_indices_outside_the_candidates(hidden_index):
+    with pytest.raises(ValueError, match="hidden_index"):
+        run_bisection(bisection_protocol(4), hidden_index)
+
+
+def test_bisection_refuses_counts_beyond_int64():
+    with pytest.raises(ValueError, match="n must be <= 2\\*\\*62"):
+        bisection_protocol(2 ** 63)
+    assert bisection_protocol(2 ** 62).n == 2 ** 62
