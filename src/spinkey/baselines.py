@@ -27,26 +27,29 @@ from .spin_algebra import rotation
 class SymmetricStateSet:
     """Candidate states with their priors; overlaps must share one magnitude.
 
-    n is an integer equal to the number of states and of priors. The
-    priors are finite, > 0 and sum to 1 within 1e-9; the states are finite
-    vectors of one length, each of unit norm within 1e-9.
+    There is one prior per state. The priors are finite, > 0 and sum to 1
+    within 1e-9; the states are finite vectors of one length, each of unit
+    norm within 1e-9.
     """
 
-    n: int
     states: tuple
     priors: tuple
 
     def __post_init__(self):
-        if check_int("n", self.n) != len(self.states) or self.n != len(self.priors):
-            raise ValueError(f"n must equal len(states) and len(priors), got {self.n!r}")
         priors = finite_array("priors", self.priors)
-        if priors.min() <= 0.0 or abs(priors.sum() - 1.0) > 1e-9:
-            raise ValueError(f"priors must be > 0 and sum to 1, got {self.priors!r}")
+        if (priors.shape != (len(self.states),) or priors.size == 0 or priors.min() <= 0.0
+                or abs(priors.sum() - 1.0) > 1e-9):
+            raise ValueError(f"priors must be one per state, > 0 and sum to 1, got {self.priors!r}")
         if len({np.shape(psi) for psi in self.states}) != 1 or np.ndim(self.states[0]) != 1:
             raise ValueError("states must be vectors of one length")
         norms = np.linalg.norm(abs(np.asarray(self.states, dtype=complex)), axis=1)
         if not np.all(abs(norms - 1.0) <= 1e-9):
             raise ValueError(f"states must be finite vectors of unit norm, got norms {norms}")
+
+    @property
+    def n(self):
+        """The number of states."""
+        return len(self.states)
 
     def overlap_magnitudes(self):
         return [abs(np.vdot(self.states[i], self.states[k]))
@@ -78,7 +81,7 @@ def symmetric_states(n=3, encoding=ASK):
         states = tuple(rotation(2, math.pi, a) @ probe for a in angles)
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
-    return SymmetricStateSet(n=n, states=states, priors=tuple([1.0 / n] * n))
+    return SymmetricStateSet(states=states, priors=tuple([1.0 / n] * n))
 
 
 def outcome_probabilities(state_set):

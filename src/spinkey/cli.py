@@ -246,8 +246,10 @@ def _cmd_scan(args, meta):
 
 
 # bisect --verify runs the hidden indices in blocks of this many, so its
-# memory stays bounded at any n.
+# memory stays bounded at any n. It refuses n above _VERIFY_MAX_N, which
+# takes about a minute (notes/decisions.md).
 _VERIFY_BLOCK = 1 << 16
+_VERIFY_MAX_N = 1 << 27
 
 
 def _cmd_bisect(args, meta):
@@ -255,6 +257,9 @@ def _cmd_bisect(args, meta):
     rows = [(s.stage, s.subset_size, s.qsp_degree, float(s.offset)) for s in proto.stages]
     meta["total_queries"] = proto.total_queries
     if args.verify:
+        if proto.n > _VERIFY_MAX_N:
+            raise ValueError(f"--verify simulates every hidden index, so it takes n <= 2**"
+                             f"{_VERIFY_MAX_N.bit_length() - 1} ({_VERIFY_MAX_N}), got {proto.n}")
         perfect = True
         for start in range(0, proto.n, _VERIFY_BLOCK):
             hidden = np.arange(start, min(start + _VERIFY_BLOCK, proto.n))
@@ -283,8 +288,7 @@ def _cmd_servo(args, meta):
     _emit(args, meta, ("t_s", "true_freq_hz", "applied_freq_hz", "residual_hz"), rows)
     if args.allan_out:
         y = trace.true_freq_hz / drift.carrier_hz
-        n = len(y)
-        taus = [float(m) for m in (1, 2, 5, 10, 20, 50, 100, 200) if 2 * m <= n]
+        taus = [float(m) for m in (1, 2, 5, 10, 20, 50, 100, 200) if 2 * m <= len(y)]
         sigma = field_servo.allan_deviation(y, taus, dt=servo.period_s)
         _emit(args, meta, ("tau_s", "sigma_y"), list(zip(taus, map(float, sigma))),
               dest="allan_out")

@@ -34,18 +34,17 @@ class DriftModel:
 
     white_sigma1 is the white-FM Allan deviation at 1 s (slope -1/2);
     rw_sigma10 the random-walk-FM Allan deviation at 10 s (slope +1/2).
-    Either may be zero; both must be finite and >= 0. carrier_hz is the
-    resonance the fractional noise scales into hertz, finite and > 0.
+    Either may be zero; both must be finite and >= 0. The fractional noise
+    scales into hertz on the carrier, a class constant, not a field.
     """
 
     white_sigma1: float = 0.0
     rw_sigma10: float = 0.0
-    carrier_hz: float = CARRIER_HZ
+    carrier_hz = CARRIER_HZ
 
     def __post_init__(self):
         check_real("white_sigma1", self.white_sigma1, 0.0)
         check_real("rw_sigma10", self.rw_sigma10, 0.0)
-        check_real("carrier_hz", self.carrier_hz, 0.0, strict=True)
 
     @classmethod
     def lab(cls):
@@ -53,63 +52,56 @@ class DriftModel:
         random walk taking over beyond roughly ten seconds."""
         return cls(white_sigma1=4.0e-7, rw_sigma10=1.1e-7)
 
-    def generate(self, duration_s, dt=1.0, seed=0):
-        """Sample the fractional-frequency series y(t).
+    def generate(self, duration_s, seed=0):
+        """Sample the fractional-frequency series y(t), once per second.
 
         Returns (t, y) with t in seconds and y dimensionless. The white
-        component has per-sample deviation sigma1/sqrt(dt); the random-walk
+        component has per-sample deviation white_sigma1; the random-walk
         step size reproduces rw_sigma10 at tau = 10 s through the exact
         discrete Allan variance of a random walk. duration_s must be
-        finite and >= 0, with no more periods of dt than one float64 array
-        can hold (np.iinfo(np.intp).max bytes), dt finite and > 0, and seed
-        an integer >= 0.
+        finite and >= 0, with no more seconds than one float64 array can
+        hold (np.iinfo(np.intp).max bytes), and seed an integer >= 0.
         """
         check_real("duration_s", duration_s, 0.0)
-        check_real("dt", dt, 0.0, strict=True)
         check_int("seed", seed, minimum=0)
-        n = int(round(duration_s / dt))
+        n = int(round(duration_s))
         if n > np.iinfo(np.intp).max // 8:
-            raise ValueError(f"duration_s = {duration_s!r} holds {duration_s / dt:.3g} periods "
-                             f"of dt, more than one float64 array can hold "
-                             f"({np.iinfo(np.intp).max // 8})")
+            raise ValueError(f"duration_s = {duration_s!r} is more seconds than one float64 "
+                             f"array can hold ({np.iinfo(np.intp).max // 8})")
         rng = np.random.default_rng(seed)
         y = np.zeros(n)
         if self.white_sigma1 > 0:
-            y += rng.normal(0.0, self.white_sigma1 / math.sqrt(dt), n)
+            y += rng.normal(0.0, self.white_sigma1, n)
         if self.rw_sigma10 > 0:
-            m = max(1, int(round(10.0 / dt)))
-            # sigma_y^2(m dt) = step^2 (2m/3 + 1/(3m)) / 2 for a random walk
+            m = 10
+            # sigma_y^2(m s) = step^2 (2m/3 + 1/(3m)) / 2 for a random walk
             scale = math.sqrt((2.0 * m / 3.0 + 1.0 / (3.0 * m)) / 2.0)
-            step = self.rw_sigma10 / scale
-            y += np.cumsum(rng.normal(0.0, step, n))
-        return np.arange(n) * dt, y
+            y += np.cumsum(rng.normal(0.0, self.rw_sigma10 / scale, n))
+        return np.arange(n, dtype=float), y
 
 
 @dataclass(frozen=True)
 class ServoConfig:
     """Feed-forward loop parameters.
 
-    interrogation_s is the Ramsey free-evolution time per fringe side,
-    step_hz the fixed frequency increment, period_s the repetition
-    interval, and shots the detections per fringe side, an integer from 1
-    to np.iinfo(np.int64).max, the most one binomial draw takes. The atom
-    is interrogated at its light-shifted frequency and the calibrated
+    shots is the detections per fringe side, an integer from 1 to
+    np.iinfo(np.int64).max, the most one binomial draw takes. The atom is
+    interrogated at its light-shifted frequency and the calibrated
     light-shift offset is subtracted from every measurement again, so a
     correct calibration cancels exactly and needs no parameter.
-    miscalibration_hz models an imperfect offset calibration: the servo
-    converges to that residual detuning. Every float field is finite;
-    interrogation_s, step_hz and period_s are > 0.
+    miscalibration_hz, finite, models an imperfect offset calibration: the
+    servo converges to that residual detuning. The Ramsey free-evolution
+    time per fringe side, the fixed frequency increment and the repetition
+    interval are class constants, not fields: 5 ms, 5 Hz and 1 s.
     """
 
-    interrogation_s: float = 5e-3
-    step_hz: float = 5.0
-    period_s: float = 1.0
     shots: int = 50
     miscalibration_hz: float = 0.0
+    interrogation_s = 5e-3
+    step_hz = 5.0
+    period_s = 1.0
 
     def __post_init__(self):
-        for name in ("interrogation_s", "step_hz", "period_s"):
-            check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("miscalibration_hz", self.miscalibration_hz)
         if check_int("shots", self.shots) > np.iinfo(np.int64).max:
             raise ValueError(f"shots must be <= {np.iinfo(np.int64).max}, the most one binomial "
@@ -164,7 +156,7 @@ def simulate_servo(drift, servo, duration_s, seed=0):
     alone moves it. duration_s (finite and >= 0) and seed (an integer
     >= 0) are checked by DriftModel.generate.
     """
-    t, y = drift.generate(duration_s, dt=servo.period_s, seed=seed)
+    t, y = drift.generate(duration_s, seed=seed)
     resonance = y * drift.carrier_hz
 
     rng = np.random.default_rng(seed + 0x5EED)

@@ -204,20 +204,18 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
 
     theta, phi, duration and detuning_hz (default: noise.detuning_hz) may
     be arrays with one value per pulse; they broadcast, and the (6, 6)
-    propagators stack along their broadcast shape. Resonant pulses are the
-    closed form Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) of rotation().
-    When any detuning is nonzero, each pulse is written in SU(2)
-    (spin_algebra.su2_pulse) and factored as Rz(z) R(beta, phi'), so its
-    propagator is that resonant rotation followed by a precession about z:
-    the matrix of the update the interpreter applies to each row for a
-    whole laser-free block. run and the scans build no such matrix; this is
-    the single-pulse propagator for callers and tests.
+    propagators stack along their broadcast shape. Each pulse, resonant or
+    not, is written in SU(2) (spin_algebra.su2_pulse) and factored as
+    Rz(z) R(beta, phi'), so its propagator is the closed-form rotation()
+    R(beta, phi') followed by a precession about z; a resonant pulse has
+    z = 0 and equals Rz(phi) Rx(theta * (1 + amp_error)) Rz(-phi) up to
+    rounding. This is the matrix of the update the interpreter applies to
+    each row for a whole laser-free block. run and the scans build no such
+    matrix; this is the single-pulse propagator for callers and tests.
     """
     if detuning_hz is None:
         detuning_hz = noise.detuning_hz
     angle = np.multiply(theta, 1.0 + noise.rf_amp_error)
-    if not np.any(detuning_hz):
-        return rotation(D_DIM, angle, phi)
     if duration is None:
         duration = np.abs(theta) / (config or _DEFAULT_CONFIG).rabi_freq
     return _spin_image(su2_pulse(angle, phi, 2.0 * math.pi * np.multiply(detuning_hz, duration)))
@@ -226,13 +224,13 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
 def _spin_image(element):
     """Six-level spin image of SU(2) elements (a, b), a (..., 6, 6) stack.
 
-    It is Rz(z) R(beta, phi): the resonant rotation through rf_unitary,
-    then a precession about z. The interpreter applies a block to its rows
-    without building this matrix (spin_algebra.su2_apply); this is the
-    matrix rf_unitary returns for a detuned pulse and the tests' reference.
+    It is Rz(z) R(beta, phi): the resonant rotation, then a precession
+    about z. The interpreter applies a block to its rows without building
+    this matrix (spin_algebra.su2_apply); this is the matrix rf_unitary
+    returns and the tests' reference.
     """
     beta, phi, z = su2_factors(*element)
-    return np.exp(-1j * np.multiply.outer(z, _M6))[..., None] * rf_unitary(beta, phi)
+    return np.exp(-1j * np.multiply.outer(z, _M6))[..., None] * rotation(D_DIM, beta, phi)
 
 
 def _laser_angle(noise):

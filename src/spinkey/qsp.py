@@ -469,16 +469,14 @@ def _flip_far_pair(g, odd):
     top = np.zeros_like(g)
     top[-1] = 1.0
     for c, shifted in zip(_squares(g, odd), _squares(g + top, odd)):
-        if not c[-1] > 0.0:
+        if (paired := _real_pairs(c)) is None:
             return None
-        real = sorted(root.real for root in _roots(c) if root.imag == 0.0)
-        for low, high in zip(real[::2], real[1::2]):
-            if high - low > _DOUBLE_ROOT:
-                mid = 0.5 * (low + high)
-                lift, rate = np.polyval(c[::-1], mid), np.polyval((shifted - c)[::-1], mid)
-                if not 0.0 < abs(2.0 * lift) <= _MAX_TOP_SHIFT * abs(rate):
-                    return None
-                return g - 2.0 * lift / rate * top
+        if (split := paired[2]) is not None:
+            mid = 0.5 * (split[0] + split[1])
+            lift, rate = np.polyval(c[::-1], mid), np.polyval((shifted - c)[::-1], mid)
+            if not 0.0 < abs(2.0 * lift) <= _MAX_TOP_SHIFT * abs(rate):
+                return None
+            return g - 2.0 * lift / rate * top
     return None
 
 
@@ -494,6 +492,22 @@ def _roots(coeffs):
     return np.linalg.eigvals(companion).tolist()
 
 
+def _real_pairs(coeffs):
+    """(roots, pairs, split) of the polynomial of ascending coefficients coeffs,
+    or None when its top coefficient is not positive.
+
+    roots are all its roots; pairs its real roots, sorted and taken two at a
+    time; split the first pair wider than _DOUBLE_ROOT, or None when every
+    pair is a double root split by rounding.
+    """
+    if not coeffs[-1] > 0.0:
+        return None
+    roots = _roots(coeffs)
+    real = sorted(root.real for root in roots if root.imag == 0.0)
+    pairs = list(zip(real[::2], real[1::2]))
+    return roots, pairs, next((pair for pair in pairs if pair[1] - pair[0] > _DOUBLE_ROOT), None)
+
+
 def _half_factor(coeffs):
     """h with |h(y)|^2 = c(y) for real y, or None when c < 0 somewhere.
 
@@ -505,13 +519,10 @@ def _half_factor(coeffs):
     (Fejer-Riesz), scaled by the root of the top coefficient. A zero top
     coefficient is declined too.
     """
-    if not coeffs[-1] > 0.0:
+    paired = _real_pairs(coeffs)
+    if paired is None or paired[2] is not None:
         return None
-    roots = _roots(coeffs)
-    real = sorted(root.real for root in roots if root.imag == 0.0)
-    pairs = list(zip(real[::2], real[1::2]))
-    if any(high - low > _DOUBLE_ROOT for low, high in pairs):
-        return None
+    roots, pairs, _ = paired
     kept = [root for root in roots if root.imag > 0.0] + [0.5 * (low + high) for low, high in pairs]
     h = [complex(math.sqrt(coeffs[-1]))]
     for root in kept:  # h <- (y - root) h

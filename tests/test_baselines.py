@@ -54,8 +54,8 @@ def test_outcome_probabilities_match_the_povm_reference():
     up = np.array([1.0, 0.0], dtype=complex)
     tilted = np.array([np.cos(0.6), np.sin(0.6)], dtype=complex)
     sets = [symmetric_states(n, encoding) for n in (1, 2, 3) for encoding in ("ask", "psk")]
-    sets += [SymmetricStateSet(3, triad.states, (0.5, 0.3, 0.2)),
-             SymmetricStateSet(2, (up, tilted), (0.7, 0.3))]
+    sets += [SymmetricStateSet(triad.states, (0.5, 0.3, 0.2)),
+             SymmetricStateSet((up, tilted), (0.7, 0.3))]
     for state_set in sets:
         p = outcome_probabilities(state_set)
         np.testing.assert_allclose(p, _srm_reference(state_set), rtol=0, atol=1e-14)
@@ -75,7 +75,7 @@ def test_non_symmetric_input_rejected():
     up = np.array([1.0, 0.0], dtype=complex)
     tilt = np.array([np.cos(0.2), np.sin(0.2)], dtype=complex)
     near = np.array([np.cos(0.1), np.sin(0.1)], dtype=complex)
-    bad = SymmetricStateSet(3, (up, tilt, near), (1 / 3, 1 / 3, 1 / 3))
+    bad = SymmetricStateSet((up, tilt, near), (1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(ValueError, match="symmetric"):
         me_single_shot(bad)
 
@@ -143,12 +143,12 @@ def test_ud_triad_values():
 
 def test_ud_rejects_degenerate_sets():
     s = symmetric_states(3)
-    identical = SymmetricStateSet(3, (s.states[0],) * 3, s.priors)
+    identical = SymmetricStateSet((s.states[0],) * 3, s.priors)
     with pytest.raises(ValueError, match="identical"):
         ud_success(identical)
     orthogonal_pair = symmetric_states(2)
     widened = SymmetricStateSet(
-        3, orthogonal_pair.states + (orthogonal_pair.states[0],), (1 / 3,) * 3
+        orthogonal_pair.states + (orthogonal_pair.states[0],), (1 / 3,) * 3
     )
     with pytest.raises(ValueError):
         ud_success(widened)
@@ -208,9 +208,9 @@ def test_majority_matches_enumeration():
     tilted = np.array([np.cos(0.6), np.sin(0.6)], dtype=complex)
     sets = [
         triad,
-        SymmetricStateSet(3, triad.states, (0.5, 0.3, 0.2)),
+        SymmetricStateSet(triad.states, (0.5, 0.3, 0.2)),
         symmetric_states(2),
-        SymmetricStateSet(2, (up, tilted), (0.7, 0.3)),
+        SymmetricStateSet((up, tilted), (0.7, 0.3)),
     ]
     for state_set in sets:
         for k in range(1, 7):
@@ -245,25 +245,31 @@ def test_advantage_report_rejects_accuracy_outside_the_unit_interval(accuracy):
 _TRIAD = symmetric_states(3)
 
 
-@pytest.mark.parametrize("n, states, priors, field", [
-    (3, _TRIAD.states, (1.0, 1.0, 1.0), "priors"),
-    (3, _TRIAD.states, (0.5, 0.3, 0.1), "priors"),
-    (3, _TRIAD.states, (0.0, 0.5, 0.5), "priors"),
-    (3, _TRIAD.states, (-0.5, 1.0, 0.5), "priors"),
-    (3, _TRIAD.states, (np.nan, 0.5, 0.5), "priors"),
-    (3, tuple(2 * psi for psi in _TRIAD.states), _TRIAD.priors, "states"),
-    (3, _TRIAD.states[:2] + (np.array([np.nan, 1.0]),), _TRIAD.priors, "states"),
-    (3, _TRIAD.states[:2] + (np.array([np.inf, 0.0]),), _TRIAD.priors, "states"),
-    (3, _TRIAD.states[:2] + (np.array([1.0, 0.0, 0.0]),), _TRIAD.priors, "states"),
-    (4, _TRIAD.states, _TRIAD.priors, "n"),
-    (3, _TRIAD.states, (0.5, 0.5), "n"),
-    (3.0, _TRIAD.states, _TRIAD.priors, "n"),
+@pytest.mark.parametrize("states, priors, field", [
+    (_TRIAD.states, (1.0, 1.0, 1.0), "priors"),
+    (_TRIAD.states, (0.5, 0.3, 0.1), "priors"),
+    (_TRIAD.states, (0.0, 0.5, 0.5), "priors"),
+    (_TRIAD.states, (-0.5, 1.0, 0.5), "priors"),
+    (_TRIAD.states, (np.nan, 0.5, 0.5), "priors"),
+    (tuple(2 * psi for psi in _TRIAD.states), _TRIAD.priors, "states"),
+    (_TRIAD.states[:2] + (np.array([np.nan, 1.0]),), _TRIAD.priors, "states"),
+    (_TRIAD.states[:2] + (np.array([np.inf, 0.0]),), _TRIAD.priors, "states"),
+    (_TRIAD.states[:2] + (np.array([1.0, 0.0, 0.0]),), _TRIAD.priors, "states"),
+    (_TRIAD.states, (0.5, 0.5), "priors"),
+    ((), (), "priors"),
 ], ids=["priors-unnormalised", "priors-sum-0.9", "priors-zero", "priors-negative",
         "priors-nan", "states-doubled", "states-nan", "states-inf", "states-ragged",
-        "n-4", "two-priors", "n-float"])
-def test_state_set_rejects_invalid_fields(n, states, priors, field):
+        "two-priors", "empty"])
+def test_state_set_rejects_invalid_fields(states, priors, field):
     with pytest.raises(ValueError, match=rf"^{field} must"):
-        SymmetricStateSet(n, states, priors)
+        SymmetricStateSet(states, priors)
+
+
+def test_state_set_counts_its_own_states():
+    for n in (1, 2, 3, 5):
+        assert symmetric_states(n).n == n
+    with pytest.raises(AttributeError):
+        symmetric_states(3).n = 4
 
 
 @pytest.mark.parametrize("k", [1840, 10 ** 6])
@@ -306,7 +312,7 @@ def _equal_overlap_states(n, a):
     every pairwise overlap has one magnitude."""
     v = np.eye(n) * math.sqrt(1.0 - a) + math.sqrt(a / n)
     v /= np.linalg.norm(v, axis=1)[:, None]
-    return SymmetricStateSet(n, tuple(v.astype(complex)), tuple([1.0 / n] * n))
+    return SymmetricStateSet(tuple(v.astype(complex)), tuple([1.0 / n] * n))
 
 
 def test_majority_is_bitwise_the_vote_tuple_sum():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinkey import cli, ion_sim, protocols
+from spinkey import cli, field_servo, ion_sim, protocols
 from spinkey.cli import _emit, main
 from spinkey.protocols import PSK, PulseSequence, ask3_sequence, psk3_sequence
 
@@ -357,6 +358,26 @@ def test_bisect_verify_reports_a_wrong_identification(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "queries=7, perfect=false"
 
 
+def test_bisect_verify_refuses_n_above_its_bound_before_any_block(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(protocols, "run_bisection",
+                        lambda proto, hidden: calls.append(1) or (hidden, proto.total_queries,
+                                                                  np.zeros(len(hidden))))
+    for n in (2 * cli._VERIFY_MAX_N, 2 ** 62):
+        assert main(["bisect", "--n", str(n), "--verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: --verify") and str(cli._VERIFY_MAX_N) in err
+    assert calls == []
+    # CI verifies n = 2**24, so the bound is at least that; the bound itself is verified.
+    assert cli._VERIFY_MAX_N >= 2 ** 24
+    assert main(["bisect", "--n", str(cli._VERIFY_MAX_N), "--verify"]) == 0
+    assert len(calls) == cli._VERIFY_MAX_N // cli._VERIFY_BLOCK
+    assert capsys.readouterr().out.splitlines()[-1].endswith("perfect=true")
+    # Without --verify every n bisection_protocol takes is built, as before.
+    assert main(["bisect", "--n", str(2 ** 62)]) == 0
+
+
 def test_baselines_table(tmp_path):
     out = tmp_path / "b.csv"
     rc = main(["baselines", "--accuracy", "0.994", "--out", str(out)])
@@ -392,6 +413,16 @@ def test_servo_flags_override_the_lab_preset(tmp_path):
     assert rows("--white-sigma1", "1e-5") != plain
     assert rows("--white-sigma1", "4e-7", "--rw-sigma10", "1.1e-7", "--miscal-hz", "15",
                 "--shots", "50") == plain
+
+
+def test_servo_model_flags_are_the_model_fields():
+    parser = cli.build_parser(["servo"])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices["servo"]._actions}
+    other = {"help", "preset", "duration", "allan_out", "format", "out", "gnuplot", "seed"}
+    fields = {field.name for model in (field_servo.DriftModel, field_servo.ServoConfig)
+              for field in dataclasses.fields(model)}
+    assert other <= dests and dests - other == fields
 
 
 @pytest.mark.parametrize("out, allan_out", [

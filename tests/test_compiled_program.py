@@ -31,7 +31,7 @@ from spinkey.protocols import (
     ask3_sequence,
     psk3_sequence,
 )
-from spinkey.spin_algebra import rotation, spin_operators
+from spinkey.spin_algebra import spin_operators
 
 J = spin_operators(6)
 
@@ -241,14 +241,3 @@ def test_rf_propagators_match_expm():
              + omega * (math.cos(phi[k]) * J.jx + math.sin(phi[k]) * J.jy))
         np.testing.assert_allclose(u[k], expm(-1j * h * duration[k]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(u[k].conj().T @ u[k], np.eye(6), rtol=0, atol=1e-12)
-
-
-def test_resonant_rf_batch_is_the_rotation():
-    noise = NoiseModel(rf_amp_error=-0.02)
-    theta = np.array([math.pi, -1.3, 0.0, 5.0])
-    phi = np.array([0.0, 2.1, -0.5, 4.0])
-    expected = rotation(6, theta * (1.0 + noise.rf_amp_error), phi)
-    np.testing.assert_array_equal(rf_unitary(theta, phi, noise), expected)
-    np.testing.assert_array_equal(
-        rf_unitary(theta, phi, noise, duration=np.full(4, 1e-4), detuning_hz=np.zeros(4)),
-        expected)
