@@ -11,14 +11,35 @@ import numbers
 import numpy as np
 
 
+def _is_integer(value):
+    """Whether value is an integer, not a bool; an exact int skips the ABC check."""
+    return type(value) is int or (not isinstance(value, bool)
+                                  and isinstance(value, numbers.Integral))
+
+
+def _is_finite_real(value):
+    """Whether value is a finite real number, not a bool.
+
+    An exact float or int skips the ABC check. A number beyond float range,
+    such as 10**400, is not finite here: math.isfinite raises OverflowError
+    on it, and the library computes in float64.
+    """
+    if type(value) not in (float, int) and (isinstance(value, bool)
+                                            or not isinstance(value, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_real(name, value, minimum=None, strict=False, maximum=None):
     """value if it is a finite real number (not a bool) in range.
 
     The range is at or above minimum (strictly above it when strict is
     true) and at or below maximum; either bound may be None.
     """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    if not _is_finite_real(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
@@ -29,14 +50,14 @@ def check_real(name, value, minimum=None, strict=False, maximum=None):
 
 def check_int(name, value, minimum=1):
     """value as an int if it is an integer (not a bool) at or above minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
 def is_index(value, indices):
     """Whether value is an integer (not a bool) in the range indices."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value in indices
+    return _is_integer(value) and value in indices
 
 
 def finite_array(name, values):

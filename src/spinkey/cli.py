@@ -364,26 +364,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv):
-    """The spinkey parser for argv, with arguments only on the command argv names.
-
-    When argv[0] names a command, only that subparser is built; the
-    subparsers' metavar then lists every command, so the root usage line
-    reads as if all were built. Any other argv (root help, --version, a
-    usage error, no command) builds every subparser, so the root help,
-    invalid-choice error and missing-command error list all commands.
-    Only the command named by argv's first token that does not start with
-    "-" gets its arguments and handler: the root takes only -h and
-    --version, neither of which takes a value, so that token is the
-    command. Parse the same argv.
+def _width_formatter():
+    """argparse's help formatter at the width it would take, looked up once.
 
     argparse makes a help formatter for every argument added and every
     parse, and each one it makes by default looks up the terminal width.
-    This parser's formatters all take the width argparse would, looked up
-    once here.
+    Every parser of one main call shares the formatter made here.
     """
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command(p, name):
+    """p, given command name's own arguments, the common flags and its handler."""
+    _, add_args, func = _COMMANDS[name]
+    add_args(p)
+    _add_common(p)
+    p.set_defaults(func=func)
+    return p
+
+
+def _every_command(argv, formatter):
+    """build_parser(argv), its help formatted by formatter."""
     parser = argparse.ArgumentParser(
         prog="spinkey",
         description="Simulate keyed-rotation channel discrimination on a single ion.",
@@ -391,23 +392,58 @@ def build_parser(argv):
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    narrow = bool(argv) and argv[0] in _COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if narrow else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     command = next((token for token in argv if not token.startswith("-")), None)
-    for name in argv[:1] if narrow else _COMMANDS:
-        help_text, add_args, func = _COMMANDS[name]
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False, formatter_class=formatter)
         if name == command:
-            add_args(p)
-            _add_common(p)
-            p.set_defaults(func=func)
+            _add_command(p, name)
     return parser
 
 
+def build_parser(argv):
+    """The spinkey parser with every command, for parsing argv.
+
+    The root takes -h and --version and lists every command, so its help,
+    invalid-choice error, missing-command error and usage line name them
+    all. Only the command named by argv's first token that does not start
+    with "-" gets its arguments and handler: the root takes only -h and
+    --version, neither of which takes a value, so that token is the
+    command. Parse the same argv.
+    """
+    return _every_command(argv, _width_formatter())
+
+
+def _parse_args(argv):
+    """The namespace build_parser(argv).parse_args(argv) gives, or its exit.
+
+    When argv[0] names a command, the root parser would only hand argv[1:]
+    to that command's subparser, so that parser is built alone, as
+    add_parser makes it, and parses argv[1:]. Only if it leaves arguments
+    over is the parser with every command built, to re-parse argv and
+    report them under the root usage line.
+    """
+    formatter = _width_formatter()
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog="spinkey " + argv[0], allow_abbrev=False,
+                                         formatter_class=formatter)
+        args, extras = _add_command(parser, argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _every_command(argv, formatter).parse_args(argv)
+
+
 def main(argv=None):
+    """Run the command argv names (default: sys.argv[1:]) and return its exit status.
+
+    A command argv builds one parser, that command's; root-level argv and
+    arguments the command leaves over build every command's (_parse_args).
+    Usage errors and help exit through argparse; a ValueError, RuntimeError,
+    OSError or MemoryError prints one error: line and returns 1.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     meta = {"command": "spinkey " + " ".join(_strip_io_flags(argv)),
             "version": __version__, "seed": args.seed, "config": _config_hash(args)}
     try:

@@ -188,8 +188,11 @@ class OracleSpec:
         wrapped = np.mod(angles, 2.0 * np.pi)
         # Pair (i, k), i < k, clashes when wrapped[i], shifted by -2*pi, 0
         # or 2*pi, is close to wrapped[k]: the shifts catch 0 and 2*pi - eps.
+        # Close is np.isclose(x, y, atol=1e-12) written out: |x - y| <= 1e-12
+        # + 1e-5 |y|, where y = wrapped[k] >= 0.
         shifted = wrapped[:, None, None] + 2.0 * np.pi * np.array([-1.0, 0.0, 1.0])
-        clash = np.isclose(shifted, wrapped[None, :, None], atol=1e-12).any(axis=-1)
+        y = wrapped[None, :, None]
+        clash = (np.abs(shifted - y) <= 1e-12 + 1e-5 * y).any(axis=-1)
         if np.triu(clash, 1).any():
             raise ValueError("candidate angles must be distinct modulo 2*pi")
         if check_int("hidden_index", self.hidden_index, 0) >= len(angles):

@@ -144,6 +144,15 @@ def test_run_malformed_sequence_file_is_one_error_line(tmp_path, capsys, text, p
     assert captured.err.count("\n") == 1 and path in captured.err
 
 
+def test_run_sequence_file_with_an_integer_beyond_float_range_is_one_error_line(tmp_path, capsys):
+    seq_path = tmp_path / "huge.json"
+    seq_path.write_text(_edit_sequence(lambda d: d["pulses"][2].update(theta=10 ** 400)))
+    assert main(["run", "--seq-file", str(seq_path), "--oracle", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: pulses[2]: pulse theta must be a finite number")
+
+
 def test_scan_detuning_rejects_a_readout_map_missing_an_oracle_index(tmp_path, capsys):
     seq_path = tmp_path / "cut.json"
     seq_path.write_text(_edit_sequence(lambda d: d.update(readout_map={"0": 0})))
@@ -625,33 +634,40 @@ def _main_outcome(argv, capsys):
 ], ids=" ".join)
 def test_main_matches_the_every_subparser_parser(monkeypatch, capsys, argv):
     built = _main_outcome(argv, capsys)
-    monkeypatch.setattr(cli, "build_parser", _every_subparser)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: _every_subparser(argv).parse_args(argv))
     assert built == _main_outcome(argv, capsys)
 
 
-def _parsers_and_commands(monkeypatch, argv):
-    """How many ArgumentParsers build_parser(argv) makes, and its subparser choices."""
+# A command argv builds its own parser alone; root-level argv builds the root
+# and all six subparsers, and arguments a command leaves over build those
+# seven after the command's own parser, to report them under the root usage.
+_PARSERS_PER_CALL = [
+    (["run", "--oracle", "1"], 1),
+    (["scan", "angle", "--points", "3"], 1),
+    (["bisect", "--help"], 1),
+    (["run"], 1),
+    (["--help"], 7),
+    (["foo"], 7),
+    (["--bogus", "run"], 7),
+    ([], 7),
+    (["run", "--oracle", "1", "--bogus"], 8),
+    (["scan", "angle", "--points", "3", "--version"], 8),
+]
+
+
+@pytest.mark.parametrize("argv, parsers", _PARSERS_PER_CALL,
+                         ids=[" ".join(argv) for argv, _ in _PARSERS_PER_CALL])
+def test_parsers_built_per_main_call(monkeypatch, capsys, argv, parsers):
     count = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: count.append(1) or init(self, *a, **k))
-    parser = cli.build_parser(argv)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return len(count), list(sub.choices)
+    _main_outcome(argv, capsys)
+    assert len(count) == parsers
 
 
-@pytest.mark.parametrize("argv, commands", [
-    (["run", "--oracle", "1"], ["run"]),
-    (["--help"], list(_COMMAND_HELP)),
-    (["foo"], list(_COMMAND_HELP)),
-    (["--bogus", "run"], list(_COMMAND_HELP)),
-], ids=" ".join)
-def test_only_a_leading_command_narrows_the_parser(monkeypatch, argv, commands):
-    assert _parsers_and_commands(monkeypatch, argv) == (1 + len(commands), commands)
-
-
-@pytest.mark.parametrize("argv", [["scan", "angle", "--points", "3"], ["--help"], ["run"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [["scan", "angle", "--points", "3"], ["--help"], ["run"],
+                                  ["run", "--oracle", "1", "--bogus"]], ids=" ".join)
 def test_one_main_call_looks_up_the_terminal_width_once(monkeypatch, capsys, argv):
     calls = []
     size = shutil.get_terminal_size

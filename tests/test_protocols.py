@@ -127,6 +127,54 @@ def test_oracle_spec_rejects_angles_equal_across_the_wrap():
                 OracleSpec(ASK, tuple(angles), 0)
 
 
+def _clash_by_isclose(angles):
+    """OracleSpec's clash test as np.isclose, on the wrapped angles and their 2*pi shifts."""
+    wrapped = np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
+    shifted = wrapped[:, None, None] + 2.0 * math.pi * np.array([-1.0, 0.0, 1.0])
+    clash = np.isclose(shifted, wrapped[None, :, None], atol=1e-12).any(axis=-1)
+    return bool(np.triu(clash, 1).any())
+
+
+def _ulps_around(x, n=3):
+    """x and its n float neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_oracle_spec_clash_test_is_np_isclose_at_its_tolerance_edges():
+    y_near_2pi = 2 * math.pi - 1e-3
+    pairs = []
+    # atol decides: 1e-12 apart at y = 0.
+    pairs += [(x, 0.0) for x in _ulps_around(1e-12)]
+    pairs += [(1.0 + x, 1.0) for x in (0.0, 5e-13)]
+    # rtol decides: rtol |y| apart near 2*pi, on both sides of y.
+    for sign in (-1.0, 1.0):
+        edge = y_near_2pi + sign * (1e-12 + 1e-5 * y_near_2pi)
+        pairs += [(x, y_near_2pi) for x in _ulps_around(edge)]
+    # Across the wrap: one angle just above 0, one just below 2*pi, whose gap
+    # through 0 is at the tolerance of the one just above 0 (atol decides) or
+    # of the one just below 2*pi (rtol decides). The sums with 2*pi round to
+    # its ulp, so the angle that moves steps by that ulp.
+    small, high, step = 6e-13, 2 * math.pi - 3e-5, np.spacing(2 * math.pi)
+    pairs += [(x, small) for x in _ulps_around(2 * math.pi + small - 1e-12 - 1e-5 * small)]
+    edge = high + 1e-12 + 1e-5 * high - 2 * math.pi
+    pairs += [(edge + k * step, high) for k in range(-3, 4)]
+    pairs += [(edge + k * step - 2 * math.pi, high) for k in range(-3, 4)]
+    clashes = 0
+    for pair in pairs:
+        for angles in (pair, pair[::-1]):
+            if _clash_by_isclose(angles):
+                clashes += 1
+                with pytest.raises(ValueError, match="distinct modulo"):
+                    OracleSpec(ASK, angles, 0)
+            else:
+                OracleSpec(ASK, angles, 0)
+    assert 0 < clashes < 2 * len(pairs)
+
+
 @pytest.mark.parametrize("dim", [2, 6])
 def test_wrap_equals_doubled_x_rotation(dim):
     for phi in np.linspace(0, 2 * np.pi, 64, endpoint=False):
