@@ -7,6 +7,7 @@ NaN or a numpy error further down.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -33,6 +34,20 @@ def _is_finite_real(value):
         return False
 
 
+def shown(value):
+    """repr(value) for an error message, or a description when repr refuses.
+
+    Python writes no int of more than sys.get_int_max_str_digits() digits
+    in decimal, so repr refuses such an int and any value that holds one,
+    such as a Fraction or a tuple.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        huge = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        return huge if isinstance(value, int) else f"a {type(value).__name__} holding {huge}"
+
+
 def check_real(name, value, minimum=None, strict=False, maximum=None):
     """value if it is a finite real number (not a bool) in range.
 
@@ -40,18 +55,18 @@ def check_real(name, value, minimum=None, strict=False, maximum=None):
     true) and at or below maximum; either bound may be None.
     """
     if not _is_finite_real(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {shown(value)}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {shown(value)}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
+        raise ValueError(f"{name} must be <= {maximum}, got {shown(value)}")
     return value
 
 
 def check_int(name, value, minimum=1):
     """value as an int if it is an integer (not a bool) at or above minimum."""
     if not _is_integer(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {shown(value)}")
     return int(value)
 
 
@@ -62,7 +77,10 @@ def is_index(value, indices):
 
 def finite_array(name, values):
     """values as a float array if every entry is finite."""
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{name} must be finite, got a number beyond float range") from None
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0]}")

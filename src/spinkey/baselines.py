@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array
+from ._checks import check_int, check_real, finite_array, shown
 from .protocols import ASK, PSK
 from .spin_algebra import rotation
 
@@ -39,7 +39,8 @@ class SymmetricStateSet:
         priors = finite_array("priors", self.priors)
         if (priors.shape != (len(self.states),) or priors.size == 0 or priors.min() <= 0.0
                 or abs(priors.sum() - 1.0) > 1e-9):
-            raise ValueError(f"priors must be one per state, > 0 and sum to 1, got {self.priors!r}")
+            raise ValueError(
+                f"priors must be one per state, > 0 and sum to 1, got {shown(self.priors)}")
         if len({np.shape(psi) for psi in self.states}) != 1 or np.ndim(self.states[0]) != 1:
             raise ValueError("states must be vectors of one length")
         norms = np.linalg.norm(abs(np.asarray(self.states, dtype=complex)), axis=1)

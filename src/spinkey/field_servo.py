@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array
+from ._checks import check_int, check_real, finite_array, shown
 
 # Nominal splitting of the processing manifold driven by the rf antenna.
 CARRIER_HZ = 8.6e6
@@ -105,7 +105,7 @@ class ServoConfig:
         check_real("miscalibration_hz", self.miscalibration_hz)
         if check_int("shots", self.shots) > np.iinfo(np.int64).max:
             raise ValueError(f"shots must be <= {np.iinfo(np.int64).max}, the most one binomial "
-                             f"draw takes, got {self.shots!r}")
+                             f"draw takes, got {shown(self.shots)}")
 
     @classmethod
     def lab(cls):

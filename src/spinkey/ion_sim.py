@@ -17,17 +17,20 @@ detuning_scan and run_qubit_reduction all pass a whole (N, 8) batch of
 grid points through the same loop; time_series passes one row through
 it, recording where each segment starts, and finishes every time point
 from those records in one batch. Between two laser swaps every rf pulse
-and free precession is the spin-5/2 image of an SU(2) element, so the
-loop multiplies the 2x2 elements in closed form and applies each
-laser-free block once, through spin_algebra.su2_apply: on six levels one
-resonant rotation followed by one precession about z, as two real 6x6
-matmuls in the cached eigenbasis of Jx and three diagonal phases, and in
-the two-level reduction the element itself as a two-column row update. A
-laser swap is spin_algebra.two_level_rotation, which rewrites only its
-pair's two columns, so no per-row propagator is built. The readout
-cascade is linear in the level populations, so it is one (4, 8) matrix
-per (noise, config), built once and cached, applied to |psi|^2 of the
-batch.
+and free precession is the spin-5/2 image of an SU(2) element. Before
+the loop walks the segments, the program's drive elements come from at
+most two spin_algebra.su2_pulse calls per evaluation: one for the
+drives that are the same on every row and one for those with one value
+per row. The loop multiplies the 2x2 elements in closed form and
+applies each laser-free block once, through spin_algebra.su2_apply: on
+six levels one resonant rotation followed by one precession about z, as
+two real 6x6 matmuls in the cached eigenbasis of Jx and three diagonal
+phases, and in the two-level reduction the element itself as a
+two-column row update. A laser swap is spin_algebra.two_level_rotation,
+which rewrites only its pair's two columns, so no per-row propagator is
+built. The readout cascade is linear in the level populations, so it is
+one (4, 8) matrix per (noise, config), built once and cached, applied to
+|psi|^2 of the batch.
 
 The laser coupling and readout sublevels are configuration. The defaults
 were frozen from noiseless simulation of the built-in sequences: the
@@ -43,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array, finite_grid, is_index
+from ._checks import check_int, check_real, finite_array, finite_grid, is_index, shown
 from .protocols import (
     ASK,
     DESIGN_ANGLES,
@@ -142,16 +145,17 @@ class ExperimentConfig:
         check_real("pulse_gap_s", self.pulse_gap_s, 0.0)
         check_real("laser_time_s", self.laser_time_s, 0.0)
         if not is_index(self.init_level, S_LEVELS):
-            raise ValueError(f"init_level must be a ground level 6 or 7, got {self.init_level!r}")
+            raise ValueError(
+                f"init_level must be a ground level 6 or 7, got {shown(self.init_level)}")
         readout = self.readout_pairs
         if not (isinstance(readout, (tuple, list)) and len(readout) == 2):
-            raise ValueError(f"readout_pairs must hold two level pairs, got {readout!r}")
+            raise ValueError(f"readout_pairs must hold two level pairs, got {shown(readout)}")
         for name, pair in (("couple_pair", self.couple_pair),
                            ("readout_pairs[0]", readout[0]), ("readout_pairs[1]", readout[1])):
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and is_index(pair[0], range(D_DIM)) and is_index(pair[1], S_LEVELS)):
                 raise ValueError(
-                    f"{name} must be a (metastable 0-5, ground 6-7) level pair, got {pair!r}")
+                    f"{name} must be a (metastable 0-5, ground 6-7) level pair, got {shown(pair)}")
         object.__setattr__(self, "couple_pair", _level_pair(self.couple_pair))
         object.__setattr__(self, "readout_pairs", tuple(map(_level_pair, readout)))
 
@@ -215,10 +219,9 @@ def rf_unitary(theta, phi, noise=IDEAL, config=None, duration=None, detuning_hz=
     """
     if detuning_hz is None:
         detuning_hz = noise.detuning_hz
-    angle = np.multiply(theta, 1.0 + noise.rf_amp_error)
     if duration is None:
         duration = np.abs(theta) / (config or _DEFAULT_CONFIG).rabi_freq
-    return _spin_image(su2_pulse(angle, phi, 2.0 * math.pi * np.multiply(detuning_hz, duration)))
+    return _spin_image(_drive(theta, phi, duration, noise, detuning_hz))
 
 
 def _spin_image(element):
@@ -292,33 +295,66 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM, record=None):
     """Apply compiled segments to an (N, dim + grounds) batch, which it overwrites.
 
     The first dim entries of each row are the spin block; detuning_hz is a
-    scalar or one value per row. The drives between two swaps multiply as
-    SU(2) elements, and each such block acts once, before the next swap and
-    at the end, as the spin-J image that spin_algebra.su2_apply writes on
-    the rows for both dims. Each swap is apply_laser_pi. The six-level
-    block takes the noisy drives; the ideal two-level reduction (dim = 2)
-    passes IDEAL. Given a list as record, it appends one pair per segment,
-    before the segment's drive: a copy of the batch at the start of the
-    segment's block, after any swap, and the block's element so far, or
-    None.
+    scalar or one value per row. Every drive's SU(2) element comes first,
+    from _drives. The drives between two swaps then multiply, and each
+    such block acts once, before the next swap and at the end, as the
+    spin-J image that spin_algebra.su2_apply writes on the rows for both
+    dims. Each swap is apply_laser_pi. The six-level block takes the noisy
+    drives; the ideal two-level reduction (dim = 2) passes IDEAL. Given a
+    list as record, it appends one pair per segment, before the segment's
+    drive: a copy of the batch at the start of the segment's block, after
+    any swap, and the block's element so far, or None.
     """
     block = None
-    for segment in segments:
+    for segment, pulse in zip(segments, _drives(segments, noise, detuning_hz, len(states))):
         if segment.pair is not None:
             _apply_block(states, block, dim)
             states = apply_laser_pi(states, segment.pair, noise)
             block = None
         if record is not None:
             record.append((states.copy(), block))
-        pulse = _drive(segment.angle, segment.phi, segment.duration, noise, detuning_hz)
         block = pulse if block is None else su2_product(pulse, block)
     _apply_block(states, block, dim)
     return states
 
 
+def _drives(segments, noise, detuning_hz, rows):
+    """The SU(2) element of every segment's drive, in order, from at most two batches.
+
+    A segment is fixed when its angle, phi and duration are scalars and
+    the detuning is one scalar. The fixed drives are one (S_fixed,) batch
+    whose elements come back as Python complex numbers, so a run of them
+    folds in plain complex arithmetic. The others take one value per row
+    and are one (S_rows, rows) batch, each element a row of it. An element
+    is the one _drive gives its segment alone: the same elementwise
+    operations on the same float64 values. Every value is read as a
+    float64 first, so a Fraction or int field acts as the float it rounds
+    to.
+    """
+    detuning_hz = np.asarray(detuning_hz, dtype=float)
+    varies = [detuning_hz.ndim > 0 or isinstance(segment.angle, np.ndarray)
+              or isinstance(segment.phi, np.ndarray) or isinstance(segment.duration, np.ndarray)
+              for segment in segments]
+    drives = [None] * len(segments)
+    for per_row in (False, True):
+        batch = [n for n, flag in enumerate(varies) if flag is per_row]
+        if batch:
+            values = np.empty((3, len(batch)) + ((rows,) if per_row else ()))
+            for i, n in enumerate(batch):
+                values[0, i], values[1, i], values[2, i] = segments[n][:3]
+            duration, angle, phi = values
+            a, b = _drive(angle, phi, duration, noise, detuning_hz)
+            for n, element in zip(batch, zip(a, b) if per_row else zip(a.tolist(), b.tolist())):
+                drives[n] = element
+    return drives
+
+
 def _drive(angle, phi, duration, noise, detuning_hz):
-    """SU(2) element of a drive of the nominal angle about phi over duration seconds."""
-    return su2_pulse(angle * (1.0 + noise.rf_amp_error), phi,
+    """SU(2) element of a drive of the nominal angle about phi over duration seconds.
+
+    The arguments broadcast, so one call gives a batch of drives.
+    """
+    return su2_pulse(np.multiply(angle, 1.0 + noise.rf_amp_error), phi,
                      2.0 * math.pi * np.multiply(detuning_hz, duration))
 
 
@@ -382,9 +418,23 @@ def sequential_readout(state, noise=IDEAL, config=None):
     state = np.asarray(state)
     if state.shape[-1:] != (DIM,) or not np.isfinite(state).all():
         raise ValueError(f"state must be finite, with {DIM} levels last, got shape {state.shape}")
-    config = config or _DEFAULT_CONFIG
+    return ReadoutResult(probabilities=_readout(state, noise, config or _DEFAULT_CONFIG))
+
+
+def _readout(states, noise, config):
+    """(..., 4) outcome probabilities of (..., 8) states: the cached matrix on |psi|^2.
+
+    run and the scans read their states here without sequential_readout's
+    input check. Their states are finite unless a drive angle or detuning
+    phase overflowed float range, so probabilities that are not finite
+    raise ValueError.
+    """
     matrix = _readout_matrix(float(noise.spam_error), _laser_angle(noise), config.readout_pairs)
-    return ReadoutResult(probabilities=np.abs(state) ** 2 @ matrix.T)
+    probs = np.abs(states) ** 2 @ matrix.T
+    if not np.isfinite(probs).all():
+        raise ValueError("outcome probabilities must be finite, but the states or their "
+                         "populations overflow float range")
+    return probs
 
 
 def _apply_leakage(probs, noise, duration):
@@ -407,8 +457,8 @@ def _evaluate(seq, config, noise, signal_angles, detunings_hz=None):
     segments = _compile(seq, config, signal_angles)
     states = np.tile(init_state(config), (np.broadcast(signal_angles, detuning).size, 1))
     states = _propagate(states, segments, noise, detuning)
-    probs = sequential_readout(states, noise, config).probabilities
-    return _apply_leakage(probs, noise, sum(segment.duration for segment in segments))
+    return _apply_leakage(_readout(states, noise, config), noise,
+                          sum(segment.duration for segment in segments))
 
 
 def run(seq, oracle_index, noise=IDEAL, config=None, candidate_angles=DESIGN_ANGLES,
@@ -493,12 +543,11 @@ def time_series(seq, oracle_index, n_points, config=None, noise=IDEAL,
     fractions = np.divide(times - starts[last], durations[last], out=np.ones(n_points),
                           where=times < ends[last] - eps)
     pulse = _drive(angles[last] * fractions, phis[last], durations[last] * fractions, noise,
-                   noise.detuning_hz)
+                   float(noise.detuning_hz))
     prefix = np.array([(1.0, 0.0) if block is None else block for _, block in record]).T
     states = np.concatenate([state for state, _ in record])[last]
     _apply_block(states, su2_product(pulse, prefix[:, last]), D_DIM)
-    probs = _apply_leakage(sequential_readout(states, noise, config).probabilities,
-                           noise, times)
+    probs = _apply_leakage(_readout(states, noise, config), noise, times)
     return np.column_stack([times, probs[:, :3]])
 
 
@@ -577,7 +626,7 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5):
     Returns (times, populations) with populations of shape (n, 6).
     """
     if not is_index(start_level, range(D_DIM)):
-        raise ValueError(f"start_level must be a metastable level 0-5, got {start_level!r}")
+        raise ValueError(f"start_level must be a metastable level 0-5, got {shown(start_level)}")
     check_real("shift_hz", shift_hz)
     config = config or _DEFAULT_CONFIG
     times = finite_array("times", times)

@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array
+from ._checks import check_int, check_real, finite_array, shown
 from .spin_algebra import rotation, rotation_z, two_level_rotation
 
 RF = "rf"
@@ -58,9 +58,9 @@ class Pulse:
     def __post_init__(self):
         check_int("pulse index", self.index)
         if not isinstance(self.label, str):
-            raise ValueError(f"pulse label must be a string, got {self.label!r}")
+            raise ValueError(f"pulse label must be a string, got {shown(self.label)}")
         if self.channel not in CHANNELS:
-            raise ValueError(f"pulse channel must be one of {CHANNELS}, got {self.channel!r}")
+            raise ValueError(f"pulse channel must be one of {CHANNELS}, got {shown(self.channel)}")
         for name in ("theta", "phi", "oracle_phase_offset"):
             check_real(f"pulse {name}", getattr(self, name))
 
@@ -82,22 +82,22 @@ class PulseSequence:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise ValueError(f"sequence name must be a string, got {self.name!r}")
+            raise ValueError(f"sequence name must be a string, got {shown(self.name)}")
         if self.encoding not in ENCODINGS:
-            raise ValueError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
+            raise ValueError(f"encoding must be one of {ENCODINGS}, got {shown(self.encoding)}")
         if not isinstance(self.pulses, (tuple, list)):
-            raise ValueError(f"pulses must be a tuple or list of Pulse, got {self.pulses!r}")
+            raise ValueError(f"pulses must be a tuple or list of Pulse, got {shown(self.pulses)}")
         for i, pulse in enumerate(self.pulses):
             if not isinstance(pulse, Pulse):
-                raise ValueError(f"pulses[{i}] must be a Pulse, got {pulse!r}")
+                raise ValueError(f"pulses[{i}] must be a Pulse, got {shown(pulse)}")
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if not isinstance(self.readout_map, dict):
-            raise ValueError(f"readout_map must be a dict, got {self.readout_map!r}")
+            raise ValueError(f"readout_map must be a dict, got {shown(self.readout_map)}")
         for index, state in self.readout_map.items():
             if (isinstance(state, bool) or not isinstance(state, numbers.Integral)
                     or not 0 <= state <= 2):
                 raise ValueError(
-                    f"readout_map[{index}] must be a readout state 0, 1 or 2, got {state!r}")
+                    f"readout_map[{index}] must be a readout state 0, 1 or 2, got {shown(state)}")
         if set(self.readout_map) != {0, 1, 2}:
             raise ValueError("readout_map must have one entry for each oracle index 0, 1 "
                              f"and 2, got indices {list(self.readout_map)}")
@@ -173,6 +173,11 @@ def _object_problems(path, value, required, allowed=None):
     return problems
 
 
+_TWO_PI = 2.0 * math.pi
+# The turns OracleSpec shifts a wrapped angle by to find a clash across 0 and 2*pi.
+_SHIFTS = (-_TWO_PI, 0.0, _TWO_PI)
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """The unknown channel: an encoding, its candidate angles, a hidden index."""
@@ -185,19 +190,21 @@ class OracleSpec:
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         angles = finite_array("candidate_angles", self.candidate_angles)
-        wrapped = np.mod(angles, 2.0 * np.pi)
+        if angles.ndim != 1:
+            raise ValueError(f"candidate_angles must be a sequence of angles, got shape "
+                             f"{angles.shape}")
         # Pair (i, k), i < k, clashes when wrapped[i], shifted by -2*pi, 0
         # or 2*pi, is close to wrapped[k]: the shifts catch 0 and 2*pi - eps.
         # Close is np.isclose(x, y, atol=1e-12) written out: |x - y| <= 1e-12
         # + 1e-5 |y|, where y = wrapped[k] >= 0.
-        shifted = wrapped[:, None, None] + 2.0 * np.pi * np.array([-1.0, 0.0, 1.0])
-        y = wrapped[None, :, None]
-        clash = (np.abs(shifted - y) <= 1e-12 + 1e-5 * y).any(axis=-1)
-        if np.triu(clash, 1).any():
-            raise ValueError("candidate angles must be distinct modulo 2*pi")
+        wrapped = [angle % _TWO_PI for angle in angles.tolist()]
+        for k, y in enumerate(wrapped):
+            for x in wrapped[:k]:
+                if any(abs(x + shift - y) <= 1e-12 + 1e-5 * y for shift in _SHIFTS):
+                    raise ValueError("candidate angles must be distinct modulo 2*pi")
         if check_int("hidden_index", self.hidden_index, 0) >= len(angles):
             raise ValueError(
-                f"hidden index {self.hidden_index} out of range for "
+                f"hidden index {shown(self.hidden_index)} out of range for "
                 f"{len(angles)} candidates"
             )
 
@@ -406,10 +413,11 @@ def run_bisection(protocol, hidden_index):
     try:
         hidden = np.asarray(hidden_index)
     except ValueError:  # a ragged nest of sequences
-        raise ValueError(f"hidden_index must be an integer array, got {hidden_index!r}") from None
+        raise ValueError(
+            f"hidden_index must be an integer array, got {shown(hidden_index)}") from None
     scalar = hidden.ndim == 0
     if scalar and check_int("hidden_index", hidden_index, minimum=0) >= n:
-        raise ValueError(f"hidden_index must be < {n}, got {hidden_index!r}")
+        raise ValueError(f"hidden_index must be < {n}, got {shown(hidden_index)}")
     if hidden.dtype.kind not in "iu":
         raise ValueError(f"hidden_index must hold integers, got dtype {hidden.dtype}")
     if hidden.size and (hidden.min() < 0 or hidden.max() >= n):

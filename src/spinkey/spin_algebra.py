@@ -168,8 +168,12 @@ def su2_pulse(angle, phi, z):
 
 
 def su2_product(u, v):
-    """The SU(2) product u v of two (a, b) elements; v acts first."""
-    return u[0] * v[0] - np.conj(u[1]) * v[1], u[1] * v[0] + np.conj(u[0]) * v[1]
+    """The SU(2) product u v of two (a, b) elements; v acts first.
+
+    The entries are complex numbers or arrays. Conjugating by method keeps
+    a product of two Python complex numbers a Python complex number.
+    """
+    return u[0] * v[0] - u[1].conjugate() * v[1], u[1] * v[0] + u[0].conjugate() * v[1]
 
 
 def su2_matrix(a, b):

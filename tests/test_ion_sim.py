@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -508,3 +509,35 @@ def test_cached_readout_matrix_equals_a_fresh_build_and_is_read_only():
     state /= np.linalg.norm(state)
     np.testing.assert_array_equal(sequential_readout(state, noise, config).probabilities,
                                   np.abs(state) ** 2 @ cached.T)
+
+
+def test_fractions_and_ints_give_what_their_floats_give():
+    """Every entry point reads a Fraction or int field as the float it
+    rounds to: a fixed drive, a drive with one value per row and the
+    drives time_series cuts short all see the same float64 numbers."""
+    exact = NoiseModel(detuning_hz=Fraction(1, 3), rf_amp_error=Fraction(1, 30),
+                       leakage_rate=150)
+    floats = NoiseModel(detuning_hz=1 / 3, rf_amp_error=1 / 30, leakage_rate=150.0)
+    for seq in (psk3_sequence(), ask3_sequence()):
+        base = default_config(seq)
+        configs = [replace(base, pulse_gap_s=Fraction(1, 10 ** 6), laser_time_s=1),
+                   replace(base, pulse_gap_s=1e-6, laser_time_s=1.0)]
+        outputs = [[run(seq, 1, noise, config).probabilities,
+                    time_series(seq, 2, 9, config, noise),
+                    angle_scan(seq, DESIGN, config, noise),
+                    detuning_scan(seq, [-20.0, 30.0], config, noise=noise)]
+                   for noise, config in ((exact, configs[0]), (floats, configs[1]))]
+        for got, expected in zip(*outputs):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_a_drive_beyond_float_range_is_refused():
+    """A detuning phase 2*pi*detuning*duration beyond float range makes the
+    states NaN; the probabilities are refused rather than returned."""
+    seq = psk3_sequence()
+    config = replace(default_config(seq), laser_time_s=1.0)
+    noise = NoiseModel(detuning_hz=1e308)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        run(seq, 1, noise, config)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        time_series(seq, 1, 3, config, noise)

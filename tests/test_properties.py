@@ -236,10 +236,11 @@ def _sequence(encoding, rows):
     return PulseSequence("random", encoding, pulses, {0: 0, 1: 1, 2: 2})
 
 
-def random_sequences(channels=CHANNELS):
+def random_sequences(channels=CHANNELS, max_pulses=6):
     """Pulse programs of either encoding: pulses from channels in any
     order, with any angles."""
-    rows = st.lists(st.tuples(st.sampled_from(channels), angles, angles), min_size=1, max_size=6)
+    rows = st.lists(st.tuples(st.sampled_from(channels), angles, angles), min_size=1,
+                    max_size=max_pulses)
     return st.builds(_sequence, st.sampled_from((PSK, ASK)), rows)
 
 
@@ -248,12 +249,12 @@ timings = st.builds(ExperimentConfig, _real(0.5, 2.0).map(lambda x: x * math.pi 
                     _real(0.0, 2e-5), _real(0.0, 1e-5))
 # Any program as (sequence, signal angle, noise model, config); the laser
 # and readout pairs are any (metastable, ground) pairs.
-random_programs = st.tuples(
-    random_sequences(), angles,
-    st.builds(NoiseModel, _real(-2e3, 2e3), _real(-0.05, 0.05), _real(0.0, 1.0),
-              _real(0.0, 1.0), _real(0.0, 1e3)),
-    st.builds(replace, timings, init_level=st.sampled_from(S_LEVELS), couple_pair=level_pairs,
-              readout_pairs=st.tuples(level_pairs, level_pairs)))
+noise_models = st.builds(NoiseModel, _real(-2e3, 2e3), _real(-0.05, 0.05), _real(0.0, 1.0),
+                         _real(0.0, 1.0), _real(0.0, 1e3))
+level_configs = st.builds(replace, timings, init_level=st.sampled_from(S_LEVELS),
+                          couple_pair=level_pairs,
+                          readout_pairs=st.tuples(level_pairs, level_pairs))
+random_programs = st.tuples(random_sequences(), angles, noise_models, level_configs)
 
 
 def _per_row_time_series(seq, index, n_points, config, noise, candidate_angles):
@@ -453,3 +454,92 @@ def test_probabilities_stay_within_the_rounding_bound(program, grid, n_points, t
     ]
     for bound, probs in tables:
         assert np.all(probs >= -bound) and np.all(probs <= 1.0 + bound), (bound, probs)
+
+
+def _per_segment_propagate(states, segments, noise, detuning_hz, dim=6, record=None):
+    """The segment loop with one su2_pulse per segment and a fold by
+    np.conj: the reference for the drives _propagate computes in batches
+    first."""
+    def product(u, v):
+        return u[0] * v[0] - np.conj(u[1]) * v[1], u[1] * v[0] + np.conj(u[0]) * v[1]
+
+    block = None
+    for segment in segments:
+        if segment.pair is not None:
+            ion_sim._apply_block(states, block, dim)
+            states = apply_laser_pi(states, segment.pair, noise)
+            block = None
+        if record is not None:
+            record.append((states.copy(), block))
+        pulse = su2_pulse(segment.angle * (1.0 + noise.rf_amp_error), segment.phi,
+                          2.0 * math.pi * np.multiply(detuning_hz, segment.duration))
+        block = pulse if block is None else product(pulse, block)
+    ion_sim._apply_block(states, block, dim)
+    return states
+
+
+# A built-in sequence, any signal angle and noise model, and its default config.
+builtin_programs = st.tuples(st.sampled_from(SEQUENCES), angles, noise_models).map(
+    lambda p: p + (default_config(p[0]),))
+
+
+def _interpreter_outputs(seq, signal, noise, config):
+    """Every entry point of the interpreter on one program: run, both angle
+    scans, a detuning scan (one detuning per row), time_series (the
+    record) and the two-level reduction."""
+    grid = np.array([signal, signal + 0.5, -1.0])
+    return [
+        run(seq, 0, noise, config, candidate_angles=(signal,)).probabilities,
+        angle_scan(seq, grid, config, noise),
+        angle_scan(seq, grid, dim=2),
+        ion_sim.detuning_scan(seq, np.array([-37.0, noise.detuning_hz, 410.0]), config,
+                              candidate_angles=(signal, signal + 2.0), noise=noise),
+        time_series(seq, 0, 9, config, noise, candidate_angles=(signal,)),
+        run_qubit_reduction(seq, grid),
+    ]
+
+
+@SETTINGS
+@given(st.one_of(random_programs, builtin_programs))
+def test_batched_drives_are_bitwise_the_per_segment_drives(program):
+    """Computing every drive in at most two batches, and folding fixed
+    drives as Python complex numbers, changes no bit of any output."""
+    batched = _interpreter_outputs(*program)
+    with mock.patch.object(ion_sim, "_propagate", _per_segment_propagate):
+        per_segment = _interpreter_outputs(*program)
+    for got, expected in zip(batched, per_segment):
+        np.testing.assert_array_equal(got, expected)
+
+
+# Programs of up to 20 pulses, so with a pulse gap up to 39 segments.
+long_programs = st.tuples(random_sequences(max_pulses=20), angles, noise_models, level_configs)
+
+
+@SETTINGS
+@given(st.one_of(long_programs, builtin_programs))
+# 21 pulses and 20 gaps: 41 segments, with rf, oracle and laser pulses in turn.
+@example((_sequence(ASK, [(RF, 1.0, 0.5), (ORACLE, 1.0, 0.0), (LASER, 1.0, 0.0)] * 7), 0.3,
+          NoiseModel(detuning_hz=20.0), replace(ExperimentConfig(), pulse_gap_s=1e-6)))
+def test_an_evaluation_takes_at_most_two_drive_batches(program):
+    """One evaluation (run, an angle or detuning scan, the two-level
+    reduction) calls su2_pulse at most twice, whatever its segment count:
+    once for the fixed drives and once for those with one value per row.
+    time_series adds one call for the drives it cuts short."""
+    seq, signal, noise, config = program
+    calls = mock.Mock(wraps=su2_pulse)
+    grid = np.array([signal, 1.0])
+    evaluations = [
+        lambda: run(seq, 0, noise, config, candidate_angles=(signal,)),
+        lambda: angle_scan(seq, grid, config, noise),
+        lambda: angle_scan(seq, grid, dim=2),
+        lambda: ion_sim.detuning_scan(seq, grid, config, candidate_angles=(signal,),
+                                      noise=noise),
+    ]
+    with mock.patch.object(ion_sim, "su2_pulse", calls):
+        for evaluate in evaluations:
+            calls.reset_mock()
+            evaluate()
+            assert calls.call_count <= 2
+        calls.reset_mock()
+        time_series(seq, 0, 7, config, noise, candidate_angles=(signal,))
+        assert calls.call_count <= 3

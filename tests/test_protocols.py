@@ -4,11 +4,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinkey.protocols import (
     ASK,
     LASER,
     ORACLE,
+    PSK,
     DESIGN_ANGLES,
     OracleSpec,
     Pulse,
@@ -524,3 +526,37 @@ def test_bisection_refuses_counts_beyond_int64():
     with pytest.raises(ValueError, match="n must be <= 2\\*\\*62"):
         bisection_protocol(2 ** 63)
     assert bisection_protocol(2 ** 62).n == 2 ** 62
+
+
+# Angles, then angles near a clash with one of them: a tolerance
+# 1e-12 + 1e-5 |y| away times a factor about 1, possibly turned by 2*pi.
+near_clash_gaps = st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e4])
+
+
+@st.composite
+def candidate_tuples(draw):
+    angles = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.sampled_from(angles))
+        gap = draw(near_clash_gaps) * (1e-12 + 1e-5 * (y % (2.0 * math.pi)))
+        angles.append(y + draw(st.sampled_from((-1.0, 1.0))) * gap
+                      + 2.0 * math.pi * draw(st.integers(-2, 2)))
+    return tuple(draw(st.permutations(angles)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(candidate_tuples())
+def test_oracle_spec_clash_loop_is_the_isclose_triu_rule(angles):
+    """The pairwise loop refuses exactly the candidate tuples that the
+    np.isclose / np.triu formulation over all pairs refuses."""
+    if _clash_by_isclose(angles):
+        with pytest.raises(ValueError, match="distinct modulo"):
+            OracleSpec(ASK, angles, 0)
+    else:
+        OracleSpec(ASK, angles, 0)
+
+
+@pytest.mark.parametrize("angles", [1.0, ((1.0, 2.0), (3.0, 4.0))], ids=["scalar", "2-d"])
+def test_oracle_spec_refuses_candidates_that_are_not_a_sequence(angles):
+    with pytest.raises(ValueError, match="candidate_angles must be a sequence"):
+        OracleSpec(PSK, angles, 0)
