@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array, shown
+from ._checks import check_int, check_real, finite_array, finite_grid, is_index, shown
 
 # Nominal splitting of the processing manifold driven by the rf antenna.
 CARRIER_HZ = 8.6e6
@@ -120,9 +120,15 @@ def ramsey_probability(delta_hz, interrogation_s, phase_sign):
     Two half-rotations separated by free evolution; the closing pulse is
     phase-shifted so the two fringe sides read (1 +/- sin(2 pi delta T))/2,
     making their difference monotonic in the detuning near resonance.
+    delta_hz, a scalar or an array, must be finite, interrogation_s finite
+    and >= 0, and phase_sign the integer +1 or -1 (not a bool).
     """
-    if phase_sign not in (1, -1):
-        raise ValueError("phase_sign must be +1 or -1")
+    # Checked, not converted: the formula takes delta_hz as given (a float32
+    # stays float32), so the check never changes a result.
+    finite_array("delta_hz", delta_hz)
+    check_real("interrogation_s", interrogation_s, 0.0)
+    if not is_index(phase_sign, (1, -1)):
+        raise ValueError(f"phase_sign must be the integer +1 or -1, got {shown(phase_sign)}")
     return 0.5 * (1.0 + phase_sign * np.sin(2.0 * np.pi * delta_hz * interrogation_s))
 
 
@@ -152,27 +158,36 @@ def simulate_servo(drift, servo, duration_s, seed=0):
     Each period evaluates the two fringe sides of ramsey_probability,
     0.5 * (1 +/- sin(2 pi delta T)), on plain floats; they lie in [0, 1]
     without clipping. Each side is one binomial draw of servo.shots, plus
-    side first. The resonance starts at the drive frequency, so the drift
-    alone moves it. duration_s (finite and >= 0) and seed (an integer
-    >= 0) are checked by DriftModel.generate.
+    side first. The draws take shots and the two sides through 0-d int64
+    and float64 arrays made once and rewritten in place, which numpy reads
+    as the same int64 and double a Python int and float would give, at
+    less conversion cost per call. The resonance starts at the drive
+    frequency, so the drift alone moves it. duration_s (finite and >= 0)
+    and seed (an integer >= 0) are checked by DriftModel.generate.
     """
     t, y = drift.generate(duration_s, seed=seed)
     resonance = y * drift.carrier_hz
 
-    rng = np.random.default_rng(seed + 0x5EED)
+    binomial = np.random.default_rng(seed + 0x5EED).binomial
+    sin, two_pi = math.sin, 2.0 * math.pi
+    miscal, interrogation, step = servo.miscalibration_hz, servo.interrogation_s, servo.step_hz
+    shots = np.array(servo.shots, dtype=np.int64)
+    p_plus, p_minus = np.empty(()), np.empty(())
     applied = []
+    record = applied.append
     level = 0.0
     for freq in resonance.tolist():
-        applied.append(level)
+        record(level)
         # The atom responds at its shifted frequency during interrogation;
         # the calibrated offset is subtracted in software, leaving only the
         # miscalibrated part.
-        delta = (freq + servo.miscalibration_hz) - level
-        s = math.sin(2.0 * math.pi * delta * servo.interrogation_s)
-        plus = rng.binomial(servo.shots, 0.5 * (1.0 + s))
-        minus = rng.binomial(servo.shots, 0.5 * (1.0 - s))
+        s = sin(two_pi * ((freq + miscal) - level) * interrogation)
+        p_plus[()] = 0.5 * (1.0 + s)
+        p_minus[()] = 0.5 * (1.0 - s)
+        plus = binomial(shots, p_plus)
+        minus = binomial(shots, p_minus)
         if plus != minus:
-            level += servo.step_hz if plus > minus else -servo.step_hz
+            level += step if plus > minus else -step
     return ServoTrace(t=t, true_freq_hz=resonance, applied_freq_hz=np.array(applied))
 
 
@@ -182,10 +197,11 @@ def allan_deviation(y, taus, dt=1.0):
     Parameters
     ----------
     y : array_like
-        Uniformly sampled fractional-frequency values at interval dt.
+        Uniformly sampled fractional-frequency values at interval dt, a
+        1-d series.
     taus : array_like
-        Averaging times; each must be a multiple of dt with 2*tau fitting
-        in the series.
+        Averaging times, a scalar or a 1-d list; each must be a multiple
+        of dt with 2*tau fitting in the series.
     dt : float
         Sample period, finite and > 0. y and taus must be finite.
 
@@ -196,8 +212,10 @@ def allan_deviation(y, taus, dt=1.0):
     """
     check_real("dt", dt, 0.0, strict=True)
     y = finite_array("y", y)
+    if y.ndim != 1:
+        raise ValueError(f"y must be a 1-d series, got shape {y.shape}")
     n = y.size
-    taus = np.atleast_1d(finite_array("taus", taus))
+    taus = finite_grid("taus", taus)
     cum = np.concatenate([[0.0], np.cumsum(y)])
     out = np.empty(taus.size)
     for i, tau in enumerate(taus):

@@ -26,6 +26,21 @@ def test_ramsey_fringe_center_and_quadrature():
         ramsey_probability(0.0, 5e-3, 2)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((0.0, 5e-3, True), "phase_sign"),
+    ((0.0, 5e-3, 1.0), "phase_sign"),
+    ((math.nan, 5e-3, 1), "delta_hz"),
+    ((math.inf, 5e-3, 1), "delta_hz"),
+    ((np.array([0.0, -math.inf]), 5e-3, 1), "delta_hz"),
+    ((0.0, math.nan, 1), "interrogation_s"),
+    ((0.0, math.inf, -1), "interrogation_s"),
+    ((0.0, -5e-3, 1), "interrogation_s"),
+])
+def test_ramsey_probability_rejects_bad_arguments(args, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        ramsey_probability(*args)
+
+
 def test_two_sided_difference_is_odd():
     deltas = np.linspace(-40, 40, 41)
     diff = (ramsey_probability(deltas, 5e-3, +1)
@@ -58,7 +73,9 @@ def test_allan_input_validation():
     for args, field in (((np.ones(10), [1.0], 0.0), "dt"), ((np.ones(10), [1.0], -1.0), "dt"),
                         ((np.ones(10), [1.0], math.nan), "dt"), ((np.ones(10), [math.nan]), "taus"),
                         ((np.ones(10), [1.0, math.inf]), "taus"),
-                        (([0.0, math.nan, 0.0, 0.0], [1.0]), "y")):
+                        (([0.0, math.nan, 0.0, 0.0], [1.0]), "y"),
+                        ((np.ones(10), [[1.0, 2.0]]), "taus"),
+                        ((np.ones((10, 10)), [1.0]), "y")):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             allan_deviation(*args)
 
@@ -258,14 +275,21 @@ def _reference_servo(drift, servo, duration_s, seed=0):
                       applied_freq_hz=applied)
 
 
-@pytest.mark.parametrize("servo, duration_s", [
-    (ServoConfig(shots=1), 600),
-    (ServoConfig(shots=50), 3600),
-    (ServoConfig.lab(), 3600),
-], ids=["one-shot", "shots50", "lab"])
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_servo_trace_is_bitwise_the_reference_loop(servo, duration_s, seed):
-    drift = DriftModel.lab()
+@pytest.mark.parametrize("drift, servo, duration_s", [
+    (DriftModel.lab(), ServoConfig(shots=1), 600),
+    (DriftModel.lab(), ServoConfig(shots=50), 3600),
+    (DriftModel.lab(), ServoConfig.lab(), 3600),
+    # numpy's BTPE branch, taken when shots * min(p, 1 - p) > 30.
+    (DriftModel.lab(), ServoConfig(shots=10**6), 600),
+    (DriftModel.lab(), ServoConfig(shots=np.iinfo(np.int64).max), 60),
+    (DriftModel.lab(), ServoConfig(shots=np.int64(50)), 600),
+    # A drift of about 340 Hz per period sweeps the fringe sides out to 0 and 1.
+    (DriftModel(white_sigma1=4e-5), ServoConfig.lab(), 600),
+    (DriftModel.lab(), ServoConfig(miscalibration_hz=-15.0), 600),
+], ids=["one-shot", "shots50", "lab", "btpe", "int64-max-shots", "numpy-int-shots",
+        "fringe-extremes", "negative-miscal"])
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**31 - 1])
+def test_servo_trace_is_bitwise_the_reference_loop(drift, servo, duration_s, seed):
     trace = simulate_servo(drift, servo, duration_s, seed=seed)
     ref = _reference_servo(drift, servo, duration_s, seed=seed)
     assert trace.applied_freq_hz.shape == (round(duration_s / servo.period_s),)
