@@ -11,6 +11,9 @@ import sys
 
 import numpy as np
 
+# The most float64 entries one numpy array can hold: np.iinfo(np.intp).max bytes.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 def _is_integer(value):
     """Whether value is an integer, not a bool; an exact int skips the ABC check."""
@@ -63,10 +66,12 @@ def check_real(name, value, minimum=None, strict=False, maximum=None):
     return value
 
 
-def check_int(name, value, minimum=1):
-    """value as an int if it is an integer (not a bool) at or above minimum."""
-    if not _is_integer(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {shown(value)}")
+def check_int(name, value, minimum=1, maximum=None):
+    """value as an int if it is an integer (not a bool) at or above minimum
+    and, unless maximum is None, at or below maximum."""
+    if not _is_integer(value) or value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {shown(value)}")
     return int(value)
 
 
@@ -76,11 +81,13 @@ def is_index(value, indices):
 
 
 def finite_array(name, values):
-    """values as a float array if every entry is finite."""
+    """values as a float array if numpy reads it as one and every entry is finite."""
     try:
         values = np.asarray(values, dtype=float)
     except OverflowError:  # an int beyond float range
         raise ValueError(f"{name} must be finite, got a number beyond float range") from None
+    except (TypeError, ValueError) as err:  # a string, a complex, a ragged list, ...
+        raise ValueError(f"{name} must be real numbers ({err})") from None
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0]}")

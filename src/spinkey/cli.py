@@ -383,8 +383,8 @@ def _add_command(p, name):
     return p
 
 
-def _every_command(argv, formatter):
-    """build_parser(argv), its help formatted by formatter."""
+def _every_command(formatter):
+    """build_parser(), its help formatted by formatter."""
     parser = argparse.ArgumentParser(
         prog="spinkey",
         description="Simulate keyed-rotation channel discrimination on a single ion.",
@@ -393,35 +393,31 @@ def _every_command(argv, formatter):
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    command = next((token for token in argv if not token.startswith("-")), None)
     for name, (help_text, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False, formatter_class=formatter)
-        if name == command:
-            _add_command(p, name)
+        _add_command(sub.add_parser(name, help=help_text, allow_abbrev=False,
+                                    formatter_class=formatter), name)
     return parser
 
 
-def build_parser(argv):
-    """The spinkey parser with every command, for parsing argv.
+def build_parser():
+    """The spinkey parser: a root taking -h and --version, and every command.
 
-    The root takes -h and --version and lists every command, so its help,
-    invalid-choice error, missing-command error and usage line name them
-    all. Only the command named by argv's first token that does not start
-    with "-" gets its arguments and handler: the root takes only -h and
-    --version, neither of which takes a value, so that token is the
-    command. Parse the same argv.
+    The root's help, invalid-choice error, missing-command error and usage
+    line name every command, and each command's subparser holds its own
+    arguments, the common flags and its handler.
     """
-    return _every_command(argv, _width_formatter())
+    return _every_command(_width_formatter())
 
 
 def _parse_args(argv):
-    """The namespace build_parser(argv).parse_args(argv) gives, or its exit.
+    """The namespace build_parser().parse_args(argv) gives, or its exit.
 
     When argv[0] names a command, the root parser would only hand argv[1:]
     to that command's subparser, so that parser is built alone, as
-    add_parser makes it, and parses argv[1:]. Only if it leaves arguments
-    over is the parser with every command built, to re-parse argv and
-    report them under the root usage line.
+    add_parser makes it, and parses argv[1:]. That serves every command
+    call. Only root-level argv, and a command's argv with arguments left
+    over, build the parser with every command, which re-parses argv and
+    reports them under the root usage line.
     """
     formatter = _width_formatter()
     if argv and argv[0] in _COMMANDS:
@@ -431,7 +427,7 @@ def _parse_args(argv):
             argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:
             return args
-    return _every_command(argv, formatter).parse_args(argv)
+    return _every_command(formatter).parse_args(argv)
 
 
 def main(argv=None):

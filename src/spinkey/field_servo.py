@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import check_int, check_real, finite_array, finite_grid, is_index, shown
+from ._checks import (MAX_FLOATS, check_int, check_real, finite_array, finite_grid,
+                      is_index, shown)
 
 # Nominal splitting of the processing manifold driven by the rf antenna.
 CARRIER_HZ = 8.6e6
@@ -65,9 +66,9 @@ class DriftModel:
         check_real("duration_s", duration_s, 0.0)
         check_int("seed", seed, minimum=0)
         n = int(round(duration_s))
-        if n > np.iinfo(np.intp).max // 8:
+        if n > MAX_FLOATS:
             raise ValueError(f"duration_s = {duration_s!r} is more seconds than one float64 "
-                             f"array can hold ({np.iinfo(np.intp).max // 8})")
+                             f"array can hold ({MAX_FLOATS})")
         rng = np.random.default_rng(seed)
         y = np.zeros(n)
         if self.white_sigma1 > 0:
@@ -123,9 +124,11 @@ def ramsey_probability(delta_hz, interrogation_s, phase_sign):
     delta_hz, a scalar or an array, must be finite, interrogation_s finite
     and >= 0, and phase_sign the integer +1 or -1 (not a bool).
     """
-    # Checked, not converted: the formula takes delta_hz as given (a float32
-    # stays float32), so the check never changes a result.
-    finite_array("delta_hz", delta_hz)
+    # A numpy float is checked, not converted, so a float32 keeps float32
+    # arithmetic; any other input, such as a list, computes on the checked array.
+    checked = finite_array("delta_hz", delta_hz)
+    if not isinstance(delta_hz, (np.ndarray, np.floating)) or delta_hz.dtype.kind != "f":
+        delta_hz = checked
     check_real("interrogation_s", interrogation_s, 0.0)
     if not is_index(phase_sign, (1, -1)):
         raise ValueError(f"phase_sign must be the integer +1 or -1, got {shown(phase_sign)}")

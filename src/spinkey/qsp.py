@@ -21,8 +21,9 @@ phase-finder residual is one call. This module provides:
   the target magnitudes at sample points. After the zero vector it checks
   closed-form phases: |P|^2 fitted by linear least squares as a
   polynomial in a^2 (a zero target also fixing the slope there), factored
-  on its roots (Fejer-Riesz) and stripped one layer at a time. Only when
-  they miss are they polished by minimize, a damped Gauss-Newton
+  on its roots (Fejer-Riesz), declined when a real root is not one of a
+  double pair, and stripped one layer at a time. Only when they miss are
+  they polished by minimize, a damped Gauss-Newton
   (Levenberg-Marquardt) least-squares loop in numpy, and seeded draws
   follow, each one minimize call, when the construction declines or the
   polish falls short
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, finite_array
+from ._checks import MAX_FLOATS, check_int, check_real, finite_array, shown
 from .spin_algebra import su2_matrix, su2_product
 
 _log = logging.getLogger(__name__)
@@ -57,10 +58,6 @@ _MAX_DAMPING = 1e10
 # Two real roots of a factor of |P|^2 closer than this are one double root,
 # split by rounding (np.roots splits a double root by about 1e-8).
 _DOUBLE_ROOT = 1e-6
-# A wider real pair is turned complex by shifting the fit's top coefficient
-# when a shift of at most this does it; it moves |P|^2 on [0, 1] by at most
-# a quarter of it (notes/decisions.md).
-_MAX_TOP_SHIFT = 1e-12
 # find_phases checks this many starts, and a start succeeds when every
 # | |P|^2 - |t|^2 | is at most _POINT_TOL (notes/decisions.md).
 _N_STARTS = 32
@@ -202,29 +199,30 @@ def bisecting_poly(a):
 class PolynomialSpec:
     """Target for the phase finder: |P(a_i)| should match |target_i|.
 
-    degree, an integer >= 1, fixes the number of phases (degree + 1);
-    samples holds at least one (a, |target|) pair, with a and the target
-    finite and in [-1, 1]. Targets at +/-a must share one magnitude, as a
-    definite-parity P forces. Every spec is checked when it is built,
-    however it is built; the chebyshev, bisecting and sampled constructors
-    only choose the samples.
+    degree, an integer >= 1, fixes the number of phases (degree + 1), which
+    one float64 array must hold; samples holds at least one (a, |target|)
+    pair of real numbers (not bools), finite and in [-1, 1]. Targets at
+    +/-a must share one magnitude, as a definite-parity P forces. Every
+    spec is checked when it is built, however it is built; the chebyshev,
+    bisecting and sampled constructors only choose the samples.
     """
 
     degree: int
     samples: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", check_int("degree", self.degree))
-        pairs = tuple((float(a), float(t)) for a, t in self.samples)
+        object.__setattr__(self, "degree", check_int("degree", self.degree, maximum=MAX_FLOATS - 1))
+        try:
+            pairs = [(a, t) for a, t in self.samples]
+        except (TypeError, ValueError):
+            raise ValueError(f"samples must be (a, target) pairs: {shown(self.samples)}") from None
+        pairs = tuple((float(check_real(f"samples[{i}]", a, -1.0, maximum=1.0)),
+                       float(check_real(f"samples[{i}]", t))) for i, (a, t) in enumerate(pairs))
         if not pairs:
             raise ValueError("a spec needs at least one (a, target) sample")
-        for i, (a, t) in enumerate(pairs):
-            if not (math.isfinite(a) and math.isfinite(t)):
-                raise ValueError(f"sample {i} (a = {a}, target = {t}) must be finite")
+        for a, t in pairs:
             if abs(t) > 1.0:
                 raise ValueError(f"infeasible target |{t}| > 1 at a = {a}")
-            if abs(a) > 1.0:
-                raise ValueError(f"sample point |{a}| > 1")
         # Definite parity forces |P(-a)| = |P(a)|; reject inconsistent pairs.
         # Both tests are np.isclose's |x - y| <= atol + rtol |y|, rtol 1e-5,
         # written out: a_i is close to -a_j, and |t_i| is not close to |t_j|.
@@ -243,7 +241,7 @@ class PolynomialSpec:
     @classmethod
     def chebyshev(cls, degree):
         """Chebyshev T_degree magnitudes sampled on a 25-point cosine grid."""
-        degree = check_int("degree", degree)
+        degree = check_int("degree", degree, maximum=MAX_FLOATS - 1)
         grid = np.cos(np.linspace(0.0, np.pi, 25))
         targets = np.cos(degree * np.arccos(grid))
         return cls(degree, tuple(zip(grid.tolist(), np.abs(targets).tolist())))
@@ -266,7 +264,7 @@ class PolynomialSpec:
 
         The spec's checks apply: see PolynomialSpec.
         """
-        return cls(degree, tuple(pairs))
+        return cls(degree, pairs)
 
 
 def _residuals_and_jacobian(phases, w, t):
@@ -393,10 +391,11 @@ def _closed_form_start(degree, a, t):
     (notes/decisions.md). Returns None, so that the caller goes on to the
     seeded draws, when the fit is rank-deficient (fewer than d - 1 rows
     from distinct y_i strictly between 0 and 1, a zero target counting
-    twice) or |p|^2 or |q|^2 is negative somewhere on the real line, even
-    after _flip_far_pair's shift of g's top coefficient. The phases are
-    exact up to rounding when the samples come from some product of this
-    degree; otherwise they are only a start.
+    twice) or _half_factor finds |p|^2 or |q|^2 negative somewhere on the
+    real line, which it also does when rounding splits a far conjugate
+    root pair onto the real line. The phases are exact up to rounding when
+    the samples come from some product of this degree; otherwise they are
+    only a start.
     """
     odd = degree % 2
     y = a * a
@@ -415,9 +414,6 @@ def _closed_form_start(degree, a, t):
     if rank < degree - 1:
         return None
     p, q = map(_half_factor, _squares(g, odd))
-    if p is None or q is None:
-        g = _flip_far_pair(g, odd)
-        p, q = (None, None) if g is None else map(_half_factor, _squares(g, odd))
     if p is None or q is None:
         return None
     # P and Q as ascending coefficients in a, on Python complex numbers.
@@ -452,34 +448,6 @@ def _squares(g, odd):
     return p_squared, g
 
 
-def _flip_far_pair(g, odd):
-    """g with its top coefficient shifted so that a split real pair turns complex, or None.
-
-    The samples fix A on [0, 1] far better than they fix the roots of a
-    factor whose top coefficient is tiny, so a conjugate pair far from
-    [0, 1] can come back as two real roots. The first real pair of either
-    factor split by more than _DOUBLE_ROOT sets the shift: twice the one
-    that lifts that factor to 0 at the pair's midpoint, so that the pair
-    turns complex. Both factors are affine in g and shift together, so the
-    norm identity still holds exactly. Returns None when a factor's top
-    coefficient is not positive, when no pair is split, or when the shift
-    exceeds _MAX_TOP_SHIFT: it moves A by y^(d - 1) (1 - y) times the
-    shift, at most a quarter of it on [0, 1] (notes/decisions.md).
-    """
-    top = np.zeros_like(g)
-    top[-1] = 1.0
-    for c, shifted in zip(_squares(g, odd), _squares(g + top, odd)):
-        if (paired := _real_pairs(c)) is None:
-            return None
-        if (split := paired[2]) is not None:
-            mid = 0.5 * (split[0] + split[1])
-            lift, rate = np.polyval(c[::-1], mid), np.polyval((shifted - c)[::-1], mid)
-            if not 0.0 < abs(2.0 * lift) <= _MAX_TOP_SHIFT * abs(rate):
-                return None
-            return g - 2.0 * lift / rate * top
-    return None
-
-
 def _roots(coeffs):
     """Roots of the polynomial of ascending coefficients coeffs, top one nonzero.
 
@@ -492,37 +460,25 @@ def _roots(coeffs):
     return np.linalg.eigvals(companion).tolist()
 
 
-def _real_pairs(coeffs):
-    """(roots, pairs, split) of the polynomial of ascending coefficients coeffs,
-    or None when its top coefficient is not positive.
+def _half_factor(coeffs):
+    """h with |h(y)|^2 = c(y) for real y, or None when c < 0 somewhere.
 
-    roots are all its roots; pairs its real roots, sorted and taken two at a
-    time; split the first pair wider than _DOUBLE_ROOT, or None when every
-    pair is a double root split by rounding.
+    c, of even degree, is given by its ascending coefficients, and h is
+    returned as a list of them. c is non-negative on the real line exactly
+    when its top coefficient is positive and its real roots, sorted and
+    taken two at a time, pair into double roots (two closer than
+    _DOUBLE_ROOT count as one, split by rounding); h then keeps one root of
+    each conjugate pair and the midpoint of each double root (Fejer-Riesz),
+    scaled by the root of the top coefficient. A zero top coefficient is
+    declined too.
     """
     if not coeffs[-1] > 0.0:
         return None
     roots = _roots(coeffs)
     real = sorted(root.real for root in roots if root.imag == 0.0)
     pairs = list(zip(real[::2], real[1::2]))
-    return roots, pairs, next((pair for pair in pairs if pair[1] - pair[0] > _DOUBLE_ROOT), None)
-
-
-def _half_factor(coeffs):
-    """h with |h(y)|^2 = c(y) for real y, or None when c < 0 somewhere.
-
-    c, of even degree, is given by its ascending coefficients, and h is
-    returned as a list of them. c is non-negative on the real line exactly
-    when its top coefficient is positive and its real roots pair into
-    double roots (two closer than _DOUBLE_ROOT count as one); h then keeps
-    one root of each conjugate pair and one of each double root
-    (Fejer-Riesz), scaled by the root of the top coefficient. A zero top
-    coefficient is declined too.
-    """
-    paired = _real_pairs(coeffs)
-    if paired is None or paired[2] is not None:
+    if any(high - low > _DOUBLE_ROOT for low, high in pairs):
         return None
-    roots, pairs, _ = paired
     kept = [root for root in roots if root.imag > 0.0] + [0.5 * (low + high) for low, high in pairs]
     h = [complex(math.sqrt(coeffs[-1]))]
     for root in kept:  # h <- (y - root) h

@@ -103,3 +103,11 @@ def test_finite_array_refuses_an_integer_beyond_float_range(values):
     """numpy raises OverflowError converting such an int to float64."""
     with pytest.raises(ValueError, match="angles must be finite, got a number beyond float range"):
         finite_array("angles", values)
+
+
+@pytest.mark.parametrize("values", ["x", 1j, {"a": 1}, [1.0, [2.0, 3.0]], ["1.0", "y"]],
+                         ids=["string", "complex", "dict", "ragged", "string-list"])
+def test_finite_array_names_its_field_for_values_numpy_reads_as_no_floats(values):
+    """numpy raises ValueError or TypeError converting these to float64."""
+    with pytest.raises(ValueError, match="^angles must be real numbers"):
+        finite_array("angles", values)

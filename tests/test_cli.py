@@ -425,7 +425,7 @@ def test_servo_flags_override_the_lab_preset(tmp_path):
 
 
 def test_servo_model_flags_are_the_model_fields():
-    parser = cli.build_parser(["servo"])
+    parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     dests = {action.dest for action in sub.choices["servo"]._actions}
     other = {"help", "preset", "duration", "allan_out", "format", "out", "gnuplot", "seed"}
@@ -630,7 +630,9 @@ def _main_outcome(argv, capsys):
     ["run", "--oracle", "1", "--bogus"], ["scan", "angle", "extra"], ["run"], ["scan", "sideways"],
     ["run", "--oracle=x"], ["--help", "run"], ["-h", "scan"], ["--version", "run"],
     ["--bogus", "run", "--oracle", "1"], ["-1", "run"], ["--", "run", "--oracle", "1"], ["foo"],
-    ["ru"], ["-"], [],
+    ["ru"], ["-"], [], ["-h", "--bogus"], ["--version", "--bogus"],
+    ["--bogus", "scan", "angle", "--points", "x"], ["foo", "--oracle", "1"],
+    ["--help", "servo", "--shots", "x"],
 ], ids=" ".join)
 def test_main_matches_the_every_subparser_parser(monkeypatch, capsys, argv):
     built = _main_outcome(argv, capsys)

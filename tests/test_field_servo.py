@@ -35,10 +35,24 @@ def test_ramsey_fringe_center_and_quadrature():
     ((0.0, math.nan, 1), "interrogation_s"),
     ((0.0, math.inf, -1), "interrogation_s"),
     ((0.0, -5e-3, 1), "interrogation_s"),
+    (("abc", 5e-3, 1), "delta_hz"),
+    ((1j, 5e-3, 1), "delta_hz"),
+    (([0.0, [1.0, 2.0]], 5e-3, 1), "delta_hz"),
 ])
 def test_ramsey_probability_rejects_bad_arguments(args, field):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         ramsey_probability(*args)
+
+
+def test_ramsey_probability_takes_a_list_and_keeps_float32():
+    deltas = [0.0, 10.0, -25.0]
+    expected = ramsey_probability(np.array(deltas), 5e-3, 1)
+    np.testing.assert_array_equal(ramsey_probability(deltas, 5e-3, 1), expected)
+    np.testing.assert_array_equal(ramsey_probability(tuple(deltas), 5e-3, 1), expected)
+    assert ramsey_probability(10, 5e-3, -1) == ramsey_probability(10.0, 5e-3, -1)
+    single = np.array(deltas, dtype=np.float32)
+    assert ramsey_probability(single, 5e-3, 1).dtype == np.float32
+    assert ramsey_probability(single[1], 5e-3, 1).dtype == np.float32
 
 
 def test_two_sided_difference_is_odd():
@@ -75,7 +89,9 @@ def test_allan_input_validation():
                         ((np.ones(10), [1.0, math.inf]), "taus"),
                         (([0.0, math.nan, 0.0, 0.0], [1.0]), "y"),
                         ((np.ones(10), [[1.0, 2.0]]), "taus"),
-                        ((np.ones((10, 10)), [1.0]), "y")):
+                        ((np.ones((10, 10)), [1.0]), "y"),
+                        ((np.ones(10), "x"), "taus"),
+                        ((["a"] * 10, [1.0]), "y")):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             allan_deviation(*args)
 

@@ -270,6 +270,8 @@ def test_detuning_scan_rejects_non_finite_detunings():
     (lambda: apply_laser_pi(init_state(), (9, 6)), "pair"),
     (lambda: apply_laser_pi(init_state(), (6, 6)), "pair"),
     (lambda: apply_laser_pi(init_state(), (2.0, 6)), "pair"),
+    (lambda: angle_scan(psk3_sequence(), 1j), "angles"),
+    (lambda: angle_scan(psk3_sequence(), "x"), "angles"),
 ], ids=["start_level-negative", "start_level-9", "start_level-float", "times-nan",
         "times-inf", "shift_hz", "angles-nan", "angles-inf-dim2",
         "n_points-1", "n_points-0", "n_points-negative", "n_points-float",
@@ -278,7 +280,8 @@ def test_detuning_scan_rejects_non_finite_detunings():
         "run-fraction-index", "run-bool-index", "start_level-bool",
         "run-seed-negative", "run-seed-float", "run-seed-bool", "reduction-nan-angle",
         "reduction-inf-angle", "readout-three-levels", "readout-nan-state",
-        "laser-pair-out-of-range", "laser-pair-repeated", "laser-pair-float"])
+        "laser-pair-out-of-range", "laser-pair-repeated", "laser-pair-float",
+        "angle-scan-complex", "angle-scan-string"])
 def test_rabi_and_angle_scans_reject_bad_inputs(call, field):
     with pytest.raises(ValueError, match=field):
         call()
