@@ -81,8 +81,14 @@ def is_index(value, indices):
 
 
 def finite_array(name, values):
-    """values as a float array if numpy reads it as one and every entry is finite."""
+    """values as a float array if numpy reads it as one and every entry is finite.
+
+    Complex values are refused even with a zero imaginary part, where
+    numpy would convert them by dropping it with only a ComplexWarning.
+    """
     try:
+        if np.iscomplexobj(values):
+            raise TypeError("got complex values")
         values = np.asarray(values, dtype=float)
     except OverflowError:  # an int beyond float range
         raise ValueError(f"{name} must be finite, got a number beyond float range") from None

@@ -3,11 +3,14 @@
 The state space is six metastable sublevels (indices 0..5, m = +5/2 down
 to -5/2) followed by two ground sublevels (6: m = +1/2, 7: m = -1/2). rf
 pulses drive the whole metastable block through the spin-5/2 generators;
-laser pulses swap one metastable sublevel with one ground sublevel and are
-modeled as instantaneous two-level rotations with a scalar failure
-probability. Readout is the three-stage fluorescence cascade: detect the
-ground manifold, then deshelve and detect each metastable readout level in
-turn; whatever norm remains is leakage.
+laser pulses couple one metastable sublevel with one ground sublevel and
+are modeled as instantaneous two-level rotations. A laser pulse of angle
+theta and phase phi rotates its pair by theta / pi times the angle of the
+noisy pi-swap, whose transfer fails with a scalar probability, about the
+axis phi; the built-in tables' (pi, 0) pulses are that pi-swap itself.
+Readout is the three-stage fluorescence cascade: detect the ground
+manifold, then deshelve and detect each metastable readout level in turn;
+whatever norm remains is leakage.
 
 One interpreter runs every pulse program. A (sequence, config, signal
 angles) tuple compiles once into a list of segments of one form: an
@@ -26,7 +29,7 @@ applies each laser-free block once, through spin_algebra.su2_apply: on
 six levels one resonant rotation followed by one precession about z, as
 two real 6x6 matmuls in the cached eigenbasis of Jx and three diagonal
 phases, and in the two-level reduction the element itself as a
-two-column row update. A laser swap is spin_algebra.two_level_rotation,
+two-column row update. A laser pulse is spin_algebra.two_level_rotation,
 which rewrites only its pair's two columns, so no per-row propagator is
 built. The readout cascade is linear in the level populations, so it is
 one (4, 8) matrix per (noise, config), built once and cached, applied to
@@ -249,7 +252,10 @@ def apply_laser_pi(state, pair, noise=IDEAL):
     the identity on populations only in the ideal case. state may be one
     state or a batch of them along its leading axes; the last axis is the
     level index. The swap is the two_level_rotation of the pair over that
-    axis; a new array is returned and state is left unchanged.
+    axis; a new array is returned and state is left unchanged. It is what
+    a laser pulse of theta = pi and phi = 0, as in every built-in table,
+    does in a pulse program; the interpreter applies each laser pulse by
+    its own theta and phi.
     """
     return two_level_rotation(state, pair, _laser_angle(noise))
 
@@ -257,32 +263,37 @@ def apply_laser_pi(state, pair, noise=IDEAL):
 class _Segment(NamedTuple):
     """One step of a compiled pulse program: an optional swap, then a drive.
 
-    pair is the (metastable, ground) pair a laser swaps at the segment's
-    start, or None. The drive then rotates the spin block by the nominal
-    angle about the equatorial axis phi over duration seconds; angle 0 is
-    free precession. Each number is a scalar or one value per grid point.
+    pair is the (metastable, ground) pair a laser pulse rotates at the
+    segment's start, or None, and swap is (theta / pi, phi) of that pulse:
+    its share of a pi-swap and its phase. The drive then rotates the spin
+    block by the nominal angle about the equatorial axis phi over duration
+    seconds; angle 0 is free precession. Each drive number is a scalar or
+    one value per grid point.
     """
 
     duration: object
     angle: object = 0.0
     phi: object = 0.0
     pair: tuple = None
+    swap: tuple = None
 
 
 def _compile(seq, config, signal_angles):
     """The pulse program as segments, for a scalar or an array of signal angles.
 
     This is the only place that knows the program's rules: a free gap
-    between consecutive pulses, the in-sequence laser on the couple pair
-    followed by its laser time, oracle resolution, and a drive time of
-    |theta| / rabi_freq for every rf and oracle pulse.
+    between consecutive pulses, each in-sequence laser pulse on the couple
+    pair with its own theta and phi, followed by its laser time, oracle
+    resolution, and a drive time of |theta| / rabi_freq for every rf and
+    oracle pulse.
     """
     segments = []
     for n, pulse in enumerate(seq.pulses):
         if n > 0 and config.pulse_gap_s > 0.0:
             segments.append(_Segment(config.pulse_gap_s))
         if pulse.channel == LASER:
-            segments.append(_Segment(config.laser_time_s, pair=config.couple_pair))
+            segments.append(_Segment(config.laser_time_s, pair=config.couple_pair,
+                                     swap=(pulse.theta / math.pi, pulse.phi)))
             continue
         theta, phi = pulse.theta, pulse.phi
         if pulse.channel == ORACLE:
@@ -299,7 +310,10 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM, record=None):
     from _drives. The drives between two swaps then multiply, and each
     such block acts once, before the next swap and at the end, as the
     spin-J image that spin_algebra.su2_apply writes on the rows for both
-    dims. Each swap is apply_laser_pi. The six-level block takes the noisy
+    dims. Each laser pulse is the two_level_rotation of its pair by
+    _laser_angle(noise) * (theta / pi) about phi, its own theta and phi;
+    at theta = pi, where theta / pi is exactly 1.0, and phi = 0 that is
+    apply_laser_pi bit for bit. The six-level block takes the noisy
     drives; the ideal two-level reduction (dim = 2) passes IDEAL. Given a
     list as record, it appends one pair per segment, before the segment's
     drive: a copy of the batch at the start of the segment's block, after
@@ -309,7 +323,8 @@ def _propagate(states, segments, noise, detuning_hz, dim=D_DIM, record=None):
     for segment, pulse in zip(segments, _drives(segments, noise, detuning_hz, len(states))):
         if segment.pair is not None:
             _apply_block(states, block, dim)
-            states = apply_laser_pi(states, segment.pair, noise)
+            share, phi = segment.swap
+            states = two_level_rotation(states, segment.pair, _laser_angle(noise) * share, phi)
             block = None
         if record is not None:
             record.append((states.copy(), block))

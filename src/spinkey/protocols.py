@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from ._checks import check_int, check_real, finite_array, shown
-from .spin_algebra import rotation, rotation_z, two_level_rotation
+from .spin_algebra import rotation, rotation_z
 
 RF = "rf"
 LASER = "laser"
@@ -42,10 +42,14 @@ class Pulse:
     """One rotation instruction.
 
     index is the 1-based position in the program and label a free-text
-    name; theta/phi are the table values in radians. Oracle pulses leave
-    one parameter open: phase-keyed oracles always rotate by theta=pi
-    about the encoded axis plus oracle_phase_offset, amplitude-keyed
-    oracles rotate by the encoded angle about the fixed axis phi.
+    name; theta/phi are the table values in radians. An rf pulse rotates
+    the metastable block by theta about the equatorial axis phi. A laser
+    pulse rotates its (metastable, ground) pair by theta / pi of a
+    pi-swap about the axis phi, so (pi, 0), as in the built-in tables, is
+    the full swap and (pi/2, phi) a half-swap. Oracle pulses leave one
+    parameter open: phase-keyed oracles always rotate by theta=pi about
+    the encoded axis plus oracle_phase_offset, amplitude-keyed oracles
+    rotate by the encoded angle about the fixed axis phi.
     """
 
     index: int
@@ -467,35 +471,33 @@ def even_psk_disambiguation(phi_pair):
 def run_disambiguation(step, which):
     """Ideal simulation of the disambiguation step on the 8-level ion space.
 
-    Population starts in the ground block level; a half-swap creates the
-    superposition, the hidden phase oracle is applied once (wrapped into
-    +/- x-rotation form and then undone by the known inverse), and the
-    closing half-swap interferes the branches.
+    The step is an 8-pulse phase-keyed program that ion_sim.run reads, on
+    the levels block_levels couple. Population starts in the ground level;
+    a laser half-swap creates the superposition. The one oracle query is
+    wrapped into +/- the x-rotation by 2*phi_low (psk_to_ask_wrap, its
+    closing Rz(-pi) written as Ry(-pi) Rx(-pi)) and then undone by the
+    known Rx(-2*phi_low). The closing half-swap, at phase pi, interferes
+    the branches: the +1 branch returns to the ground level (readout state
+    0), the -1 branch to the metastable block level (readout state 1).
 
     Returns
     -------
     (identified_phi, p_correct)
     """
+    from .ion_sim import ExperimentConfig, run  # ion_sim imports this module
+
     if which not in (0, 1):
         raise ValueError("which must be 0 (low phase) or 1 (high phase)")
-    phi_true = step.phi_low if which == 0 else step.phi_high
-
-    d_level, s_level = step.block_levels
-    state = np.eye(8, dtype=complex)[s_level]
-
-    state = two_level_rotation(state, (d_level, s_level), _PI / 2.0)
-    # The wrapped oracle and the known inverse act on the metastable block.
-    undo = rotation(6, 2.0 * step.phi_low, 0.0).conj().T
-    state[:6] = undo @ (psk_to_ask_wrap(phi_true, 6) @ state[:6])
-    state = two_level_rotation(state, (d_level, s_level), _PI / 2.0, phase=_PI)
-
-    p_ground = abs(state[s_level]) ** 2
-    p_block = abs(state[d_level]) ** 2
-    # The +1 branch interferes back into the ground level, the -1 branch
-    # into the metastable block level.
-    if p_ground >= p_block:
-        return step.phi_low, p_ground
-    return step.phi_high, p_block
+    pulses = [Pulse(n, channel, channel, theta, phi) for n, (channel, theta, phi) in enumerate((
+        (LASER, _PI / 2.0, 0.0), (RF, _PI / 2.0, _PI / 2.0), (ORACLE, _PI, 0.0),
+        (RF, -_PI / 2.0, _PI / 2.0), (RF, -_PI, 0.0), (RF, -_PI, _PI / 2.0),
+        (RF, -2.0 * step.phi_low, 0.0), (LASER, _PI / 2.0, _PI)), 1)]
+    pair = step.block_levels
+    config = ExperimentConfig(init_level=pair[1], couple_pair=pair, readout_pairs=(pair, pair))
+    probs = run(PulseSequence("disambiguation", PSK, pulses, {0: 0, 1: 1, 2: 2}), which,
+                config=config, candidate_angles=(step.phi_low, step.phi_high)).probabilities
+    # Readout state 0 is the ground level, 1 the block level; max keeps phi_low on a tie.
+    return max(zip((step.phi_low, step.phi_high), probs[:2]), key=lambda found: found[1])
 
 
 def query_count(obj):

@@ -174,11 +174,17 @@ def test_criterion_06a_detuning_budget_threshold():
 
 def _mirror_image(seq, config):
     """The program conjugated by Rx(pi), which maps Jz -> -Jz and Jy -> -Jy:
-    every rf axis phi becomes -phi and metastable level i becomes 5 - i."""
+    every rf axis phi becomes -phi and metastable level i becomes 5 - i.
+    Laser phases stay: Rx(pi) gives each metastable level a phase, so the
+    mirrored laser phase is the old one plus a constant, the same for every
+    laser pulse of the pair, and a phase common to all laser pulses is a
+    gauge of the ground levels that no readout sees. Mapping a laser phi to
+    -phi would be wrong for any swap short of a full pi-swap."""
     def flip(level):
         return ion_sim.D_DIM - 1 - level if level < ion_sim.D_DIM else level
 
-    pulses = tuple(replace(p, phi=-p.phi, oracle_phase_offset=-p.oracle_phase_offset)
+    pulses = tuple(p if p.channel == protocols.LASER else
+                   replace(p, phi=-p.phi, oracle_phase_offset=-p.oracle_phase_offset)
                    for p in seq.pulses)
     mirrored = replace(config,
                        init_level=flip(config.init_level),

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from spinkey._checks import check_int, check_real, finite_array, is_index, shown
-from spinkey.field_servo import ServoConfig
-from spinkey.ion_sim import ExperimentConfig, NoiseModel
-from spinkey.protocols import DESIGN_ANGLES, PSK, OracleSpec, Pulse, PulseSequence
+from spinkey.field_servo import ServoConfig, allan_deviation, ramsey_probability
+from spinkey.ion_sim import ExperimentConfig, NoiseModel, angle_scan, detuning_scan
+from spinkey.protocols import (DESIGN_ANGLES, PSK, OracleSpec, Pulse, PulseSequence,
+                               psk3_sequence)
 
 # Every kind of value the checks meet; none is beyond float range.
 VALUES = [True, np.True_, 0, -1, 2 ** 63, 1.5, -0.0, math.nan, math.inf, -math.inf,
@@ -111,3 +112,20 @@ def test_finite_array_names_its_field_for_values_numpy_reads_as_no_floats(values
     """numpy raises ValueError or TypeError converting these to float64."""
     with pytest.raises(ValueError, match="^angles must be real numbers"):
         finite_array("angles", values)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda z: angle_scan(psk3_sequence(), z), "angles"),
+    (lambda z: detuning_scan(psk3_sequence(), z), "detunings_hz"),
+    (lambda z: ramsey_probability(z, 1e-3, 1), "delta_hz"),
+    (lambda z: allan_deviation(z, [1, 2]), "y"),
+], ids=["angle_scan", "detuning_scan", "ramsey_probability", "allan_deviation"])
+@pytest.mark.parametrize("values", [
+    np.array([1j, 0.5 + 2j]), np.array([1.0, 2.0, 3.0, 4.0], dtype=complex),
+    np.complex128(0.5), [np.complex64(0.5), 0.25],
+], ids=["complex-array", "zero-imaginary", "complex-scalar", "list"])
+def test_complex_values_are_refused_naming_the_field(call, field, values):
+    """numpy converts complex values to float64 by dropping the imaginary
+    part, with only a ComplexWarning; every entry point refuses them."""
+    with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+        call(values)

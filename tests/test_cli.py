@@ -86,6 +86,25 @@ def test_run_sequence_file_round_trip(tmp_path):
     assert float(dict((r[0], r[1]) for r in rows)["state0"]) >= 0.9999
 
 
+def test_run_sequence_file_laser_angle_changes_the_output(tmp_path):
+    """A --seq-file laser pulse acts by its own theta: at pi/2 the first
+    laser loads only half the population, so run's table differs from the
+    stored table's, and it matches the library's run of the same file."""
+    tables = []
+    for theta in (math.pi, math.pi / 2.0):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(_edit_sequence(lambda d: d["pulses"][0].update(theta=theta)))
+        out = tmp_path / "run.csv"
+        assert main(["run", "--seq-file", str(seq_path), "--oracle", "1", "--out", str(out)]) == 0
+        _, rows = _data_rows(out)
+        tables.append({r[0]: float(r[1]) for r in rows})
+    stored, half = tables
+    assert stored["state1"] >= 0.9999
+    assert abs(half["state1"] - stored["state1"]) > 0.4
+    expected = ion_sim.run(PulseSequence.from_json(seq_path.read_text()), 1).probabilities
+    assert [half[f"state{i}"] for i in range(3)] == pytest.approx(expected[:3], abs=1e-12)
+
+
 def test_run_bad_sequence_file_reports_line(tmp_path, capsys):
     seq_path = tmp_path / "broken.json"
     seq_path.write_text('{"name": "x",\n  "pulses": [,]\n}')

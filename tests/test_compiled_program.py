@@ -46,12 +46,15 @@ def _precession(detuning_hz, t):
     return _embed(expm(-2j * math.pi * detuning_hz * t * J.jz))
 
 
-def _swap(pair, p_fail):
+def _swap(pair, p_fail, theta=math.pi, phi=0.0):
+    """A laser pulse of angle theta and phase phi on the pair: theta / pi of
+    the pi-swap that transfers 1 - p_fail, about the axis at phi, as expm of
+    its generator |i><k| e^(i phi) + h.c."""
     i, k = pair
-    u = np.eye(8, dtype=complex)
-    u[i, i] = u[k, k] = math.sqrt(p_fail)
-    u[i, k] = u[k, i] = -1j * math.sqrt(1.0 - p_fail)
-    return u
+    angle = 2.0 * math.asin(math.sqrt(1.0 - p_fail)) * theta / math.pi
+    generator = np.zeros((8, 8), dtype=complex)
+    generator[i, k], generator[k, i] = np.exp(1j * phi), np.exp(-1j * phi)
+    return expm(-0.5j * angle * generator)
 
 
 def _rf(theta, phi, noise, config, duration):
@@ -76,7 +79,7 @@ def _reference_state(seq, angle, noise, config):
             state = _precession(noise.detuning_hz, config.pulse_gap_s) @ state
             elapsed += config.pulse_gap_s
         if pulse.channel == LASER:
-            state = _swap(config.couple_pair, noise.laser_pi_error) @ state
+            state = _swap(config.couple_pair, noise.laser_pi_error, pulse.theta, pulse.phi) @ state
             state = _precession(noise.detuning_hz, config.laser_time_s) @ state
             elapsed += config.laser_time_s
             continue
@@ -133,7 +136,22 @@ def _cases():
         # Non-default level assignment: the psk3 levels under the ask3 table.
         (ask, ExperimentConfig(couple_pair=(2, 6), readout_pairs=((3, 6), (5, 7)), **slow),
          replace(lab, detuning_hz=10.0)),
+        # Partial laser swaps with phases: each laser pulse turns by its own theta about phi.
+        (_partial_lasers(psk), replace(default_config(psk), **slow),
+         replace(lab, detuning_hz=-20.0)),
     )
+
+
+def _partial_lasers(seq):
+    """seq with its two laser pulses at (pi/2, 0.7) and (2.2, -1.3)."""
+    angles = iter([(math.pi / 2.0, 0.7), (2.2, -1.3)])
+    pulses = []
+    for pulse in seq.pulses:
+        if pulse.channel == LASER:
+            theta, phi = next(angles)
+            pulse = replace(pulse, theta=theta, phi=phi)
+        pulses.append(pulse)
+    return replace(seq, pulses=tuple(pulses))
 
 
 def test_batched_programs_match_reference():

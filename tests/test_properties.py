@@ -21,7 +21,6 @@ from spinkey.ion_sim import (
     NoiseModel,
     _spin_image,
     angle_scan,
-    apply_laser_pi,
     default_config,
     init_state,
     rabi_curve,
@@ -54,6 +53,7 @@ from spinkey.spin_algebra import (
     su2_matrix,
     su2_product,
     su2_pulse,
+    two_level_rotation,
 )
 from test_acceptance import _mirror_image
 from test_qsp import _plain_p
@@ -279,8 +279,10 @@ def _per_row_time_series(seq, index, n_points, config, noise, candidate_angles):
         if segment.pair is not None:
             if block is not None:
                 states[:, :6] = su2_apply(states[:, :6], *block)
-            states = np.where(reached[:, None], apply_laser_pi(states, segment.pair, noise),
-                              states)
+            share, phi = segment.swap
+            swapped = two_level_rotation(states, segment.pair,
+                                         ion_sim._laser_angle(noise) * share, phi)
+            states = np.where(reached[:, None], swapped, states)
             block = None
         pulse = su2_pulse(segment.angle * f * (1.0 + noise.rf_amp_error), segment.phi,
                           2.0 * math.pi * noise.detuning_hz * segment.duration * f)
@@ -467,7 +469,9 @@ def _per_segment_propagate(states, segments, noise, detuning_hz, dim=6, record=N
     for segment in segments:
         if segment.pair is not None:
             ion_sim._apply_block(states, block, dim)
-            states = apply_laser_pi(states, segment.pair, noise)
+            share, phi = segment.swap
+            states = two_level_rotation(states, segment.pair,
+                                        ion_sim._laser_angle(noise) * share, phi)
             block = None
         if record is not None:
             record.append((states.copy(), block))

@@ -26,7 +26,7 @@ from spinkey.protocols import (
     run_disambiguation,
 )
 from spinkey.qsp import qsp_unitary
-from spinkey.spin_algebra import rotation
+from spinkey.spin_algebra import rotation, rotation_z, two_level_rotation
 
 
 def test_psk3_table():
@@ -253,6 +253,37 @@ def test_disambiguation_generic_pair():
         phi, p = run_disambiguation(step, which)
         assert phi == pytest.approx(step.phi_low if which == 0 else step.phi_high)
         assert p > 1 - 1e-10
+
+
+def _walk_disambiguation(step, which):
+    """The step walked by hand on the 8-vector: half-swap, the wrapped
+    oracle and its known inverse as 6x6 matrices, closing half-swap."""
+    phi_true = step.phi_low if which == 0 else step.phi_high
+    d_level, s_level = step.block_levels
+    state = two_level_rotation(np.eye(8, dtype=complex)[s_level], (d_level, s_level), math.pi / 2)
+    undo = rotation(6, 2.0 * step.phi_low, 0.0).conj().T
+    state[:6] = undo @ (psk_to_ask_wrap(phi_true, 6) @ state[:6])
+    state = two_level_rotation(state, (d_level, s_level), math.pi / 2, phase=math.pi)
+    p_ground, p_block = abs(state[s_level]) ** 2, abs(state[d_level]) ** 2
+    if p_ground >= p_block:
+        return step.phi_low, p_ground
+    return step.phi_high, p_block
+
+
+def test_disambiguation_program_is_the_hand_walk():
+    """The 8-pulse program ion_sim.run reads gives the hand walk's phase and
+    probability to 1e-12, over 64 phase pairs and both branches; its
+    Ry(-pi) Rx(-pi) is rotation_z(6, pi/2) exactly."""
+    np.testing.assert_allclose(rotation(6, -math.pi, math.pi / 2) @ rotation(6, -math.pi, 0.0),
+                               rotation_z(6, math.pi / 2), rtol=0, atol=1e-14)
+    rng = np.random.default_rng(5)
+    for phi_low in np.concatenate([[0.0, math.pi, -math.pi / 3], rng.uniform(-7.0, 7.0, 61)]):
+        step = even_psk_disambiguation((phi_low, phi_low + math.pi))
+        for which in (0, 1):
+            phi, p = run_disambiguation(step, which)
+            expected_phi, expected_p = _walk_disambiguation(step, which)
+            assert phi == expected_phi == (step.phi_low, step.phi_high)[which]
+            assert abs(p - expected_p) <= 1e-12
 
 
 def test_disambiguation_query_accounting():
