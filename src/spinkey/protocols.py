@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from ._checks import check_int, check_real, finite_array, shown
-from .spin_algebra import rotation, rotation_z
+from .spin_algebra import rotation
 
 RF = "rf"
 LASER = "laser"
@@ -312,20 +312,26 @@ _PSK3_READOUT_MAP = {0: 0, 1: 1, 2: 2}
 _ASK3_READOUT_MAP = {0: 0, 1: 1, 2: 2}
 
 
+# The PSK-to-ASK wrap in pulse order, as (channel, theta, phi) rows around
+# the one oracle query, whose rotation takes the hidden phase as its phi.
+# The closing Rz(-pi) is written as Ry(-pi) Rx(-pi), exact in SU(2).
+_PSK_TO_ASK_WRAP = ((RF, _PI / 2.0, _PI / 2.0), (ORACLE, _PI, 0.0),
+                    (RF, -_PI / 2.0, _PI / 2.0), (RF, -_PI, 0.0), (RF, -_PI, _PI / 2.0))
+
+
 def psk_to_ask_wrap(phi, dim):
     """Sandwich converting a phase-pi-rotation into an x-rotation of 2*phi.
 
-    Returns Rz * Ry(+pi/2-type) * R(pi, phi) * Ry(-pi/2-type), which equals
-    rotation(dim, 2*phi, 0) up to a global phase; with the sign conventions
-    used here the equality is exact in dim 2 and holds in any spin-J space
-    because the identity lives at the group level.
+    Returns the product of the _PSK_TO_ASK_WRAP rows, the oracle row taken
+    at phase phi: Rz * Ry(+pi/2-type) * R(pi, phi) * Ry(-pi/2-type), which
+    equals rotation(dim, 2*phi, 0) up to a global phase; with the sign
+    conventions used here the equality is exact in dim 2 and holds in any
+    spin-J space because the identity lives at the group level.
     """
-    return (
-        rotation_z(dim, _PI / 2.0)
-        @ rotation(dim, -_PI / 2.0, _PI / 2.0)
-        @ rotation(dim, _PI, phi)
-        @ rotation(dim, _PI / 2.0, _PI / 2.0)
-    )
+    u = np.eye(dim, dtype=complex)
+    for channel, theta, axis in _PSK_TO_ASK_WRAP:
+        u = rotation(dim, theta, phi if channel == ORACLE else axis) @ u
+    return u
 
 
 # The largest candidate count bisection_protocol accepts: run_bisection holds
@@ -474,11 +480,11 @@ def run_disambiguation(step, which):
     The step is an 8-pulse phase-keyed program that ion_sim.run reads, on
     the levels block_levels couple. Population starts in the ground level;
     a laser half-swap creates the superposition. The one oracle query is
-    wrapped into +/- the x-rotation by 2*phi_low (psk_to_ask_wrap, its
-    closing Rz(-pi) written as Ry(-pi) Rx(-pi)) and then undone by the
-    known Rx(-2*phi_low). The closing half-swap, at phase pi, interferes
-    the branches: the +1 branch returns to the ground level (readout state
-    0), the -1 branch to the metastable block level (readout state 1).
+    wrapped into +/- the x-rotation by 2*phi_low by the rows of
+    psk_to_ask_wrap and then undone by the known Rx(-2*phi_low). The
+    closing half-swap, at phase pi, interferes the branches: the +1 branch
+    returns to the ground level (readout state 0), the -1 branch to the
+    metastable block level (readout state 1).
 
     Returns
     -------
@@ -488,10 +494,9 @@ def run_disambiguation(step, which):
 
     if which not in (0, 1):
         raise ValueError("which must be 0 (low phase) or 1 (high phase)")
-    pulses = [Pulse(n, channel, channel, theta, phi) for n, (channel, theta, phi) in enumerate((
-        (LASER, _PI / 2.0, 0.0), (RF, _PI / 2.0, _PI / 2.0), (ORACLE, _PI, 0.0),
-        (RF, -_PI / 2.0, _PI / 2.0), (RF, -_PI, 0.0), (RF, -_PI, _PI / 2.0),
-        (RF, -2.0 * step.phi_low, 0.0), (LASER, _PI / 2.0, _PI)), 1)]
+    rows = ((LASER, _PI / 2.0, 0.0), *_PSK_TO_ASK_WRAP, (RF, -2.0 * step.phi_low, 0.0),
+            (LASER, _PI / 2.0, _PI))
+    pulses = [Pulse(n, channel, channel, theta, phi) for n, (channel, theta, phi) in enumerate(rows, 1)]
     pair = step.block_levels
     config = ExperimentConfig(init_level=pair[1], couple_pair=pair, readout_pairs=(pair, pair))
     probs = run(PulseSequence("disambiguation", PSK, pulses, {0: 0, 1: 1, 2: 2}), which,

@@ -213,15 +213,11 @@ class PolynomialSpec:
     def __post_init__(self):
         object.__setattr__(self, "degree", check_int("degree", self.degree, maximum=MAX_FLOATS - 1))
         try:
-            pairs = tuple((a, t) for a, t in self.samples)
+            pairs = [(a, t) for a, t in self.samples]
         except (TypeError, ValueError):
             raise ValueError(f"samples must be (a, target) pairs: {shown(self.samples)}") from None
-        # Samples of exact floats are checked in one pass with no per-value call;
-        # any other sample, or a bad one, goes through check_real, which names it.
-        if not all(type(a) is float is type(t) and -1.0 <= a <= 1.0 and math.isfinite(t)
-                   for a, t in pairs):
-            pairs = tuple((float(check_real(f"samples[{i}]", a, -1.0, maximum=1.0)),
-                           float(check_real(f"samples[{i}]", t))) for i, (a, t) in enumerate(pairs))
+        pairs = tuple((float(check_real(f"samples[{i}]", a, -1.0, maximum=1.0)),
+                       float(check_real(f"samples[{i}]", t))) for i, (a, t) in enumerate(pairs))
         if not pairs:
             raise ValueError("a spec needs at least one (a, target) sample")
         for a, t in pairs:

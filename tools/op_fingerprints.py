@@ -1,8 +1,8 @@
 """Print one sha1 per benchmark op output, and one digest of them all.
 
-    python3 tools/op_fingerprints.py [--seeds 0 1 2] [--workload NAME ...]
+    python3 tools/op_fingerprints.py
 
-Every op of seeds 0-2 (by default) of every workload in
+Every op of seeds 0-2 of every workload in
 perfbench/workloads.py runs through perfbench.workloads.execute, with its
 --out file in a temporary directory. An op's sha1 is that of
 perfbench.checks.fingerprint: a CLI op's exit code, stdout and output
@@ -13,7 +13,6 @@ digests agree produced byte-identical outputs on every op. It writes
 nothing under perfbench/.
 """
 
-import argparse
 import hashlib
 import sys
 import tempfile
@@ -33,22 +32,18 @@ def op_digest(op, out_path):
     return hashlib.sha1(checks.fingerprint(output, text)).hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--workload", nargs="+", choices=sorted(workloads.GENERATORS),
-                        default=sorted(workloads.GENERATORS))
-    args = parser.parse_args(argv)
-    combined = hashlib.sha1()
+def op_lines(workload_names, seeds):
+    """One "workload seed index kind sha1" line per op, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "op.out"
-        for workload in args.workload:
-            for seed in args.seeds:
-                for index, op in enumerate(workloads.generate(workload, seed)):
-                    line = f"{workload} {seed} {index} {op.kind} {op_digest(op, out_path)}"
-                    print(line)
-                    combined.update(line.encode() + b"\n")
-    print(f"combined {combined.hexdigest()}")
+        return [f"{workload} {seed} {index} {op.kind} {op_digest(op, out_path)}"
+                for workload in workload_names for seed in seeds
+                for index, op in enumerate(workloads.generate(workload, seed))]
+
+
+def main():
+    text = "".join(f"{line}\n" for line in op_lines(sorted(workloads.GENERATORS), (0, 1, 2)))
+    print(f"{text}combined {hashlib.sha1(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
