@@ -7,10 +7,11 @@ with the supporting machinery: spin algebra, signal-processing phase
 finding, noise and detuning budgets, a frequency feed-forward servo, and
 incoherent measurement baselines.
 
-The package namespace re-exports the spin algebra and the protocols. The
-signal-processing names (find_phases, PolynomialSpec, qsp_unitary, ...)
-are imported from spinkey.qsp. No module imports scipy; the tests use it
-as an independent reference.
+The package namespace re-exports the spin operators, rotation and the
+protocols. The other spin-algebra names are imported from
+spinkey.spin_algebra, and the signal-processing names (find_phases,
+PolynomialSpec, qsp_unitary, ...) from spinkey.qsp. No module imports
+scipy; the tests use it as an independent reference.
 """
 
 __version__ = "0.1.0"
@@ -20,8 +21,6 @@ from .spin_algebra import (
     SpinOperators,
     spin_operators,
     rotation,
-    rotation_z,
-    hermitian_propagator,
 )
 from .protocols import (
     Pulse,

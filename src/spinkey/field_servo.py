@@ -124,11 +124,7 @@ def ramsey_probability(delta_hz, interrogation_s, phase_sign):
     delta_hz, a scalar or an array, must be finite, interrogation_s finite
     and >= 0, and phase_sign the integer +1 or -1 (not a bool).
     """
-    # A numpy float is checked, not converted, so a float32 keeps float32
-    # arithmetic; any other input, such as a list, computes on the checked array.
-    checked = finite_array("delta_hz", delta_hz)
-    if not isinstance(delta_hz, (np.ndarray, np.floating)) or delta_hz.dtype.kind != "f":
-        delta_hz = checked
+    delta_hz = finite_array("delta_hz", delta_hz)
     check_real("interrogation_s", interrogation_s, 0.0)
     if not is_index(phase_sign, (1, -1)):
         raise ValueError(f"phase_sign must be the integer +1 or -1, got {shown(phase_sign)}")

@@ -60,7 +60,6 @@ from .protocols import (
     resolve_oracle_pulse,
 )
 from .spin_algebra import (
-    hermitian_propagator,
     rotation,
     spin_operators,
     su2_apply,
@@ -453,8 +452,15 @@ def _readout(states, noise, config):
 
 
 def _apply_leakage(probs, noise, duration):
-    """Scale the readout states of (N, 4) rows by exp(-leakage_rate * duration)."""
-    survive = np.exp(-noise.leakage_rate * np.asarray(duration, dtype=float)).reshape(-1, 1)
+    """Scale the readout states of (N, 4) rows by exp(-leakage_rate * duration).
+
+    A duration summed beyond float range raises ValueError.
+    """
+    duration = np.asarray(duration, dtype=float)
+    if not np.isfinite(duration).all():
+        raise ValueError("the program's duration must be finite, but pulse_gap_s, laser_time_s "
+                         "and rabi_freq make it overflow float range")
+    survive = np.exp(-noise.leakage_rate * duration).reshape(-1, 1)
     out = probs.copy()
     out[:, :3] *= survive
     out[:, 3] += (1.0 - survive[:, 0]) * probs[:, :3].sum(axis=1)
@@ -647,5 +653,7 @@ def light_shift_isolation(shift_hz, times, config=None, start_level=5):
     times = finite_array("times", times)
     h = config.rabi_freq * _J6.jx.copy()
     h[_SHIFTED_LEVEL, _SHIFTED_LEVEL] += 2.0 * math.pi * shift_hz
-    psi = hermitian_propagator(h, times[:, None, None])[:, :, start_level]
+    # Only the start column of exp(-1j * h * t) = V e^(-1j w t) V^H is propagated.
+    w, v = np.linalg.eigh(h)
+    psi = (np.exp(-1j * np.multiply.outer(times, w)) * v[start_level].conj()) @ v.T
     return times, np.abs(psi) ** 2

@@ -143,9 +143,9 @@ class PulseSequence:
                 pulses.append(Pulse(**record))
             except ValueError as err:
                 raise ValueError(f"pulses[{i}]: {err}") from None
-        # A key that is not a decimal integer stays a string, which
-        # __post_init__ rejects as an index other than 0, 1 or 2.
-        readout_map = {int(k) if k.isdecimal() else k: v
+        # Only the keys "0", "1" and "2" become indices; any other key, such
+        # as "02", stays a string, which __post_init__ rejects by name.
+        readout_map = {int(k) if k in ("0", "1", "2") else k: v
                        for k, v in data["readout_map"].items()}
         return cls(name=data["name"], encoding=data["encoding"],
                    pulses=tuple(pulses), readout_map=readout_map)

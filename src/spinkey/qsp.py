@@ -14,7 +14,7 @@ written out as 2x2 matrices only at the end. Signal values may be arrays:
 the pairs stack along the array's shape, so a response curve or a
 phase-finder residual is one call. This module provides:
 
-- signal_w, qsp_unitary, polynomial_entries: the product and its P, Q entries
+- qsp_unitary: the product, with P(a) its top-left entry
 - bisecting_poly: the degree-2 map (4 a^2 - 1)/3 sending the flagged
   candidate to 1 and the other two symmetric candidates to 0
 - PolynomialSpec / find_phases: a multi-start phase finder matching |P| to
@@ -73,20 +73,6 @@ class PhaseFindingError(RuntimeError):
     def __init__(self, message, best_residual):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-def signal_w(a):
-    """Signal rotation W(a) for a = cos(angle/2), |a| <= 1.
-
-    a may be a scalar or an array; the 2x2 matrices stack along its shape,
-    so a scalar gives a (2, 2) array and an (N,) array an (N, 2, 2) stack.
-    Non-finite values and |a| > 1 raise ValueError.
-
-    Equals rotation(2, angle, pi) from spin_algebra, i.e. the inverse of the
-    canonical x-rotation by the same angle (the two differ by the sign
-    convention of the generator; populations are identical).
-    """
-    return su2_matrix(*_signal_pair(a))
 
 
 def _signal_pair(a):
@@ -166,22 +152,6 @@ def _abs_squared(p):
     array forms np.abs(p) and m * m differ from it in the last bit.
     """
     return np.float_power(np.hypot(p.real, p.imag), 2.0)
-
-
-def polynomial_entries(phases, a):
-    """Return (P(a), Q(a)) read off the product unitary.
-
-    Q is defined through the top-right entry i Q(a) sqrt(1-a^2), so it is
-    only recoverable for |a| < 1. a may be an array; P and Q then have its
-    shape, and a scalar gives scalars.
-    """
-    u = qsp_unitary(phases, a)
-    a = np.asarray(a, dtype=float)
-    s = np.sqrt(1.0 - a * a)
-    if np.any(s == 0.0):
-        raise ValueError("Q(a) is not defined at |a| = 1")
-    # [()] turns the 0-d entries of a scalar a into scalars.
-    return u[..., 0, 0][()], (u[..., 0, 1] / (1j * s))[()]
 
 
 def bisecting_poly(a):

@@ -9,11 +9,10 @@ metastable manifold). One rotation convention is used everywhere:
 so for dim=2 a rotation by theta about the axis at angle phi in the x-y
 plane equals exp(-1j * (theta/2) * sigma_phi).
 
-Unitaries are plain complex numpy arrays. Propagators are built from the
-eigendecomposition of the Hermitian generator, which keeps them unitary to
-rounding even for long evolution times. Rotations reuse one cached
-eigendecomposition of Jx per dimension and accept arrays of angles, so a
-whole batch of rotations costs a few array operations.
+Unitaries are plain complex numpy arrays. Rotations are built from one
+cached eigendecomposition of Jx per dimension, which keeps them unitary to
+rounding even for large angles, and accept arrays of angles, so a whole
+batch of rotations costs a few array operations.
 
 Pulses also compose in SU(2) itself. su2_pulse gives the element (a, b)
 of [[a, -conj(b)], [b, conj(a)]] for any pulse, resonant or detuned, in
@@ -92,32 +91,6 @@ def spin_operators(dim):
         a.flags.writeable = False
 
     return SpinOperators(dim=dim, jx=jx, jy=jy, jz=jz)
-
-
-def hermitian_propagator(h, t):
-    """Unitary propagator exp(-1j * H * t) of a Hermitian generator.
-
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix (checked to 1e-10).
-    t : float or array_like
-        Evolution time in the units conjugate to H. An array of times
-        must end in two length-1 axes (e.g. times[:, None, None]); the
-        propagators then stack along its leading shape.
-
-    Returns
-    -------
-    np.ndarray
-        Unitary matrix of the same shape as h, or a stack of them.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"generator must be square, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=1e-10):
-        raise ValueError("generator is not Hermitian to 1e-10")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 # 2m for m = 5/2 ... -5/2, as integer phase powers.
@@ -246,14 +219,3 @@ def two_level_rotation(states, pair, theta, phase=0.0):
                                 s * e.conjugate() * out[..., i] + c * out[..., k])
     return out
 
-
-def rotation_z(dim, angle):
-    """Diagonal unitary exp(1j * angle * 2 * Jz).
-
-    For dim=2 this equals exp(1j * angle * sigma_z), the phase operator that
-    the signal-processing products interleave between signal rotations.
-    Composes additively: rotation_z(a) @ rotation_z(b) = rotation_z(a + b).
-    """
-    if dim not in SUPPORTED_DIMS:
-        raise ValueError(f"unsupported dimension {dim}; expected one of {SUPPORTED_DIMS}")
-    return np.diag(np.exp(1j * angle * 2.0 * _m_values(dim))).astype(complex)

@@ -31,6 +31,7 @@ from conftest import trotter_propagator
 from spinkey import baselines, field_servo, ion_sim, protocols, qsp
 from spinkey.protocols import DESIGN_ANGLES
 from spinkey.spin_algebra import rotation, spin_operators
+from test_qsp import polynomial_entries
 from test_spin_algebra import commutator
 
 DESIGN = np.array(DESIGN_ANGLES)
@@ -105,7 +106,7 @@ def test_criterion_03_bisecting_polynomial():
                   for a, t in ((1.0, 1.0), (0.5, 0.0), (-0.5, 0.0))]
     comp_err = 0.0
     for a in np.linspace(-1 + 1e-6, 1 - 1e-6, 101):
-        p, q = qsp.polynomial_entries(phases, a)
+        p, q = polynomial_entries(phases, a)
         comp_err = max(comp_err, abs(abs(p) ** 2 + (1 - a * a) * abs(q) ** 2 - 1))
     ok = exact and max(point_errs) <= 1e-8 and comp_err <= 1e-10
     _report("3", ok,

@@ -11,7 +11,8 @@ import pytest
 
 from spinkey._checks import check_int, check_real, finite_array, is_index, shown
 from spinkey.field_servo import ServoConfig, allan_deviation, ramsey_probability
-from spinkey.ion_sim import ExperimentConfig, NoiseModel, angle_scan, detuning_scan
+from spinkey.ion_sim import (ExperimentConfig, NoiseModel, angle_scan, detuning_scan, run,
+                             time_series)
 from spinkey.protocols import (DESIGN_ANGLES, PSK, OracleSpec, Pulse, PulseSequence,
                                psk3_sequence)
 
@@ -129,3 +130,21 @@ def test_complex_values_are_refused_naming_the_field(call, field, values):
     part, with only a ComplexWarning; every entry point refuses them."""
     with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
         call(values)
+
+
+_LONG_LASERS = ExperimentConfig(laser_time_s=1e308)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run(psk3_sequence(), 0, config=_LONG_LASERS),
+    lambda: angle_scan(psk3_sequence(), [0.1], _LONG_LASERS),
+    lambda: detuning_scan(psk3_sequence(), [0.0], _LONG_LASERS),
+    lambda: time_series(psk3_sequence(), 0, 3, _LONG_LASERS),
+    lambda: time_series(psk3_sequence(), 0, 3, ExperimentConfig(rabi_freq=1e-320)),
+], ids=["run", "angle_scan", "detuning_scan", "time_series", "time_series-slow-drive"])
+def test_a_program_duration_beyond_float_range_is_refused(call):
+    """Valid config fields can sum to an infinite program duration, which is
+    refused by name rather than returned as NaN probabilities."""
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="pulse_gap_s, laser_time_s and rabi_freq"):
+        call()

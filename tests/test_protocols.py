@@ -26,7 +26,7 @@ from spinkey.protocols import (
     run_disambiguation,
 )
 from spinkey.qsp import qsp_unitary
-from spinkey.spin_algebra import rotation, rotation_z, two_level_rotation
+from spinkey.spin_algebra import rotation, spin_operators, two_level_rotation
 
 
 def test_psk3_table():
@@ -273,9 +273,10 @@ def _walk_disambiguation(step, which):
 def test_disambiguation_program_is_the_hand_walk():
     """The 8-pulse program ion_sim.run reads gives the hand walk's phase and
     probability to 1e-12, over 64 phase pairs and both branches; its
-    Ry(-pi) Rx(-pi) is rotation_z(6, pi/2) exactly."""
+    Ry(-pi) Rx(-pi) is exp(1j * pi * Jz) exactly."""
+    rz = np.diag(np.exp(2j * (math.pi / 2) * np.diag(spin_operators(6).jz).real))
     np.testing.assert_allclose(rotation(6, -math.pi, math.pi / 2) @ rotation(6, -math.pi, 0.0),
-                               rotation_z(6, math.pi / 2), rtol=0, atol=1e-14)
+                               rz, rtol=0, atol=1e-14)
     rng = np.random.default_rng(5)
     for phi_low in np.concatenate([[0.0, math.pi, -math.pi / 3], rng.uniform(-7.0, 7.0, 61)]):
         step = even_psk_disambiguation((phi_low, phi_low + math.pi))
@@ -463,6 +464,14 @@ def test_sequence_json_shape_errors_name_each_path(text, paths):
     message = str(err.value)
     assert message.startswith("malformed sequence JSON: ")
     assert all(path in message for path in paths)
+
+
+@pytest.mark.parametrize("key", ["02", "\u0661"], ids=["leading-zero", "arabic-indic-one"])
+def test_sequence_json_readout_map_key_does_not_alias_an_index(key):
+    """A key that int() reads as 0, 1 or 2 but is not "0", "1" or "2" stays
+    a string, so it cannot overwrite that index's entry."""
+    with pytest.raises(ValueError, match=rf"readout_map .*'{key}'"):
+        PulseSequence.from_json(_psk3_document(readout_map={"0": 0, "1": 1, "2": 2, key: 1}))
 
 
 def test_sequence_json_pulse_value_errors_name_the_pulse():

@@ -17,12 +17,17 @@ from spinkey.qsp import (
     PolynomialSpec,
     bisecting_poly,
     find_phases,
-    polynomial_entries,
     qsp_unitary,
     response_curve,
-    signal_w,
 )
 from spinkey.spin_algebra import rotation, su2_product
+
+
+def polynomial_entries(phases, a):
+    """(P(a), Q(a)) read off qsp_unitary: P is the top-left entry and the
+    top-right one is i Q(a) sqrt(1 - a^2), so Q needs |a| < 1."""
+    u = qsp_unitary(phases, a)
+    return u[..., 0, 0], u[..., 0, 1] / (1j * np.sqrt(1.0 - np.square(a)))
 
 
 def test_package_and_cli_import_without_scipy():
@@ -49,8 +54,10 @@ def test_package_and_cli_import_without_scipy():
 
 
 def test_signal_endpoints():
-    np.testing.assert_allclose(signal_w(1.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(signal_w(0.0), 1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
+    # With zero phases the product is the signal rotation W(a) itself.
+    np.testing.assert_allclose(qsp_unitary([0.0, 0.0], 1.0), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(qsp_unitary([0.0, 0.0], 0.0), 1j * np.array([[0, 1], [1, 0]]),
+                               atol=1e-15)
 
 
 def test_signal_is_inverse_convention_x_rotation():
@@ -58,14 +65,14 @@ def test_signal_is_inverse_convention_x_rotation():
     # canonical x-rotation by the same angle (equivalently the rotation
     # about the flipped axis); populations agree either way.
     a = np.cos(np.pi / 3)
-    np.testing.assert_allclose(signal_w(a), rotation(2, 2 * np.pi / 3, np.pi), atol=1e-12)
-    np.testing.assert_allclose(signal_w(a), rotation(2, 2 * np.pi / 3, 0.0).conj().T,
-                               atol=1e-12)
+    w = qsp_unitary([0.0, 0.0], a)
+    np.testing.assert_allclose(w, rotation(2, 2 * np.pi / 3, np.pi), atol=1e-12)
+    np.testing.assert_allclose(w, rotation(2, 2 * np.pi / 3, 0.0).conj().T, atol=1e-12)
 
 
 def test_signal_domain_error():
     with pytest.raises(ValueError, match="<= 1"):
-        signal_w(1.0000001)
+        qsp_unitary([0.0, 0.0], 1.0000001)
 
 
 def test_zero_phases_give_chebyshev():
@@ -192,13 +199,10 @@ def test_batched_unitary_equals_per_point_calls(degree):
         assert batch.shape == shape + (2, 2)
         for index in np.ndindex(shape):
             np.testing.assert_array_equal(batch[index], qsp_unitary(phases, float(a[index])))
-    np.testing.assert_array_equal(signal_w(a)[2, 4], signal_w(float(a[2, 4])))
 
 
 def test_non_finite_signal_values_rejected():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            signal_w(bad)
         with pytest.raises(ValueError, match="finite"):
             qsp_unitary([0.1, 0.2], bad)
         with pytest.raises(ValueError, match="finite"):
@@ -224,8 +228,6 @@ def test_polynomial_entries_over_arrays_equal_per_point_calls(degree):
         for index in np.ndindex(shape):
             np.testing.assert_array_equal((p[index], q[index]),
                                           polynomial_entries(phases, float(a[index])))
-    with pytest.raises(ValueError, match=r"\|a\| = 1"):
-        polynomial_entries(phases, np.array([0.2, -1.0]))
 
 
 def _plain_row(phases, a):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import trotter_propagator
-from spinkey.spin_algebra import (
-    hermitian_propagator,
-    rotation,
-    rotation_z,
-    spin_operators,
-)
+from spinkey.ion_sim import ExperimentConfig, light_shift_isolation
+from spinkey.spin_algebra import rotation, spin_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -58,8 +54,6 @@ def test_hermiticity_and_ladder_structure(dim):
 def test_unsupported_dimension_rejected():
     with pytest.raises(ValueError, match="unsupported dimension"):
         spin_operators(3)
-    with pytest.raises(ValueError):
-        rotation_z(4, 0.1)
 
 
 def test_operators_are_immutable():
@@ -104,48 +98,26 @@ def test_same_axis_rotations_add(dim):
 
 @pytest.mark.parametrize("dim", [2, 6])
 def test_axis_angle_is_z_conjugated_x_rotation(dim):
+    def rz(angle):
+        """exp(2j * angle * Jz)."""
+        return np.diag(np.exp(2j * angle * np.diag(spin_operators(dim).jz).real))
+
     rng = np.random.default_rng(13)
     for _ in range(8):
         theta, phi = rng.uniform(-np.pi, np.pi, 2)
-        conj = rotation_z(dim, -phi / 2) @ rotation(dim, theta, 0.0) @ rotation_z(dim, phi / 2)
+        conj = rz(-phi / 2) @ rotation(dim, theta, 0.0) @ rz(phi / 2)
         np.testing.assert_allclose(rotation(dim, theta, phi), conj, atol=1e-10)
 
 
-def test_rotation_z_values_and_composition():
-    np.testing.assert_allclose(rotation_z(2, 0.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(rotation_z(2, np.pi / 2), np.diag([1j, -1j]), atol=1e-13)
-    prod = rotation_z(6, np.pi / 2) @ rotation_z(6, -np.pi / 2)
-    np.testing.assert_allclose(prod, np.eye(6), atol=1e-13)
-    lhs = rotation_z(6, 0.3) @ rotation_z(6, 0.4)
-    np.testing.assert_allclose(lhs, rotation_z(6, 0.7), atol=1e-12)
-
-
-def test_propagator_of_zero_generator_is_identity():
-    np.testing.assert_allclose(hermitian_propagator(np.zeros((6, 6)), 3.7), np.eye(6),
-                               atol=1e-14)
-
-
-def test_propagator_matches_rotation():
-    omega = 2 * np.pi * 9.1e3
-    ops = spin_operators(2)
-    u = hermitian_propagator(omega * ops.jx, np.pi / omega)
-    np.testing.assert_allclose(u, rotation(2, np.pi, 0.0), atol=1e-12)
-
-
-def test_propagator_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_propagator(bad, 1.0)
-    with pytest.raises(ValueError, match="square"):
-        hermitian_propagator(np.zeros((2, 3)), 1.0)
-
-
 def test_propagator_matches_trotter_oracle_dim6():
-    ops = spin_operators(6)
-    delta = 2 * np.pi * 440.0
-    omega = np.pi / 55e-6
-    h_a = delta * ops.jz
-    h_b = omega * ops.jx
-    t = np.pi / omega
-    reference = trotter_propagator(np.asarray(h_a), np.asarray(h_b), t)
-    np.testing.assert_allclose(hermitian_propagator(h_a + h_b, t), reference, atol=1e-8)
+    """light_shift_isolation's start column against the Trotter product of
+    its two parts, the drive and the shift of m = -1/2."""
+    config = ExperimentConfig()
+    shift_hz = 440.0
+    h_a = np.zeros((6, 6), dtype=complex)
+    h_a[3, 3] = 2 * np.pi * shift_hz
+    h_b = config.rabi_freq * spin_operators(6).jx
+    t = config.pi_time
+    reference = np.abs(trotter_propagator(h_a, h_b, t)[:, 5]) ** 2
+    _, pops = light_shift_isolation(shift_hz, [t], config)
+    np.testing.assert_allclose(pops[0], reference, atol=1e-8)
